@@ -115,6 +115,9 @@ type runOpts struct {
 }
 
 func run(o runOpts) error {
+	if o.timingGate && o.routeGate {
+		return fmt.Errorf("-timing-gate and -route-gate select different -compare modes; give at most one")
+	}
 	effortName, seed, designCSV := o.effortName, o.seed, o.designCSV
 	tracks, chains, workers := o.tracks, o.chains, o.workers
 	out, tracePath, compare, wallTol := o.out, o.tracePath, o.compare, o.wallTol

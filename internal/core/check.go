@@ -4,14 +4,15 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/droute"
 	"repro/internal/timing"
 )
 
 // Check verifies every cross-structure invariant of the optimizer state from
 // scratch: placement legality, fabric/route consistency, the G and D
-// counters, route geometry against current pin positions, and the
-// incremental timing view against a full recomputation. Tests call it after
-// move bursts; it is far too slow for the inner loop.
+// counters, the skip rule for stuck nets, route geometry against current pin
+// positions, and the incremental timing view against a full recomputation.
+// Tests call it after move bursts; it is far too slow for the inner loop.
 func (o *Optimizer) Check() error {
 	if o.moveKind != moveNone {
 		return fmt.Errorf("core: Check inside an open move")
@@ -37,6 +38,36 @@ func (o *Optimizer) Check() error {
 	}
 	if g != o.g || d != o.d {
 		return fmt.Errorf("core: counters drifted: G=%d (recount %d), D=%d (recount %d)", o.g, g, o.d, d)
+	}
+
+	// The skip rule: an unrouted net whose stamp mayRoute rejects must really
+	// be unroutable now, or the cascade would have missed a route.
+	for id := range o.Rts {
+		r := &o.Rts[id]
+		if r.DetailDone() || o.mayRoute(int32(id)) {
+			continue
+		}
+		if r.Global {
+			for i := range r.Chans {
+				ca := &r.Chans[i]
+				if ca.Routed() {
+					continue
+				}
+				if _, _, _, ok := droute.PickTrack(o.F, ca.Ch, ca.Lo, ca.Hi, o.cfg.DrouteCost); ok {
+					return fmt.Errorf("core: net %d is skipped (stamp %d) but channel %d can route", id, o.failAt[id], ca.Ch)
+				}
+			}
+			continue
+		}
+		box := o.P.NetBox(int32(id))
+		vLo, vHi := o.A.VSegRange(box.ChLo, box.ChHi)
+		for col := 0; col < o.A.Cols; col++ {
+			for vt := 0; vt < o.A.VTracks; vt++ {
+				if o.F.VRangeFree(col, vt, vLo, vHi) {
+					return fmt.Errorf("core: net %d is skipped (stamp %d) but column %d vtrack %d is free", id, o.failAt[id], col, vt)
+				}
+			}
+		}
 	}
 
 	// Route geometry must match current pin positions.

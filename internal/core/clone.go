@@ -6,12 +6,13 @@ import (
 )
 
 // Clone returns a deep copy of the complete optimizer state: placement (cell
-// slots and pinmaps), fabric ownership tables, every net's segment
-// assignment, the G/D/dc counters, the adaptive cost weights, the move-range
-// window, and the incremental timing-analyzer state. Clones share only
-// immutable structures (the architecture, the netlist, the prefilled pinmap
-// palette) and evolve fully independently afterwards — the parallel annealing
-// engine relies on this to run chains on separate goroutines.
+// slots and pinmaps), fabric ownership tables and free log, every net's
+// segment assignment and failed-attempt stamp, the G/D/dc counters, the
+// adaptive cost weights, the move-range window, and the incremental
+// timing-analyzer state. Clones share only immutable structures (the
+// architecture, the netlist, the prefilled pinmap palette) and evolve fully
+// independently afterwards — the parallel annealing engine relies on this to
+// run chains on separate goroutines.
 //
 // The clone starts with fresh journal scratch and epoch counters; cloning
 // inside an open move is a programming error and panics.
@@ -40,6 +41,7 @@ func (o *Optimizer) Clone() *Optimizer {
 		wcr: o.wcr,
 
 		netStamp:  make([]uint32, len(o.netStamp)),
+		failAt:    append([]uint64(nil), o.failAt...),
 		cellStamp: make([]uint32, len(o.cellStamp)),
 		perturbed: o.perturbed,
 

@@ -287,6 +287,10 @@ type Optimizer struct {
 	netStamp     []uint32
 	epoch        uint32
 
+	// failAt[net] is the fabric free clock at the net's last failed routing
+	// attempt (0 = no stamp: the net must be tried). See mayRoute.
+	failAt []uint64
+
 	// Dynamics instrumentation.
 	cellStamp     []uint32
 	cellEpochBase uint32
@@ -358,6 +362,7 @@ func New(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Optimizer, error) {
 		cfg: cfg,
 
 		netStamp:  make([]uint32, nl.NumNets()),
+		failAt:    make([]uint64, nl.NumNets()),
 		cellStamp: make([]uint32, nl.NumCells()),
 
 		// Pre-sized move scratch: a move can journal and re-attempt every

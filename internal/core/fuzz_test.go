@@ -11,104 +11,123 @@ import (
 )
 
 var fuzzDesign struct {
-	once sync.Once
-	a    *arch.Arch
-	nl   *netlist.Netlist
-	err  error
+	once    sync.Once
+	a       *arch.Arch
+	starved *arch.Arch
+	nl      *netlist.Netlist
+	err     error
 }
 
-func fuzzSetup() (*arch.Arch, *netlist.Netlist, error) {
+// fuzzSetup returns the fuzz design with two arrays: one where most nets
+// route, and a starved one (few tracks, one vertical track per column) where
+// many nets stay stuck, so the skip rule for stuck nets is exercised.
+func fuzzSetup() (a, starved *arch.Arch, nl *netlist.Netlist, err error) {
 	fuzzDesign.once.Do(func() {
 		fuzzDesign.nl, fuzzDesign.err = netgen.Generate(netgen.Params{
 			Name: "fz", Inputs: 4, Outputs: 3, Seq: 2, Comb: 24, Seed: 51,
 		})
 		fuzzDesign.a = arch.MustNew(arch.Default(5, 11, 12))
+		p := arch.Default(5, 11, 4)
+		p.VTracks = 1
+		fuzzDesign.starved = arch.MustNew(p)
 	})
-	return fuzzDesign.a, fuzzDesign.nl, fuzzDesign.err
+	return fuzzDesign.a, fuzzDesign.starved, fuzzDesign.nl, fuzzDesign.err
 }
 
 // FuzzCloneEquivalence: a clone fed the identical move sequence must follow
 // the identical cost trajectory — the contract the parallel portfolio engine
 // rests on. Any state the clone shares mutably with the original, or fails to
-// copy, diverges the trajectories.
+// copy, diverges the trajectories. Both arrays are run; on the starved one the
+// router counters must agree too, which shows the clone carries the
+// failed-attempt stamps and the fabric's free log (a clone without them would
+// reach the same layouts through more attempts).
 func FuzzCloneEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint16(60))
 	f.Add(int64(9), uint8(0), uint16(120))
 	f.Add(int64(42), uint8(50), uint16(200))
 	f.Add(int64(-7), uint8(255), uint16(33))
 	f.Fuzz(func(t *testing.T, seed int64, warm uint8, moves uint16) {
-		a, nl, err := fuzzSetup()
+		a, starved, nl, err := fuzzSetup()
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := New(a, nl, Config{Seed: seed, MovesPerCell: 4, MaxTemps: 30})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Warm the original away from the initial state.
-		wrng := rand.New(rand.NewSource(seed + 7))
-		for i := 0; i < int(warm); i++ {
-			o.Propose(wrng)
-			if wrng.Intn(4) == 0 {
-				o.Reject()
-			} else {
-				o.Accept()
-			}
-		}
-
-		c := o.Clone()
-		if got, want := c.Cost(), o.Cost(); got != want {
-			t.Fatalf("clone cost %v != original %v before any move", got, want)
-		}
-		// The incremental bounding-box cache must be deep-copied: the clone
-		// serves the same boxes as the original, and both caches must agree
-		// with a from-scratch recompute.
-		for id := int32(0); id < int32(nl.NumNets()); id++ {
-			if ob, cb := o.P.NetBox(id), c.P.NetBox(id); ob != cb {
-				t.Fatalf("net %d: clone box %+v != original %+v", id, cb, ob)
-			}
-		}
-		if err := o.P.ValidateNetBoxes(); err != nil {
-			t.Fatalf("original after warm-up: %v", err)
-		}
-		if err := c.P.ValidateNetBoxes(); err != nil {
-			t.Fatalf("clone after copy: %v", err)
-		}
-
-		n := int(moves)%300 + 1
-		r1 := rand.New(rand.NewSource(seed * 31))
-		r2 := rand.New(rand.NewSource(seed * 31))
-		for i := 0; i < n; i++ {
-			d1 := o.Propose(r1)
-			d2 := c.Propose(r2)
-			if d1 != d2 {
-				t.Fatalf("move %d: deltas diverged: %v vs %v", i, d1, d2)
-			}
-			if r1.Intn(3) == 0 {
-				o.Reject()
-			} else {
-				o.Accept()
-			}
-			if r2.Intn(3) == 0 {
-				c.Reject()
-			} else {
-				c.Accept()
-			}
-			if o.Cost() != c.Cost() {
-				t.Fatalf("move %d: costs diverged: %v vs %v", i, o.Cost(), c.Cost())
-			}
-		}
-		if o.G() != c.G() || o.D() != c.D() || o.WCD() != c.WCD() {
-			t.Fatalf("final state diverged: (G=%d D=%d T=%v) vs (G=%d D=%d T=%v)",
-				o.G(), o.D(), o.WCD(), c.G(), c.D(), c.WCD())
-		}
-		if err := o.Check(); err != nil {
-			t.Fatalf("original: %v", err)
-		}
-		if err := c.Check(); err != nil {
-			t.Fatalf("clone: %v", err)
-		}
+		cloneEquivalence(t, a, nl, seed, warm, moves)
+		cloneEquivalence(t, starved, nl, seed, warm, moves)
 	})
+}
+
+func cloneEquivalence(t *testing.T, a *arch.Arch, nl *netlist.Netlist, seed int64, warm uint8, moves uint16) {
+	t.Helper()
+	o, err := New(a, nl, Config{Seed: seed, MovesPerCell: 4, MaxTemps: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm the original away from the initial state.
+	wrng := rand.New(rand.NewSource(seed + 7))
+	for i := 0; i < int(warm); i++ {
+		o.Propose(wrng)
+		if wrng.Intn(4) == 0 {
+			o.Reject()
+		} else {
+			o.Accept()
+		}
+	}
+
+	c := o.Clone()
+	if got, want := c.Cost(), o.Cost(); got != want {
+		t.Fatalf("clone cost %v != original %v before any move", got, want)
+	}
+	// The incremental bounding-box cache must be deep-copied: the clone
+	// serves the same boxes as the original, and both caches must agree
+	// with a from-scratch recompute.
+	for id := int32(0); id < int32(nl.NumNets()); id++ {
+		if ob, cb := o.P.NetBox(id), c.P.NetBox(id); ob != cb {
+			t.Fatalf("net %d: clone box %+v != original %+v", id, cb, ob)
+		}
+	}
+	if err := o.P.ValidateNetBoxes(); err != nil {
+		t.Fatalf("original after warm-up: %v", err)
+	}
+	if err := c.P.ValidateNetBoxes(); err != nil {
+		t.Fatalf("clone after copy: %v", err)
+	}
+
+	n := int(moves)%300 + 1
+	r1 := rand.New(rand.NewSource(seed * 31))
+	r2 := rand.New(rand.NewSource(seed * 31))
+	for i := 0; i < n; i++ {
+		d1 := o.Propose(r1)
+		d2 := c.Propose(r2)
+		if d1 != d2 {
+			t.Fatalf("move %d: deltas diverged: %v vs %v", i, d1, d2)
+		}
+		if r1.Intn(3) == 0 {
+			o.Reject()
+		} else {
+			o.Accept()
+		}
+		if r2.Intn(3) == 0 {
+			c.Reject()
+		} else {
+			c.Accept()
+		}
+		if o.Cost() != c.Cost() {
+			t.Fatalf("move %d: costs diverged: %v vs %v", i, o.Cost(), c.Cost())
+		}
+	}
+	if o.G() != c.G() || o.D() != c.D() || o.WCD() != c.WCD() {
+		t.Fatalf("final state diverged: (G=%d D=%d T=%v) vs (G=%d D=%d T=%v)",
+			o.G(), o.D(), o.WCD(), c.G(), c.D(), c.WCD())
+	}
+	if o.F.Stats != c.F.Stats {
+		t.Fatalf("router counters diverged: %+v vs %+v", o.F.Stats, c.F.Stats)
+	}
+	if err := o.Check(); err != nil {
+		t.Fatalf("original: %v", err)
+	}
+	if err := c.Check(); err != nil {
+		t.Fatalf("clone: %v", err)
+	}
 }
 
 // TestCloneIndependence: after cloning, moves on either copy must leave the

@@ -14,10 +14,11 @@ import (
 // moved (their delays must be refreshed even if the route descriptor ends up
 // bitwise identical, e.g. unrouted before and after).
 type jEntry struct {
-	id      int32
-	old     fabric.NetRoute
-	ripped  bool
-	oldMaxD float64 // pre-move worst sink delay (criticality term only)
+	id        int32
+	old       fabric.NetRoute
+	ripped    bool
+	oldMaxD   float64 // pre-move worst sink delay (criticality term only)
+	oldFailAt uint64  // pre-move failed-attempt stamp
 }
 
 // Propose implements anneal.Problem: apply one tentative move (cell swap /
@@ -139,6 +140,7 @@ func (o *Optimizer) journalNet(id int32, ripped bool) {
 	e.id = id
 	e.ripped = ripped
 	e.old.CopyFrom(&o.Rts[id])
+	e.oldFailAt = o.failAt[id]
 	if o.netMaxD != nil {
 		e.oldMaxD = o.netMaxD[id]
 	}
@@ -179,6 +181,7 @@ func (o *Optimizer) ripNet(id int32) {
 	}
 	o.F.RemoveRoute(id, r)
 	r.Reset()
+	o.failAt[id] = 0 // new pins: the old failure says nothing
 }
 
 // rerouteAndTime is the paper's incremental routing cascade (§3.3–§3.4):
@@ -186,19 +189,37 @@ func (o *Optimizer) ripNet(id int32) {
 // before this move) is attempted again, longest first — global routing, then
 // the missing channels of the detailed routing — and the timing view is
 // refreshed for every net whose embedding or pins changed.
+//
+// A stuck net whose failed-attempt stamp mayRoute rejects is passed over: its
+// attempt would fail and change nothing, so skipping it leaves the layout as
+// retrying it would. The net is checked again at its turn, since an earlier
+// net may have taken what was freed. The loop itself only allocates, so the
+// free clock stands still and every failure or pass-over is stamped with the
+// same clock.
 func (o *Optimizer) rerouteAndTime() {
+	clk := o.F.FreeClock()
 	o.worklist = o.worklist[:0]
 	for id := range o.Rts {
-		if !o.Rts[id].DetailDone() {
+		if o.Rts[id].DetailDone() {
+			continue
+		}
+		if o.mayRoute(int32(id)) {
 			o.worklist = append(o.worklist, int32(id))
+		} else {
+			o.failAt[id] = clk
 		}
 	}
 	o.sortWorklist()
 
 	for _, id := range o.worklist {
+		if !o.mayRoute(id) {
+			o.failAt[id] = clk
+			continue
+		}
+		o.journalNet(id, false)
+		o.failAt[id] = clk // until the net routes completely
 		r := &o.Rts[id]
 		if !r.Global {
-			o.journalNet(id, false)
 			if !groute.Route(o.F, o.P, id, r) {
 				continue
 			}
@@ -206,16 +227,17 @@ func (o *Optimizer) rerouteAndTime() {
 			o.dc += r.UnroutedChans()
 		}
 		if !r.DetailDone() {
-			o.journalNet(id, false)
 			u0 := r.UnroutedChans()
 			missing := droute.RouteNet(o.F, id, r, o.cfg.DrouteCost)
 			o.dc += missing - u0
 			if missing == 0 {
 				o.d--
+				o.failAt[id] = 0
 			}
 		} else {
 			// Global route with no channel needs (e.g. sink-less nets).
 			o.d--
+			o.failAt[id] = 0
 		}
 	}
 
@@ -312,6 +334,9 @@ func (o *Optimizer) Reject() {
 		o.P.SetPinmap(o.pmCell, o.pmOld)
 	}
 	o.g, o.d, o.dc = o.jOldG, o.jOldD, o.jOldDC
+	for i := range o.journal {
+		o.failAt[o.journal[i].id] = o.journal[i].oldFailAt
+	}
 	if o.netMaxD != nil {
 		for i := range o.journal {
 			o.netMaxD[o.journal[i].id] = o.journal[i].oldMaxD
@@ -319,4 +344,30 @@ func (o *Optimizer) Reject() {
 		o.critSum = o.jCritSum
 	}
 	o.moveKind = moveNone
+}
+
+// mayRoute reports whether an attempt to route the unrouted net id could
+// succeed now. A net with no stamp must be tried. A stamped net failed at
+// that free clock, and since a failed attempt changes nothing and resources
+// are freed only through the fabric's logged frees, it can route now only if
+// something freed since fits: a vertical run over its channel span when it
+// lacks a global route, otherwise a track in one of its missing channels.
+func (o *Optimizer) mayRoute(id int32) bool {
+	stamp := o.failAt[id]
+	if stamp == 0 {
+		return true
+	}
+	r := &o.Rts[id]
+	if !r.Global {
+		box := o.P.NetBox(id)
+		vLo, vHi := o.A.VSegRange(box.ChLo, box.ChHi)
+		return o.F.VMayFit(vLo, vHi, stamp)
+	}
+	for i := range r.Chans {
+		ca := &r.Chans[i]
+		if !ca.Routed() && o.F.HMayFit(ca.Ch, ca.Lo, ca.Hi, stamp) {
+			return true
+		}
+	}
+	return false
 }

@@ -59,3 +59,50 @@ func TestSoakLongRandomWalk(t *testing.T) {
 		})
 	}
 }
+
+// TestSoakStarvedSkipRule drives random moves on starved arrays, where most
+// moves leave nets stuck and the cascade passes over the ones whose stamps
+// rule out a route, with a full Check — which includes the skip rule — after
+// every move. It also requires that nets were in fact passed over, so the
+// check is not vacuous.
+func TestSoakStarvedSkipRule(t *testing.T) {
+	nl, err := netgen.Generate(netgen.Params{Name: "starve", Inputs: 5, Outputs: 4, Seq: 2, Comb: 40, Seed: 61})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moves := 1500
+	if testing.Short() {
+		moves = 300
+	}
+	for _, vt := range []int{1, 2} {
+		p := arch.Default(5, 14, 6)
+		p.VTracks = vt
+		a := arch.MustNew(p)
+		o, err := New(a, nl, Config{Seed: 29})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(31))
+		skipped := 0
+		for i := 0; i < moves; i++ {
+			o.Propose(rng)
+			if rng.Intn(2) == 0 {
+				o.Accept()
+			} else {
+				o.Reject()
+			}
+			if err := o.Check(); err != nil {
+				t.Fatalf("VTracks %d, move %d: %v", vt, i, err)
+			}
+			for id := range o.Rts {
+				if !o.Rts[id].DetailDone() && !o.mayRoute(int32(id)) {
+					skipped++
+				}
+			}
+		}
+		if skipped == 0 {
+			t.Errorf("VTracks %d: no stuck net was ever passed over; the array is not starved", vt)
+		}
+		t.Logf("VTracks %d: %d stuck nets passed over across %d moves, final G=%d D=%d", vt, skipped, moves, o.G(), o.D())
+	}
+}

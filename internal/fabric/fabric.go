@@ -54,11 +54,18 @@ type Fabric struct {
 	v [][][]int32 // [column][vtrack][vsegment] -> owning net or Free
 
 	usedH, usedV int
+
+	// The free log: clock counts every FreeH/FreeV, hlog[ch] remembers the
+	// tracks recently freed in channel ch and vlog the (column, vtrack) pairs
+	// recently freed (packed as col*VTracks + vtrack). See HMayFit.
+	clock uint64
+	hlog  []freeLog
+	vlog  freeLog
 }
 
 // New returns an empty fabric for the architecture.
 func New(a *arch.Arch) *Fabric {
-	f := &Fabric{A: a}
+	f := &Fabric{A: a, clock: 1, hlog: make([]freeLog, a.Channels())}
 	f.h = make([][][]int32, a.Channels())
 	for ch := range f.h {
 		f.h[ch] = make([][]int32, a.Tracks)
@@ -87,7 +94,8 @@ func New(a *arch.Arch) *Fabric {
 // Clone returns a deep copy of the ownership tables, sharing only the
 // immutable architecture.
 func (f *Fabric) Clone() *Fabric {
-	c := &Fabric{A: f.A, Stats: f.Stats, usedH: f.usedH, usedV: f.usedV}
+	c := &Fabric{A: f.A, Stats: f.Stats, usedH: f.usedH, usedV: f.usedV,
+		clock: f.clock, hlog: append([]freeLog(nil), f.hlog...), vlog: f.vlog}
 	c.h = make([][][]int32, len(f.h))
 	for ch := range f.h {
 		c.h[ch] = make([][]int32, len(f.h[ch]))
@@ -105,8 +113,15 @@ func (f *Fabric) Clone() *Fabric {
 	return c
 }
 
-// Reset frees every segment.
+// Reset frees every segment. It does not log the frees one by one: it
+// advances the free clock and marks every log as no longer reaching back
+// before it, so any earlier stamp may fit.
 func (f *Fabric) Reset() {
+	f.clock++
+	for ch := range f.hlog {
+		f.hlog[ch].lost = f.clock
+	}
+	f.vlog.lost = f.clock
 	for _, ch := range f.h {
 		for _, t := range ch {
 			for i := range t {
@@ -178,6 +193,8 @@ func (f *Fabric) FreeH(ch, track, segLo, segHi int, net int32) {
 		row[i] = Free
 	}
 	f.usedH -= segHi - segLo + 1
+	f.clock++
+	f.hlog[ch].add(f.clock, int32(track))
 }
 
 // AllocV assigns vertical segments [vLo, vHi] on (col, vtrack) to net.
@@ -204,6 +221,8 @@ func (f *Fabric) FreeV(col, vtrack, vLo, vHi int, net int32) {
 		row[i] = Free
 	}
 	f.usedV -= vHi - vLo + 1
+	f.clock++
+	f.vlog.add(f.clock, int32(col*f.A.VTracks+vtrack))
 }
 
 // UsedH returns the number of horizontal segments currently owned.

@@ -47,10 +47,6 @@ type Config struct {
 	// RouteWorkers or GOMAXPROCS.
 	RouteBackend droute.Backend
 
-	// Negotiated selects the negotiated backend when RouteBackend is unset.
-	// Deprecated: kept for callers predating RouteBackend.
-	Negotiated bool
-
 	// RouteIters overrides the iteration cap of the negotiated and lagrange
 	// backends (0 = the backend's default). Ignored by the ordered router.
 	RouteIters int
@@ -70,9 +66,6 @@ type Config struct {
 func (c *Config) setDefaults() {
 	if c.RouteAttempts <= 0 {
 		c.RouteAttempts = 8
-	}
-	if c.RouteBackend == "" && c.Negotiated {
-		c.RouteBackend = droute.BackendNegotiated
 	}
 	if c.CritWeight <= 0 {
 		c.CritWeight = 3

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/droute"
 	"repro/internal/netgen"
 	"repro/internal/netlist"
 	"repro/internal/place"
@@ -156,7 +157,7 @@ func TestTimingDrivenVariant(t *testing.T) {
 func TestNegotiatedRouterVariant(t *testing.T) {
 	a, nl := testDesign(t)
 	cfg := fastCfg(1)
-	cfg.Negotiated = true
+	cfg.RouteBackend = droute.BackendNegotiated
 	res, err := Run(a, nl, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +175,7 @@ func TestNegotiatedRouterVariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	neg := fastCfg(1)
-	neg.Negotiated = true
+	neg.RouteBackend = droute.BackendNegotiated
 	negRes, err := Run(tight, nl, neg)
 	if err != nil {
 		t.Fatal(err)
@@ -229,26 +230,5 @@ func TestUnknownRouteBackendRejected(t *testing.T) {
 	cfg.RouteBackend = "pathfinder"
 	if _, err := Run(a, nl, cfg); err == nil {
 		t.Fatal("Run accepted route backend \"pathfinder\"")
-	}
-}
-
-// The deprecated Negotiated flag must keep selecting the negotiated backend.
-func TestNegotiatedFlagMapsToBackend(t *testing.T) {
-	a, nl := testDesign(t)
-	old := fastCfg(4)
-	old.Negotiated = true
-	r1, err := Run(a, nl, old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastCfg(4)
-	cfg.RouteBackend = "negotiated"
-	r2, err := Run(a, nl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.WCD != r2.WCD || r1.UnroutedNets != r2.UnroutedNets {
-		t.Errorf("Negotiated flag and RouteBackend diverged: %v/%d vs %v/%d",
-			r1.WCD, r1.UnroutedNets, r2.WCD, r2.UnroutedNets)
 	}
 }

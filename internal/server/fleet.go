@@ -198,9 +198,14 @@ func (s *Server) handleFleetComplete(w http.ResponseWriter, r *http.Request) {
 	applyProgress(j, req.Progress)
 	switch {
 	case req.Status == fleet.StatusDone && !j.cancelRequested():
+		// Stats that do not decode fail the job: a done result with zeroed
+		// stats would be cached and served as good.
 		var stats JobStats
 		if len(req.Stats) > 0 {
-			json.Unmarshal(req.Stats, &stats)
+			if err := json.Unmarshal(req.Stats, &stats); err != nil {
+				s.finishJobFailed(j, "decode worker stats: "+err.Error())
+				break
+			}
 		}
 		s.finishJobDone(j, &JobResult{Layout: req.Layout, Stats: stats})
 		atomic.AddInt64(&s.remoteDone, 1)

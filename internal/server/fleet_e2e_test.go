@@ -429,3 +429,50 @@ func TestFleetMixedPriorityBurst(t *testing.T) {
 		t.Errorf("workers registered = %d, want 3", f.WorkersRegistered)
 	}
 }
+
+// TestFleetMalformedStatsFails: a worker that completes a job with valid JSON
+// stats of the wrong shape must fail the job. Nothing may reach the result
+// cache or the blob store, so resubmitting the same key runs fresh.
+func TestFleetMalformedStatsFails(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	_, base := newTestService(t, server.Config{
+		Workers: -1, QueueDepth: 8, LeaseTTL: 2 * time.Second, Store: st,
+	})
+	real := server.FleetExecutor()
+	bad := startFleetWorker(t, base, "bad-stats", 100*time.Millisecond,
+		func(spec json.RawMessage, cancel <-chan struct{}, p metrics.Collector) (fleet.ExecResult, error) {
+			res, err := real(spec, cancel, p)
+			res.Stats = json.RawMessage(`{"critical_path_ps":"x"}`)
+			return res, err
+		})
+
+	sub, resp := submitJob(t, base, tinyJob)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202", resp.StatusCode)
+	}
+	failed := waitState(t, base, sub.ID, server.StateFailed, 60*time.Second)
+	if !strings.Contains(failed.Error, "stats") {
+		t.Errorf("failed job error = %q, want a stats decode error", failed.Error)
+	}
+	if c := getStatsz(t, base).Cache; c.Entries != 0 {
+		t.Errorf("cache holds %d entries after a malformed completion, want 0", c.Entries)
+	}
+	if st.HasBlob(failed.CacheKey) {
+		t.Error("malformed completion was written to the blob store")
+	}
+
+	bad.Kill()
+	<-bad.Done()
+	startFleetWorker(t, base, "good", 100*time.Millisecond, real)
+	again, resp := submitJob(t, base, tinyJob)
+	if resp.StatusCode != http.StatusAccepted || again.Cached {
+		t.Fatalf("resubmit = %d (cached %v), want a fresh 202", resp.StatusCode, again.Cached)
+	}
+	done := waitState(t, base, again.ID, server.StateDone, 60*time.Second)
+	if done.CacheKey != failed.CacheKey {
+		t.Fatalf("cache key changed: %s vs %s", done.CacheKey, failed.CacheKey)
+	}
+	if !st.HasBlob(done.CacheKey) {
+		t.Error("the good completion did not reach the blob store")
+	}
+}
