@@ -314,12 +314,7 @@ func runPortfolio(o options, a *repro.Arch, nl *repro.Netlist, sum *metrics.Summ
 			fmt.Printf("  member %2d  %-34s  error: %v\n", i, m.Desc(), err)
 			continue
 		}
-		sc := portfolio.Score{
-			RouteFailed: !lay.FullyRouted,
-			Unrouted:    lay.Unrouted,
-			WCDPs:       lay.WCD,
-			Cost:        lay.Sim.FinalCost,
-		}
+		sc := exper.QualityOf(*lay.Sim).Score()
 		scored[i], layouts[i] = &sc, lay
 		fmt.Printf("  member %2d  %-34s  unrouted %3d  wcd %8.1f ps  cost %10.1f  wall %s\n",
 			i, m.Desc(), sc.Unrouted, sc.WCDPs, sc.Cost, wall.Round(time.Millisecond))

@@ -1,9 +1,10 @@
 // Command fpgaprd is the place-and-route job service daemon: the
 // simultaneous place-and-route optimizer behind an HTTP/JSON API with a
-// priority/fairness job scheduler, an in-process worker pool, cancellation, a
-// deterministic result cache, and per-temperature progress streaming over
-// SSE. It doubles as the coordinator of a worker fleet: external fpgaprw
-// processes lease jobs from it over /v1/fleet/ and stream results back.
+// priority/fairness job scheduler, cancellation, a deterministic result
+// cache, and per-temperature progress streaming over SSE. It is the
+// coordinator of a worker fleet: its -workers in-process workers and any
+// external fpgaprw processes lease jobs over /v1/fleet/ and stream results
+// back.
 //
 // Usage:
 //
@@ -135,8 +136,9 @@ func run(addr string, cfg server.Config, dataDir string, diskCacheBytes int64) e
 		log.Printf("fpgaprd: %v, shutting down", sig)
 	}
 
-	// Cancel in-flight runs first (they stop at the next temperature
-	// boundary, which also ends their SSE streams), then drain connections.
+	// Cancel every live job first (which also ends its SSE stream; the runs
+	// themselves stop at the next temperature boundary), then drain
+	// connections.
 	svc.Close()
 	ctx, stop := context.WithTimeout(context.Background(), 30*time.Second)
 	defer stop()

@@ -1,7 +1,7 @@
 // Command fpgaprw is the place-and-route fleet worker: it registers with an
 // fpgaprd coordinator, leases jobs over the /v1/fleet/ work-dispatch
-// protocol, runs the same deterministic optimizer flow the coordinator's
-// in-process pool runs, streams per-temperature progress back on its
+// protocol, runs the same deterministic executor the coordinator's
+// in-process workers run, streams per-temperature progress back on its
 // heartbeats, and completes each lease with the layout bytes. Because runs
 // are bit-exact per cache key, any number of workers can serve the same
 // queue — and a worker that crashes mid-job simply lets its lease expire, at

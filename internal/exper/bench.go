@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/portfolio"
 )
 
 // BenchSchema versions the BENCH_*.json report emitted by cmd/bench. Bump on
@@ -47,11 +48,11 @@ type BenchReport struct {
 	RouteIters   int    `json:"route_iters,omitempty"`
 }
 
-// BenchRow is one benchmark design's result.
-type BenchRow struct {
-	Design      string  `json:"design"`
-	Cells       int     `json:"cells"`
-	Nets        int     `json:"nets"`
+// Quality is the deterministic quality record of one simultaneous run, the
+// part of a result every report shares: bench rows and the job service's
+// run stats embed it (keeping its JSON fields in place), and portfolio
+// scoring reads it.
+type Quality struct {
 	FullyRouted bool    `json:"fully_routed"`
 	Unrouted    int     `json:"unrouted"`         // nets lacking a complete detailed route (D)
 	GUnrouted   int     `json:"global_unrouted"`  // globally unroutable nets (G)
@@ -59,8 +60,39 @@ type BenchRow struct {
 	FinalCost   float64 `json:"final_cost"`
 	Temps       int     `json:"temps"`
 	Moves       int     `json:"moves"`
-	Accepted    int     `json:"accepted"`
-	Restarts    int     `json:"restarts"` // elite-migration restarts (parallel runs)
+}
+
+// QualityOf extracts the quality record from an optimizer result.
+func QualityOf(res core.Result) Quality {
+	return Quality{
+		FullyRouted: res.FullyRouted,
+		Unrouted:    res.D,
+		GUnrouted:   res.G,
+		WCDPs:       res.WCD,
+		FinalCost:   res.FinalCost,
+		Temps:       res.Anneal.Temps,
+		Moves:       res.Anneal.TotalMoves,
+	}
+}
+
+// Score places the run in the portfolio quality order.
+func (q Quality) Score() portfolio.Score {
+	return portfolio.Score{
+		RouteFailed: !q.FullyRouted,
+		Unrouted:    q.Unrouted,
+		WCDPs:       q.WCDPs,
+		Cost:        q.FinalCost,
+	}
+}
+
+// BenchRow is one benchmark design's result.
+type BenchRow struct {
+	Design   string `json:"design"`
+	Cells    int    `json:"cells"`
+	Nets     int    `json:"nets"`
+	Quality         // fully_routed … moves
+	Accepted int    `json:"accepted"`
+	Restarts int    `json:"restarts"` // elite-migration restarts (parallel runs)
 
 	// LayoutHash fingerprints the final placement, pinmaps and routes; like
 	// the quality fields it is bit-identical for a fixed configuration, so
@@ -122,13 +154,7 @@ func RunBenchmark(design string, e Effort, seed int64, tracks int) (BenchRow, er
 		Design:          design,
 		Cells:           nl.NumCells(),
 		Nets:            nl.NumNets(),
-		FullyRouted:     res.FullyRouted,
-		Unrouted:        res.D,
-		GUnrouted:       res.G,
-		WCDPs:           res.WCD,
-		FinalCost:       res.FinalCost,
-		Temps:           res.Anneal.Temps,
-		Moves:           res.Anneal.TotalMoves,
+		Quality:         QualityOf(res),
 		Accepted:        res.Anneal.Accepted,
 		Restarts:        res.Restarts,
 		LayoutHash:      LayoutHash(opt),

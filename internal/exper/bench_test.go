@@ -24,9 +24,12 @@ func goldenReport() *BenchReport {
 		Chains:    1,
 		Rows: []BenchRow{{
 			Design: "tiny", Cells: 30, Nets: 40,
-			FullyRouted: true, Unrouted: 0, GUnrouted: 0,
-			WCDPs: 1234.5, FinalCost: 6.789,
-			Temps: 50, Moves: 9000, Accepted: 4000, Restarts: 0,
+			Quality: Quality{
+				FullyRouted: true, Unrouted: 0, GUnrouted: 0,
+				WCDPs: 1234.5, FinalCost: 6.789,
+				Temps: 50, Moves: 9000,
+			},
+			Accepted: 4000, Restarts: 0,
 			LayoutHash: "deadbeef00112233445566778899aabbccddeeff00112233445566778899aabb",
 			WallMS:     125.25, PeakMovesPerSec: 72000,
 			AllocsPerMove: 1.25, BytesPerMove: 96.5,

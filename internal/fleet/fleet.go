@@ -3,8 +3,8 @@
 //
 //   - Scheduler: the queue discipline that replaces the plain FIFO — three
 //     priority classes (low/normal/high) with aging so low-priority work
-//     cannot starve, and per-client weighted round-robin fair queueing
-//     inside each class.
+//     cannot starve, and per-client round-robin fair queueing inside each
+//     class.
 //   - LeaseManager + Registry: job leases with heartbeat renewal and
 //     expiry (a crashed or partitioned worker's job is detected and handed
 //     back for re-enqueue), plus worker registration and drain.
@@ -12,9 +12,9 @@
 //     coordinator exchange — register, lease, heartbeat, complete — with
 //     strict decoding and validation (fuzzed by FuzzLeaseProtocol).
 //   - Worker (worker.go): the lease → execute → heartbeat → complete loop
-//     that cmd/fpgaprw and the in-process test harness both run; the actual
-//     optimizer run is injected as an Executor so this package never
-//     depends on the server.
+//     that cmd/fpgaprw and the coordinator's own in-process workers both
+//     run; the actual optimizer run is injected as an Executor so this
+//     package never depends on the server.
 //
 // The package is deliberately mechanism, not policy: it knows nothing about
 // netlists or layouts. Job payloads travel as opaque JSON (the coordinator's

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
 	"sync"
 	"time"
@@ -39,9 +41,20 @@ type LeaseManager struct {
 	mu       sync.Mutex
 	ttl      time.Duration
 	clock    func() time.Time
+	prefix   string // random per manager, so IDs never repeat across process lives
 	nextID   int64
 	leases   map[string]*Lease
 	counters LeaseCounters
+}
+
+// idPrefix returns a random tag for lease and worker IDs. A worker can outlive
+// a coordinator restart; with counters alone, the next process life would
+// hand out the same IDs again and a stale worker could renew or complete a
+// lease that now belongs to another job.
+func idPrefix() string {
+	var b [6]byte
+	_, _ = rand.Read(b[:]) // cannot fail on supported platforms
+	return hex.EncodeToString(b[:])
 }
 
 // NewLeaseManager builds a manager granting leases of the given TTL
@@ -53,7 +66,7 @@ func NewLeaseManager(ttl time.Duration, clock func() time.Time) *LeaseManager {
 	if clock == nil {
 		clock = time.Now
 	}
-	return &LeaseManager{ttl: ttl, clock: clock, leases: make(map[string]*Lease)}
+	return &LeaseManager{ttl: ttl, clock: clock, prefix: idPrefix(), leases: make(map[string]*Lease)}
 }
 
 // TTL reports the configured lease duration.
@@ -66,7 +79,7 @@ func (m *LeaseManager) Grant(job, worker string) Lease {
 	m.nextID++
 	now := m.clock()
 	l := &Lease{
-		ID:      fmt.Sprintf("l%d", m.nextID),
+		ID:      fmt.Sprintf("l%s-%d", m.prefix, m.nextID),
 		Job:     job,
 		Worker:  worker,
 		Granted: now,
@@ -78,13 +91,14 @@ func (m *LeaseManager) Grant(job, worker string) Lease {
 }
 
 // Renew pushes a lease's expiry forward by the TTL. It reports false for an
-// unknown (completed or already expired) lease — the worker's signal to stop
-// working on the job.
-func (m *LeaseManager) Renew(id string) (Lease, bool) {
+// unknown (completed or already expired) lease, or one held by another
+// worker — the caller's signal to stop working on the job. A refused renewal
+// leaves the lease untouched.
+func (m *LeaseManager) Renew(id, worker string) (Lease, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	l, ok := m.leases[id]
-	if !ok {
+	if !ok || l.Worker != worker {
 		return Lease{}, false
 	}
 	l.Expires = m.clock().Add(m.ttl)
@@ -93,14 +107,15 @@ func (m *LeaseManager) Renew(id string) (Lease, bool) {
 }
 
 // Complete retires a lease, returning it exactly once. A second Complete —
-// or one racing a harvested expiry — reports false, which is what makes the
-// completion path exactly-once: only the caller that wins this removal may
-// publish the job's result.
-func (m *LeaseManager) Complete(id string) (Lease, bool) {
+// or one racing a harvested expiry, or one from a worker that does not hold
+// the lease — reports false, which is what makes the completion path
+// exactly-once: only the holder that wins this removal may publish the job's
+// result.
+func (m *LeaseManager) Complete(id, worker string) (Lease, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	l, ok := m.leases[id]
-	if !ok {
+	if !ok || l.Worker != worker {
 		return Lease{}, false
 	}
 	delete(m.leases, id)
@@ -156,6 +171,7 @@ type WorkerInfo struct {
 type Registry struct {
 	mu      sync.Mutex
 	clock   func() time.Time
+	prefix  string // random per registry, like LeaseManager's
 	nextID  int64
 	workers map[string]*WorkerInfo
 }
@@ -165,7 +181,7 @@ func NewRegistry(clock func() time.Time) *Registry {
 	if clock == nil {
 		clock = time.Now
 	}
-	return &Registry{clock: clock, workers: make(map[string]*WorkerInfo)}
+	return &Registry{clock: clock, prefix: idPrefix(), workers: make(map[string]*WorkerInfo)}
 }
 
 // Register admits a worker and returns its record.
@@ -175,7 +191,7 @@ func (r *Registry) Register(name string) WorkerInfo {
 	r.nextID++
 	now := r.clock()
 	w := &WorkerInfo{
-		ID:         fmt.Sprintf("w%d", r.nextID),
+		ID:         fmt.Sprintf("w%s-%d", r.prefix, r.nextID),
 		Name:       name,
 		Registered: now,
 		LastSeen:   now,

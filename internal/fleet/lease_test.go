@@ -22,7 +22,7 @@ func TestLeaseLifecycle(t *testing.T) {
 	// Renew at t+8 pushes expiry to t+18: the original deadline passing must
 	// not expire it.
 	clk.Advance(8 * time.Second)
-	if _, ok := m.Renew(l.ID); !ok {
+	if _, ok := m.Renew(l.ID, "w1"); !ok {
 		t.Fatal("renew of live lease refused")
 	}
 	clk.Advance(4 * time.Second) // t+12: past the original t+10 deadline
@@ -30,14 +30,14 @@ func TestLeaseLifecycle(t *testing.T) {
 		t.Fatalf("renewed lease expired: %+v", exp)
 	}
 
-	got, ok := m.Complete(l.ID)
+	got, ok := m.Complete(l.ID, "w1")
 	if !ok || got.Job != "j1" {
 		t.Fatalf("complete = %+v, %v", got, ok)
 	}
-	if _, ok := m.Complete(l.ID); ok {
+	if _, ok := m.Complete(l.ID, "w1"); ok {
 		t.Fatal("second complete succeeded; must be exactly-once")
 	}
-	if _, ok := m.Renew(l.ID); ok {
+	if _, ok := m.Renew(l.ID, "w1"); ok {
 		t.Fatal("renew of completed lease succeeded")
 	}
 	c := m.Counters()
@@ -56,7 +56,7 @@ func TestLeaseExpiry(t *testing.T) {
 	m.Grant("j2", "w2")
 
 	clk.Advance(3 * time.Second)
-	m.Renew(l1.ID) // only j1's holder heartbeats
+	m.Renew(l1.ID, "w1") // only j1's holder heartbeats
 
 	clk.Advance(3 * time.Second) // t+6: j2's lease (deadline t+5) is dead
 	exp := m.Expire(clk.Now())
@@ -66,15 +66,49 @@ func TestLeaseExpiry(t *testing.T) {
 	if exp2 := m.Expire(clk.Now()); len(exp2) != 0 {
 		t.Fatalf("second harvest returned %+v; expiry must be exactly-once", exp2)
 	}
-	if _, ok := m.Complete(exp[0].ID); ok {
+	if _, ok := m.Complete(exp[0].ID, "w2"); ok {
 		t.Fatal("complete of an expired lease succeeded; stale results must be refused")
 	}
-	if _, ok := m.Complete(l1.ID); !ok {
+	if _, ok := m.Complete(l1.ID, "w1"); !ok {
 		t.Fatal("renewed lease refused its completion")
 	}
 	c := m.Counters()
 	if c.Expired != 1 || c.Completed != 1 {
 		t.Fatalf("counters = %+v", c)
+	}
+}
+
+// TestLeaseHolderBinding: only the worker a lease was granted to may renew or
+// complete it; a refusal leaves the lease live for its holder. IDs never
+// repeat across managers, as they must not across coordinator restarts.
+func TestLeaseHolderBinding(t *testing.T) {
+	clk := newTestClock()
+	m := NewLeaseManager(5*time.Second, clk.Now)
+	l := m.Grant("j1", "w1")
+	if _, ok := m.Renew(l.ID, "w2"); ok {
+		t.Fatal("another worker renewed the lease")
+	}
+	if _, ok := m.Complete(l.ID, "w2"); ok {
+		t.Fatal("another worker completed the lease")
+	}
+	clk.Advance(4 * time.Second)
+	if _, ok := m.Renew(l.ID, "w1"); !ok {
+		t.Fatal("holder's renewal refused after a foreign attempt")
+	}
+	clk.Advance(4 * time.Second) // t+8: alive only because the holder renewed
+	if exp := m.Expire(clk.Now()); len(exp) != 0 {
+		t.Fatalf("foreign attempts disturbed the lease: expired %+v", exp)
+	}
+	if _, ok := m.Complete(l.ID, "w1"); !ok {
+		t.Fatal("holder's completion refused")
+	}
+
+	next := NewLeaseManager(5*time.Second, clk.Now).Grant("j2", "w1")
+	if next.ID == l.ID {
+		t.Fatalf("a new manager reissued lease ID %q", l.ID)
+	}
+	if a, b := NewRegistry(clk.Now).Register("x"), NewRegistry(clk.Now).Register("x"); a.ID == b.ID {
+		t.Fatalf("two registries issued the same worker ID %q", a.ID)
 	}
 }
 

@@ -149,20 +149,6 @@ func TestSchedulerFairness(t *testing.T) {
 		[]string{"a", "b", "c", "a", "b", "c", "a", "b", "c"})
 }
 
-// TestSchedulerWeights: a weight-2 client gets two dequeues per turn.
-func TestSchedulerWeights(t *testing.T) {
-	s := NewScheduler[string](SchedulerConfig{
-		Weights: map[string]int{"heavy": 2},
-		Clock:   newTestClock().Now,
-	})
-	for i := 0; i < 4; i++ {
-		s.TryEnqueue("h", PriorityNormal, "heavy")
-		s.TryEnqueue("l", PriorityNormal, "light")
-	}
-	wantOrder(t, drain(t, s, 8),
-		[]string{"h", "h", "l", "h", "h", "l", "l", "l"})
-}
-
 // TestSchedulerCapacity: TryEnqueue bounds the queue; EnqueueFront (the
 // lease-expiry path) deliberately does not, and its item is served next.
 func TestSchedulerCapacity(t *testing.T) {
@@ -194,47 +180,30 @@ func TestSchedulerEnqueueFrontCrossClient(t *testing.T) {
 	}
 }
 
-// TestSchedulerBlockingDequeue: Dequeue parks until an enqueue arrives and
-// returns false once stopped.
-func TestSchedulerBlockingDequeue(t *testing.T) {
+// TestSchedulerWakeChan: a WakeChan snapshot taken on an empty queue fires
+// at the next enqueue, and Close fires it and refuses further work.
+func TestSchedulerWakeChan(t *testing.T) {
 	s := NewScheduler[string](SchedulerConfig{})
-	got := make(chan string, 1)
-	go func() {
-		v, ok := s.Dequeue(nil)
-		if ok {
-			got <- v
-		}
-	}()
-	time.Sleep(10 * time.Millisecond) // let the goroutine park
+	wake := s.WakeChan()
+	if _, ok := s.TryDequeue(); ok {
+		t.Fatal("empty scheduler dequeued an item")
+	}
 	s.TryEnqueue("x", PriorityHigh, "cli")
 	select {
-	case v := <-got:
-		if v != "x" {
-			t.Fatalf("blocked Dequeue woke with %q", v)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocked Dequeue never woke after enqueue")
+	case <-wake:
+	default:
+		t.Fatal("WakeChan did not fire on enqueue")
+	}
+	if v, ok := s.TryDequeue(); !ok || v != "x" {
+		t.Fatalf("TryDequeue = %q, %v after wake", v, ok)
 	}
 
-	stop := make(chan struct{})
-	done := make(chan bool, 1)
-	go func() {
-		_, ok := s.Dequeue(stop)
-		done <- ok
-	}()
-	close(stop)
-	select {
-	case ok := <-done:
-		if ok {
-			t.Fatal("stopped Dequeue reported an item")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Dequeue ignored stop")
-	}
-
+	wake = s.WakeChan()
 	s.Close()
-	if _, ok := s.Dequeue(nil); ok {
-		t.Fatal("Dequeue on closed scheduler reported an item")
+	select {
+	case <-wake:
+	default:
+		t.Fatal("WakeChan did not fire on Close")
 	}
 	if s.TryEnqueue("y", PriorityNormal, "cli") {
 		t.Fatal("enqueue accepted after Close")

@@ -14,7 +14,7 @@ import (
 )
 
 // routedState produces a real placed-and-routed design to serialize.
-func routedState(t *testing.T) (*arch.Arch, *netlist.Netlist, *core.Optimizer) {
+func routedState(t testing.TB) (*arch.Arch, *netlist.Netlist, *core.Optimizer) {
 	t.Helper()
 	nl, err := netgen.Generate(netgen.Params{Name: "lt", Inputs: 4, Outputs: 3, Seq: 2, Comb: 25, Seed: 91})
 	if err != nil {

@@ -1,13 +1,15 @@
-// Event streaming: each job owns an eventHub, a metrics.Collector whose
-// records are appended to an ordered, append-only history and broadcast to
-// any number of SSE subscribers. Subscribers replay the history from the
-// beginning and then follow live events; the hub is sealed when the job
-// reaches a terminal state, which ends every stream.
+// Event streaming: each job owns an eventHub, an ordered, append-only
+// history of the job's state transitions and of the progress its worker
+// ships on heartbeats, broadcast to any number of SSE subscribers.
+// Subscribers replay the history from the beginning and then follow live
+// events; the hub is sealed when the job reaches a terminal state, which
+// ends every stream.
 package server
 
 import (
 	"sync"
 
+	"repro/internal/fleet"
 	"repro/internal/metrics"
 )
 
@@ -33,23 +35,20 @@ type MemberEvent struct {
 	State JobState `json:"state"`
 }
 
-// PhaseEvent reports one finished flow phase.
-type PhaseEvent struct {
-	Name      string `json:"name"`
-	ElapsedNS int64  `json:"elapsed_ns"`
-}
+// PhaseEvent reports one finished flow phase, exactly as the worker shipped
+// it.
+type PhaseEvent = fleet.PhaseProgress
 
 // eventHub is the per-job progress log. It is safe for concurrent use:
-// parallel annealing chains append through the Collector interface while SSE
-// handlers read, all under one mutex. History is append-only, so slices
-// handed to readers stay valid without copying.
+// heartbeat handlers append while SSE handlers read, all under one mutex.
+// History is append-only, so slices handed to readers stay valid without
+// copying.
 type eventHub struct {
 	mu       sync.Mutex
 	events   []Event
 	sealed   bool
 	wake     chan struct{} // closed and replaced on every append/seal
-	lastTemp metrics.TempRecord
-	haveTemp bool
+	lastTemp *metrics.TempRecord
 }
 
 func newEventHub() *eventHub {
@@ -62,28 +61,13 @@ func (h *eventHub) append(ev Event) {
 	if h.sealed {
 		return
 	}
+	if ev.Temp != nil {
+		h.lastTemp = ev.Temp
+	}
 	ev.Seq = len(h.events)
 	h.events = append(h.events, ev)
 	close(h.wake)
 	h.wake = make(chan struct{})
-}
-
-// RecordTemp implements metrics.Collector.
-func (h *eventHub) RecordTemp(r metrics.TempRecord) {
-	h.mu.Lock()
-	h.lastTemp, h.haveTemp = r, true
-	h.mu.Unlock()
-	h.append(Event{Type: "temp", Temp: &r})
-}
-
-// RecordPhase implements metrics.Collector.
-func (h *eventHub) RecordPhase(r metrics.PhaseRecord) {
-	h.append(Event{Type: "phase", Phase: &PhaseEvent{Name: r.Phase.String(), ElapsedNS: int64(r.Elapsed)}})
-}
-
-// RecordChain implements metrics.Collector.
-func (h *eventHub) RecordChain(r metrics.ChainRecord) {
-	h.append(Event{Type: "chain", Chain: &r})
 }
 
 // state records a job state transition as a stream event.
@@ -116,11 +100,10 @@ func (h *eventHub) next(cursor int) (evs []Event, sealed bool, wake <-chan struc
 	return evs, h.sealed, h.wake
 }
 
-// latestTemp returns the most recent temperature record, if any.
-func (h *eventHub) latestTemp() (metrics.TempRecord, bool) {
+// latestTemp returns the most recent temperature record (nil before the
+// first). Records are never mutated once appended.
+func (h *eventHub) latestTemp() *metrics.TempRecord {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.lastTemp, h.haveTemp
+	return h.lastTemp
 }
-
-var _ metrics.Collector = (*eventHub)(nil)

@@ -1,17 +1,20 @@
-// The coordinator side of the fleet work-dispatch protocol: external fpgaprw
-// worker processes register here, lease jobs out of the shared scheduler,
+// The coordinator side of the fleet work-dispatch protocol, the only way a
+// job runs: workers register here, lease jobs out of the shared scheduler,
 // heartbeat to keep their leases alive (shipping buffered optimizer progress
-// with every beat, so SSE subscribers follow remote runs exactly as local
-// ones), and complete them back into the result cache and the WAL. A lease
-// that misses its heartbeats is harvested by the janitor and its job
-// re-enqueued at the front of the queue — deterministic runs make the retry
-// idempotent, so whichever worker finishes produces bit-identical bytes.
+// with every beat, which feeds the job's SSE stream), and complete them back
+// into the result cache and the WAL. A lease that misses its heartbeats is
+// harvested by the janitor and its job re-enqueued at the front of the queue
+// — deterministic runs make the retry idempotent, so whichever worker
+// finishes produces bit-identical bytes. The in-process workers are ordinary
+// fleet.Workers whose HTTP client is served by this handler in memory.
 package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"time"
 
@@ -25,6 +28,46 @@ const (
 	maxFleetBodyBytes    = 1 << 20  // register / lease / drain
 	maxCompleteBodyBytes = 64 << 20 // heartbeat progress batches and completions
 )
+
+// localHeartbeat is the in-process workers' renewal cadence (capped at a
+// third of the lease TTL). A beat costs one in-memory request, and it is
+// what carries progress to SSE subscribers and a DELETE to the run, so it is
+// kept short.
+const localHeartbeat = 50 * time.Millisecond
+
+// startLocalWorkers starts cfg.Workers fleet workers in this process. Their
+// requests never touch a socket: muxTransport serves them through the
+// server's own handler, so they register, lease, heartbeat and complete
+// through exactly the handlers and wire validation external workers use.
+func (s *Server) startLocalWorkers() {
+	client := &http.Client{Transport: muxTransport{s.mux}}
+	for i := 0; i < s.cfg.Workers; i++ {
+		w, err := fleet.NewWorker(fleet.WorkerConfig{
+			Coordinator: "http://in-process",
+			Name:        fmt.Sprintf("local-%d", i+1),
+			Execute:     FleetExecutor(),
+			Client:      client,
+			Heartbeat:   min(localHeartbeat, s.leases.TTL()/3),
+		})
+		if err != nil {
+			panic(err) // every required field is set above
+		}
+		s.workers = append(s.workers, w)
+		go w.Run()
+	}
+}
+
+// muxTransport is an http.RoundTripper that answers each request by calling
+// the handler directly.
+type muxTransport struct{ h http.Handler }
+
+func (t muxTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	// A shallow copy: the mux records path values on the request it serves,
+	// and a RoundTripper must not modify the caller's.
+	t.h.ServeHTTP(rec, r.WithContext(r.Context()))
+	return rec.Result(), nil
+}
 
 // readFleetMessage reads and strictly decodes one fleet wire message,
 // answering 400 itself on failure.
@@ -107,7 +150,7 @@ func (s *Server) handleFleetLease(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				// Unserializable spec (cannot happen for a validated request):
 				// surface it as a failed job rather than wedging the lease.
-				s.leases.Complete(lease.ID)
+				s.leases.Complete(lease.ID, req.WorkerID)
 				s.finishJobFailed(j, "serialize spec for lease: "+err.Error())
 				httpError(w, http.StatusInternalServerError, "serialize spec: %v", err)
 				return
@@ -147,15 +190,15 @@ func (s *Server) handleFleetLease(w http.ResponseWriter, r *http.Request) {
 
 // handleFleetHeartbeat implements POST /v1/fleet/leases/{id}/heartbeat: renew
 // the lease, bridge the shipped progress into the job's event stream, and
-// tell the worker whether the job was canceled client-side. 410 = the lease
-// already expired (or completed) — the worker should stop.
+// tell the worker whether the job was canceled. 410 = the lease already
+// expired or completed, or was never this worker's — the worker should stop.
 func (s *Server) handleFleetHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req fleet.HeartbeatRequest
 	if !readFleetMessage(w, r, maxCompleteBodyBytes, &req) {
 		return
 	}
 	id := r.PathValue("id")
-	lease, ok := s.leases.Renew(id)
+	lease, ok := s.leases.Renew(id, req.WorkerID)
 	if !ok {
 		httpError(w, http.StatusGone, "lease %q is no longer held", id)
 		return
@@ -173,15 +216,17 @@ func (s *Server) handleFleetHeartbeat(w http.ResponseWriter, r *http.Request) {
 // handleFleetComplete implements POST /v1/fleet/leases/{id}/complete: retire
 // the lease and move its job terminal. Completing the lease is the
 // exactly-once gate — a late completion from a worker whose lease expired
-// finds it gone and is answered 410, so only one worker ever publishes a
-// job's result (and the blob lands in the content-addressed store once).
+// finds it gone, and one naming a lease it does not hold (a worker that
+// outlived a coordinator restart, say) is refused; both are answered 410, so
+// only the holder ever publishes a job's result (and the blob lands in the
+// content-addressed store once).
 func (s *Server) handleFleetComplete(w http.ResponseWriter, r *http.Request) {
 	var req fleet.CompleteRequest
 	if !readFleetMessage(w, r, maxCompleteBodyBytes, &req) {
 		return
 	}
 	id := r.PathValue("id")
-	lease, ok := s.leases.Complete(id)
+	lease, ok := s.leases.Complete(id, req.WorkerID)
 	if !ok {
 		httpError(w, http.StatusGone, "lease %q is no longer held", id)
 		return
@@ -212,8 +257,8 @@ func (s *Server) handleFleetComplete(w http.ResponseWriter, r *http.Request) {
 	case req.Status == fleet.StatusFailed:
 		s.finishJobFailed(j, req.Error)
 	default:
-		// Canceled — or done bytes racing a cancel request, which the local
-		// runner also reports as canceled rather than publishing the result.
+		// Canceled — or done bytes racing a cancel request, which are
+		// reported as canceled rather than published.
 		s.finishJobCanceled(j)
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -221,21 +266,46 @@ func (s *Server) handleFleetComplete(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyProgress bridges a batch of worker-shipped progress records into the
-// job's event hub, so /events subscribers and the status endpoint's live
-// Progress view work identically for remote runs.
+// job's event hub, feeding /events subscribers and the status endpoint's
+// live Progress view. The wire decoder has already checked that each record
+// carries exactly its own type's payload.
 func applyProgress(j *Job, evs []fleet.ProgressEvent) {
-	for i := range evs {
-		ev := &evs[i]
-		switch {
-		case ev.Type == "temp" && ev.Temp != nil:
-			j.hub.RecordTemp(*ev.Temp)
-		case ev.Type == "chain" && ev.Chain != nil:
-			j.hub.RecordChain(*ev.Chain)
-		case ev.Type == "phase" && ev.Phase != nil:
-			j.hub.append(Event{Type: "phase", Phase: &PhaseEvent{
-				Name: ev.Phase.Name, ElapsedNS: ev.Phase.ElapsedNS,
-			}})
-		}
+	for _, ev := range evs {
+		j.hub.append(Event{Type: ev.Type, Temp: ev.Temp, Phase: ev.Phase, Chain: ev.Chain})
+	}
+}
+
+// finishJobDone moves a running job to done, journaling the completion. The
+// durability order matters: the layout blob is written through the cache
+// *before* the done record is appended, so a journaled done always has (or at
+// worst has since evicted) its blob.
+func (s *Server) finishJobDone(j *Job, jr *JobResult) {
+	s.cache.put(j.Key, jr)
+	if !j.finishTerminal(StateDone, jr, "") || s.store == nil {
+		return
+	}
+	data, _ := json.Marshal(journalCompletion{
+		Design: j.spec.designName(),
+		Cells:  j.spec.nl.NumCells(),
+		Nets:   j.spec.nl.NumNets(),
+		Stats:  jr.Stats,
+	})
+	s.journal(store.Record{Kind: store.KindDone, Job: j.ID, Key: j.Key, Data: data})
+}
+
+// finishJobFailed moves a running job to failed and journals the error.
+func (s *Server) finishJobFailed(j *Job, msg string) {
+	if j.finishTerminal(StateFailed, nil, msg) {
+		s.journal(store.Record{Kind: store.KindFailed, Job: j.ID, Key: j.Key, Data: []byte(msg)})
+	}
+}
+
+// finishJobCanceled moves a running job to canceled and journals it. A job
+// that Close already interrupted is terminal, so nothing is journaled for it
+// and its submitted record stays pending for the next process life.
+func (s *Server) finishJobCanceled(j *Job) {
+	if j.finishTerminal(StateCanceled, nil, "") {
+		s.journal(store.Record{Kind: store.KindCanceled, Job: j.ID, Key: j.Key})
 	}
 }
 
@@ -272,15 +342,13 @@ func (s *Server) handleLeaseExpiry(l fleet.Lease) {
 	if !ok {
 		return
 	}
-	requeue, cancelTerminal := j.requeueForRetry()
+	requeue, canceled := j.requeueForRetry()
 	switch {
 	case requeue:
 		atomic.AddInt64(&s.reenqueues, 1)
 		s.sched.EnqueueFront(j, j.pri, j.client, j.created)
-	case cancelTerminal:
-		if j.userCanceled() {
-			s.journal(store.Record{Kind: store.KindCanceled, Job: j.ID, Key: j.Key})
-		}
+	case canceled:
+		s.journal(store.Record{Kind: store.KindCanceled, Job: j.ID, Key: j.Key})
 	}
 }
 

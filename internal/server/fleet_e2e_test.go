@@ -1,8 +1,9 @@
 // End-to-end tests of the coordinator/worker fleet over real HTTP: external
 // workers leasing jobs, progress streaming back into SSE, fault injection
 // (worker kill and heartbeat stall, both recovering by lease expiry with
-// bit-identical results), the priority/fairness scheduler under a mixed
-// burst, and the /statsz fleet section.
+// bit-identical results; a dead lease holder at shutdown; a worker that
+// outlives a coordinator restart), the priority/fairness scheduler under a
+// mixed burst, and the /statsz fleet section.
 package server_test
 
 import (
@@ -11,8 +12,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -474,5 +477,101 @@ func TestFleetMalformedStatsFails(t *testing.T) {
 	}
 	if !st.HasBlob(done.CacheKey) {
 		t.Error("the good completion did not reach the blob store")
+	}
+}
+
+// TestCloseWithDeadLeaseHolder: a portfolio member is leased to a worker that
+// then dies, long before its lease would expire. Close must still return
+// promptly: it moves the member to canceled itself, which ends the stream
+// the portfolio's aggregation follows, instead of waiting for a completion
+// or an expiry that will never come.
+func TestCloseWithDeadLeaseHolder(t *testing.T) {
+	srv, ts := startService(server.Config{Workers: -1, QueueDepth: 8})
+	defer ts.Close()
+	victim := startFleetWorker(t, ts.URL, "victim", 50*time.Millisecond, blockUntilCanceled)
+
+	st, resp := postGroup(t, ts.URL, "/v1/portfolios",
+		`{"design":"tiny","config":{"moves_per_cell":4,"max_temps":10},"matrix":{"seeds":[71]}}`, "")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("portfolio submit = %d", resp.StatusCode)
+	}
+	member := st.Members[0].Job
+	waitState(t, ts.URL, member, server.StateRunning, 30*time.Second)
+	victim.Kill()
+	<-victim.Done()
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked on a portfolio member leased to a dead worker")
+	}
+	if got := getStatus(t, ts.URL, member).State; got != server.StateCanceled {
+		t.Errorf("member state after Close = %s, want canceled", got)
+	}
+}
+
+// TestStaleWorkerAcrossRestart: a worker that outlives a coordinator restart
+// still holds a lease from the first life. Its late completion must not land
+// on the second life's lease, even though a counter-based scheme would give
+// that lease (and its worker) the very same IDs: the second life's job stays
+// with its own holder, and the stale bytes never reach the result cache.
+func TestStaleWorkerAcrossRestart(t *testing.T) {
+	// One address across both lives: the front swaps to the restarted server.
+	var live atomic.Pointer[server.Server]
+	live.Store(server.New(server.Config{Workers: -1, QueueDepth: 8}))
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		live.Load().Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	// The stale worker leases job A in life 1 and sits on it, sending no
+	// heartbeats, until released.
+	leased, release := make(chan struct{}), make(chan struct{})
+	real := server.FleetExecutor()
+	stale := startFleetWorker(t, ts.URL, "stale", time.Hour,
+		func(spec json.RawMessage, cancel <-chan struct{}, p metrics.Collector) (fleet.ExecResult, error) {
+			close(leased)
+			<-release
+			return real(spec, make(chan struct{}), p)
+		})
+	if _, resp := submitJob(t, ts.URL, tinySeed(81)); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit A = %d", resp.StatusCode)
+	}
+	select {
+	case <-leased:
+	case <-time.After(30 * time.Second):
+		t.Fatal("job A was never leased")
+	}
+
+	// Restart. Life 2 leases job B to a holder that runs until canceled.
+	life1 := live.Load()
+	life2 := server.New(server.Config{Workers: -1, QueueDepth: 8})
+	defer life2.Close()
+	live.Store(life2)
+	life1.Close()
+	startFleetWorker(t, ts.URL, "holder", 50*time.Millisecond, blockUntilCanceled)
+	b, resp := submitJob(t, ts.URL, tinySeed(82))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit B = %d", resp.StatusCode)
+	}
+	waitState(t, ts.URL, b.ID, server.StateRunning, 30*time.Second)
+
+	// The stale worker finishes A and completes its life-1 lease.
+	close(release)
+	stale.Drain()
+	<-stale.Done()
+
+	if got := getStatus(t, ts.URL, b.ID); got.State != server.StateRunning {
+		t.Errorf("job B is %s after the stale completion, want still running on its holder", got.State)
+	}
+	stats := getStatsz(t, ts.URL)
+	if stats.Fleet.RemoteCompletions != 0 || stats.Cache.Entries != 0 {
+		t.Errorf("stale completion published: %d completions, %d cache entries, want 0 and 0",
+			stats.Fleet.RemoteCompletions, stats.Cache.Entries)
 	}
 }

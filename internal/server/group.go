@@ -217,16 +217,6 @@ type GroupStatus struct {
 	ChampionJob string         `json:"champion_job,omitempty"`
 }
 
-// scoreOf maps finished-run stats onto the portfolio quality order.
-func scoreOf(st *JobStats) portfolio.Score {
-	return portfolio.Score{
-		RouteFailed: !st.FullyRouted,
-		Unrouted:    st.Unrouted,
-		WCDPs:       st.WCDPs,
-		Cost:        st.FinalCost,
-	}
-}
-
 // Status snapshots the group: every member's state and score, the derived
 // group state, and the champion under the deterministic (score, index)
 // tie-break.
@@ -251,7 +241,7 @@ func (g *group) Status() GroupStatus {
 			ms.Cached = snap.Cached
 			ms.Error = snap.Error
 			if snap.Result != nil {
-				sc := scoreOf(snap.Result)
+				sc := snap.Result.Score()
 				ms.Score = &sc
 				ms.WallMS = snap.Result.WallMS
 				scored[i] = &sc
@@ -527,7 +517,7 @@ func (s *Server) rebuildGroup(id string, jg journalGroup) *group {
 // unique member job republishing its state transitions into the group hub,
 // plus a finisher that seals the group stream — appending the champion event
 // first — once every member is terminal. All goroutines exit on shutdown
-// because Close interrupts every job, which seals every member hub.
+// because Close moves every live job terminal, which seals every member hub.
 func (s *Server) startGroupForwarders(g *group) {
 	var fwg sync.WaitGroup
 	seen := make(map[string]bool, len(g.members))

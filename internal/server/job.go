@@ -325,17 +325,12 @@ func (s *jobSpec) designName() string {
 	return "inline"
 }
 
-// JobStats is the quality report of a finished run.
+// JobStats is the report of a finished run: the quality record every report
+// shares, plus the run's restarts and wall time.
 type JobStats struct {
-	FullyRouted bool    `json:"fully_routed"`
-	Unrouted    int     `json:"unrouted"`
-	GUnrouted   int     `json:"global_unrouted"`
-	WCDPs       float64 `json:"critical_path_ps"`
-	FinalCost   float64 `json:"final_cost"`
-	Temps       int     `json:"temps"`
-	Moves       int     `json:"moves"`
-	Restarts    int     `json:"restarts"`
-	WallMS      float64 `json:"wall_ms"`
+	exper.Quality
+	Restarts int     `json:"restarts"`
+	WallMS   float64 `json:"wall_ms"`
 }
 
 // JobResult is an immutable finished-run artifact: once stored on a job or in
@@ -371,7 +366,6 @@ type Job struct {
 	Key     string
 	spec    *jobSpec
 	hub     *eventHub
-	cancel  chan struct{}
 	created time.Time
 	client  string         // rate-limit + fair-queueing identity (header or remote addr)
 	pri     fleet.Priority // scheduling class (from the validated request)
@@ -382,16 +376,14 @@ type Job struct {
 	cells  int
 	nets   int
 
-	mu          sync.Mutex
-	state       JobState
-	cancelReq   bool
-	userCancel  bool // cancelReq came from DELETE, not shutdown
-	interrupted bool // cancelReq came from shutdown: keep the WAL pending
-	started     time.Time
-	finished    time.Time
-	errMsg      string
-	result      *JobResult
-	cached      bool
+	mu        sync.Mutex
+	state     JobState
+	cancelReq bool // DELETE (or shutdown); heartbeat acks relay it to the worker
+	started   time.Time
+	finished  time.Time
+	errMsg    string
+	result    *JobResult
+	cached    bool
 }
 
 func newJob(id string, spec *jobSpec) *Job {
@@ -400,7 +392,6 @@ func newJob(id string, spec *jobSpec) *Job {
 		Key:     spec.key,
 		spec:    spec,
 		hub:     newEventHub(),
-		cancel:  make(chan struct{}),
 		created: time.Now(),
 		pri:     spec.pri,
 		state:   StateQueued,
@@ -417,7 +408,6 @@ func newCachedJob(id string, spec *jobSpec, res *JobResult) *Job {
 		Key:     spec.key,
 		spec:    spec,
 		hub:     newEventHub(),
-		cancel:  make(chan struct{}),
 		created: time.Now(),
 		pri:     spec.pri,
 		state:   StateDone,
@@ -438,7 +428,6 @@ func newRecoveredJob(id string, done journalCompletion, key string) *Job {
 		ID:      id,
 		Key:     key,
 		hub:     newEventHub(),
-		cancel:  make(chan struct{}),
 		created: time.Now(),
 		design:  done.Design,
 		cells:   done.Cells,
@@ -467,112 +456,86 @@ func (j *Job) beginRunning() bool {
 	return true
 }
 
-// finishTerminal moves the job into a terminal state and seals the event
-// stream.
-func (j *Job) finishTerminal(state JobState, res *JobResult, errMsg string) {
+// finishTerminal moves a live job into a terminal state. It reports false,
+// changing nothing, when the job was terminal already, so exactly one caller
+// journals the outcome.
+func (j *Job) finishTerminal(state JobState, res *JobResult, errMsg string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		return
+		return false
 	}
+	j.result, j.errMsg = res, errMsg
+	j.sealLocked(state)
+	return true
+}
+
+// sealLocked enters a terminal state and seals the event stream.
+func (j *Job) sealLocked(state JobState) {
 	j.state = state
-	j.result = res
-	j.errMsg = errMsg
 	j.finished = time.Now()
 	j.hub.state(state)
 	j.hub.finish()
 }
 
 // requestCancel implements DELETE: a queued job is canceled outright, a
-// running job has its cancel channel closed (the optimizer stops at the next
-// temperature boundary or sync barrier), and a terminal job is untouched.
-// It reports whether the request had any effect.
+// running job is flagged (its worker hears it on the next heartbeat and
+// stops at the next temperature boundary or sync barrier), and a terminal
+// job is untouched. It reports whether the request had any effect.
 func (j *Job) requestCancel() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch {
 	case j.state == StateQueued:
 		j.cancelReq = true
-		j.userCancel = true
-		close(j.cancel)
-		j.state = StateCanceled
-		j.finished = time.Now()
-		j.hub.state(StateCanceled)
-		j.hub.finish()
+		j.sealLocked(StateCanceled)
 		return true
 	case j.state == StateRunning && !j.cancelReq:
 		j.cancelReq = true
-		j.userCancel = true
-		close(j.cancel)
 		return true
-	case j.state == StateRunning:
-		// A shutdown interrupt already closed the cancel channel; record the
-		// client's intent so the cancellation is journaled, not replayed.
-		j.userCancel = true
-		return false
-	default:
-		return false
 	}
+	return false
 }
 
-// interrupt is the shutdown path: it stops the job like requestCancel but
-// flags it interrupted, so no terminal record is journaled — the job's
-// submitted record stays pending in the WAL and the next process life
-// re-enqueues it. This is what makes a restart (graceful or SIGKILL)
-// resume the promised work instead of silently dropping it.
-func (j *Job) interrupt() {
+// interrupt is the shutdown path: a live job goes terminal canceled with no
+// terminal record journaled, so its submitted record stays pending in the
+// WAL and the next process life re-enqueues it. This is what makes a
+// restart (graceful or SIGKILL) resume the promised work instead of silently
+// dropping it. It reports whether a client had already asked to cancel the
+// job, a cancellation the caller must journal.
+func (j *Job) interrupt() (userCanceled bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch {
-	case j.state == StateQueued:
-		j.interrupted = true
-		j.cancelReq = true
-		close(j.cancel)
-		j.state = StateCanceled
-		j.finished = time.Now()
-		j.hub.state(StateCanceled)
-		j.hub.finish()
-	case j.state == StateRunning:
-		j.interrupted = true
-		if !j.cancelReq {
-			j.cancelReq = true
-			close(j.cancel)
-		}
+	if j.state.Terminal() {
+		return false
 	}
+	userCanceled = j.cancelReq
+	j.cancelReq = true
+	j.sealLocked(StateCanceled)
+	return userCanceled
 }
 
 // requeueForRetry moves a running job whose lease expired back to queued so
 // the scheduler can hand it to another worker. Retrying is safe because runs
 // are deterministic per cache key: whichever worker finishes produces the
-// same bytes. It reports (requeue, cancelTerminal): requeue means the caller
-// must put the job back on the scheduler; cancelTerminal means a cancel
-// arrived while the doomed worker held the lease, so the job goes terminal
-// canceled instead of retrying.
-func (j *Job) requeueForRetry() (requeue, cancelTerminal bool) {
+// same bytes. It reports (requeue, canceled): requeue means the caller must
+// put the job back on the scheduler; canceled means a cancel arrived while
+// the doomed worker held the lease, so the job went terminal canceled
+// instead of retrying.
+func (j *Job) requeueForRetry() (requeue, canceled bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateRunning {
 		return false, false
 	}
 	if j.cancelReq {
-		j.state = StateCanceled
-		j.finished = time.Now()
-		j.hub.state(StateCanceled)
-		j.hub.finish()
+		j.sealLocked(StateCanceled)
 		return false, true
 	}
 	j.state = StateQueued
 	j.started = time.Time{}
 	j.hub.state(StateQueued)
 	return true, false
-}
-
-// userCanceled reports whether a client (as opposed to shutdown) asked for
-// cancellation; only those cancellations are journaled as terminal.
-func (j *Job) userCanceled() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.userCancel
 }
 
 // cancelRequested reports whether a cancel has been requested.
@@ -612,7 +575,7 @@ func (j *Job) Snapshot() JobStatus {
 		st.Finished = &t
 	}
 	if j.state == StateRunning {
-		if temp, ok := j.hub.latestTemp(); ok {
+		if temp := j.hub.latestTemp(); temp != nil {
 			st.Progress = &JobProgress{
 				Chain: temp.Chain,
 				Step:  temp.Step,

@@ -269,16 +269,15 @@ func TestJobStateMachine(t *testing.T) {
 		t.Error("worker could start a canceled job")
 	}
 
-	// Running job: cancel closes the channel, worker finishes it.
+	// Running job: cancel flags it for the worker's next heartbeat, and the
+	// worker's completion finishes it.
 	r := newJob("j3", spec)
 	r.beginRunning()
 	if !r.requestCancel() {
 		t.Error("cancel of a running job reported no effect")
 	}
-	select {
-	case <-r.cancel:
-	default:
-		t.Error("cancel channel not closed for a running job")
+	if !r.cancelRequested() {
+		t.Error("running job not flagged for cancellation")
 	}
 	if r.requestCancel() {
 		t.Error("second cancel reported an effect")

@@ -11,18 +11,19 @@
 //	GET    /statsz              queue/cache/job counters
 //
 // plus the fleet work-dispatch endpoints under /v1/fleet/ (see fleet.go and
-// the wire protocol in internal/fleet) through which external fpgaprw worker
-// processes lease jobs.
+// the wire protocol in internal/fleet) through which workers lease jobs.
 //
 // Jobs flow through a bounded scheduler — priority classes with aging, then
-// weighted round-robin across clients, then FIFO — into the in-process worker
-// pool and any leased-out external workers; a full queue answers 429 with
-// Retry-After rather than blocking or buffering unboundedly. With a single
-// client submitting at one priority the scheduler degenerates to exactly the
-// FIFO it replaced. Results are cached under hash(canonical netlist, arch
-// params, config, seed): the optimizer is bit-exact for that tuple, so a
-// repeat submission returns the identical layout bytes without re-annealing —
-// and a lease-expiry retry on another worker reproduces the same bytes.
+// round-robin across clients, then FIFO — and every run is a fleet lease:
+// the in-process workers are fleet.Workers whose requests are served by this
+// handler in memory, external fpgaprw processes are the same loop over HTTP.
+// A full queue answers 429 with Retry-After rather than blocking or buffering
+// unboundedly. With a single client submitting at one priority the scheduler
+// degenerates to exactly the FIFO it replaced. Results are cached under
+// hash(canonical netlist, arch params, config, seed): the optimizer is
+// bit-exact for that tuple, so a repeat submission returns the identical
+// layout bytes without re-annealing — and a lease-expiry retry on another
+// worker reproduces the same bytes.
 package server
 
 import (
@@ -43,9 +44,10 @@ import (
 
 // Config sizes the service.
 type Config struct {
-	// Workers is the number of in-process optimizer runners (default 2).
-	// Negative means none: the process is a pure coordinator and every job is
-	// executed by external fpgaprw workers over the fleet protocol.
+	// Workers is the number of in-process fleet workers (default 2). They
+	// lease, heartbeat and complete exactly like external fpgaprw workers,
+	// through an in-memory transport. Negative means none: the process is a
+	// pure coordinator and external workers execute every job.
 	Workers int
 	// QueueDepth is the bounded queue capacity; submissions beyond it are
 	// rejected with 429 (default 16).
@@ -84,9 +86,6 @@ type Config struct {
 	// AgingStep is the queue-wait per one-class priority promotion
 	// (0 = fleet.DefaultAgingStep; negative disables aging).
 	AgingStep time.Duration
-	// ClientWeights optionally gives some clients more than one dequeue per
-	// fair-queueing turn; absent clients weigh 1.
-	ClientWeights map[string]int
 }
 
 func (c *Config) setDefaults() {
@@ -126,11 +125,11 @@ type Server struct {
 	store   *store.Store // nil = in-memory only
 	limiter *rateLimiter // nil = no token-bucket limit
 
-	// Fleet state: external-worker identities and the leases checking jobs
-	// out to them. Both exist even in zero-config standalone mode — they are
-	// simply empty until an fpgaprw registers.
+	// Fleet state: worker identities and the leases checking jobs out to
+	// them. workers are the in-process ones, killed by Close.
 	registry *fleet.Registry
 	leases   *fleet.LeaseManager
+	workers  []*fleet.Worker
 
 	mu         sync.Mutex
 	jobs       map[string]*Job
@@ -154,10 +153,11 @@ type Server struct {
 	dedupHits   int64
 }
 
-// New builds a server and starts its worker pool. If cfg.Store is set, the
-// replayed journal is re-instated first: finished jobs are re-advertised,
-// interrupted ones re-enqueued, and the journal compacted — all before the
-// workers start, so recovered work runs in its original submission order.
+// New builds a server and starts its in-process workers. If cfg.Store is
+// set, the replayed journal is re-instated first: finished jobs are
+// re-advertised, interrupted ones re-enqueued, and the journal compacted —
+// all before the workers start, so recovered work runs in its original
+// submission order.
 func New(cfg Config) *Server {
 	cfg.setDefaults()
 	s := &Server{
@@ -167,7 +167,6 @@ func New(cfg Config) *Server {
 		sched: fleet.NewScheduler[*Job](fleet.SchedulerConfig{
 			Capacity:  cfg.QueueDepth,
 			AgingStep: cfg.AgingStep,
-			Weights:   cfg.ClientWeights,
 		}),
 		quit:     make(chan struct{}),
 		cache:    newResultCache(cfg.CacheEntries, cfg.Store),
@@ -204,12 +203,9 @@ func New(cfg Config) *Server {
 	if s.store != nil {
 		s.recover()
 	}
-	s.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
-	}
 	s.wg.Add(1)
 	go s.leaseJanitor()
+	s.startLocalWorkers()
 	return s
 }
 
@@ -307,18 +303,26 @@ func (s *Server) journal(r store.Record) {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close stops the worker pool: running jobs are interrupted (they stop at
-// the next temperature boundary) and queued jobs are abandoned in place. It
-// blocks until every worker has exited. Interrupts are deliberately not
-// journaled as cancellations — with a store attached, every interrupted
-// job's submitted record stays pending in the WAL, so the next process life
-// re-enqueues and finishes it.
+// Close stops the service: the in-process workers are killed (their runs
+// stop at the next temperature boundary and are never completed), and every
+// live job — queued, or running on any worker — is moved to canceled here,
+// which also ends its event stream. Close waits only for the server's own
+// goroutines, never for a worker, so a dead worker holding a lease cannot
+// stall it. Interrupts are deliberately not journaled — with a store
+// attached, every interrupted job's submitted record stays pending in the
+// WAL, so the next process life re-enqueues and finishes it. Only a
+// client's DELETE that had not yet reached its worker is journaled.
 func (s *Server) Close() {
 	close(s.quit)
 	s.sched.Close()
+	for _, w := range s.workers {
+		w.Kill()
+	}
 	s.mu.Lock()
 	for _, j := range s.jobs {
-		j.interrupt()
+		if j.interrupt() {
+			s.journal(store.Record{Kind: store.KindCanceled, Job: j.ID, Key: j.Key})
+		}
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
