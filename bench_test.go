@@ -196,6 +196,33 @@ func BenchmarkIncrementalMove(b *testing.B) {
 	}
 }
 
+// BenchmarkIncrementalMoveStarved measures one move of the reroute cascade on
+// big529 right after core.New, while about 350 of its 513 nets are still
+// unrouted: the per-move cost of re-attempting a long list of stuck nets.
+// Moves alternate between accept and reject, which keeps the placement
+// random and the list long; run it at a fixed -benchtime count (e.g. 2000x)
+// so every run walks the same moves.
+func BenchmarkIncrementalMoveStarved(b *testing.B) {
+	nl, a := benchDesign(b, "big529")
+	o, err := core.New(a, nl, core.Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	start := o.D()
+	rng := rand.New(rand.NewSource(2))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.Propose(rng)
+		if i%2 == 0 {
+			o.Accept()
+		} else {
+			o.Reject()
+		}
+	}
+	b.ReportMetric(float64(start), "unrouted-at-start")
+	b.ReportMetric(float64(o.D()), "unrouted-at-end")
+}
+
 // BenchmarkElmoreNetDelay measures the detailed RC-tree evaluation of one
 // routed net.
 func BenchmarkElmoreNetDelay(b *testing.B) {

@@ -4,15 +4,15 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/droute"
 	"repro/internal/timing"
 )
 
 // Check verifies every cross-structure invariant of the optimizer state from
-// scratch: placement legality, fabric/route consistency, the G and D
-// counters, the skip rule for stuck nets, route geometry against current pin
-// positions, and the incremental timing view against a full recomputation.
-// Tests call it after move bursts; it is far too slow for the inner loop.
+// scratch: placement legality, fabric/route consistency, the fabric's free
+// sets, the G and D counters, the unrouted list, route geometry against
+// current pin positions, and the incremental timing view against a full
+// recomputation. Tests call it after move bursts; it is far too slow for the
+// inner loop. Any change to engine state must keep it passing.
 func (o *Optimizer) Check() error {
 	if o.moveKind != moveNone {
 		return fmt.Errorf("core: Check inside an open move")
@@ -40,34 +40,11 @@ func (o *Optimizer) Check() error {
 		return fmt.Errorf("core: counters drifted: G=%d (recount %d), D=%d (recount %d)", o.g, g, o.d, d)
 	}
 
-	// The skip rule: an unrouted net whose stamp mayRoute rejects must really
-	// be unroutable now, or the cascade would have missed a route.
-	for id := range o.Rts {
-		r := &o.Rts[id]
-		if r.DetailDone() || o.mayRoute(int32(id)) {
-			continue
-		}
-		if r.Global {
-			for i := range r.Chans {
-				ca := &r.Chans[i]
-				if ca.Routed() {
-					continue
-				}
-				if _, _, _, ok := droute.PickTrack(o.F, ca.Ch, ca.Lo, ca.Hi, o.cfg.DrouteCost); ok {
-					return fmt.Errorf("core: net %d is skipped (stamp %d) but channel %d can route", id, o.failAt[id], ca.Ch)
-				}
-			}
-			continue
-		}
-		box := o.P.NetBox(int32(id))
-		vLo, vHi := o.A.VSegRange(box.ChLo, box.ChHi)
-		for col := 0; col < o.A.Cols; col++ {
-			for vt := 0; vt < o.A.VTracks; vt++ {
-				if o.F.VRangeFree(col, vt, vLo, vHi) {
-					return fmt.Errorf("core: net %d is skipped (stamp %d) but column %d vtrack %d is free", id, o.failAt[id], col, vt)
-				}
-			}
-		}
+	if err := o.F.CheckFreeSets(); err != nil {
+		return err
+	}
+	if err := o.checkUnrouted(); err != nil {
+		return err
 	}
 
 	// Route geometry must match current pin positions.
@@ -168,4 +145,78 @@ func (o *Optimizer) Check() error {
 		}
 	}
 	return nil
+}
+
+// checkUnrouted verifies the unrouted list: it holds exactly the nets lacking
+// a complete detailed route, each once and keyed by its current EstLength,
+// in strict cascade order. None of them can route now, by mayRoute or by an
+// exhaustive scan: the cascade tests each unrouted net at its turn and
+// afterwards only allocates, so a net it leaves unrouted stays unroutable
+// until something is freed.
+func (o *Optimizer) checkUnrouted() error {
+	listed := make([]bool, len(o.Rts))
+	for k, id := range o.unrouted {
+		if id < 0 || int(id) >= len(o.Rts) {
+			return fmt.Errorf("core: unrouted list entry %d names net %d of %d", k, id, len(o.Rts))
+		}
+		if listed[id] {
+			return fmt.Errorf("core: net %d is in the unrouted list twice", id)
+		}
+		listed[id] = true
+		if o.Rts[id].DetailDone() {
+			return fmt.Errorf("core: net %d is in the unrouted list but fully routed", id)
+		}
+		if want := o.P.EstLength(id); o.estLen[id] != want {
+			return fmt.Errorf("core: net %d is listed under length %v, its length is %v", id, o.estLen[id], want)
+		}
+		if k > 0 && !o.before(o.unrouted[k-1], id) {
+			return fmt.Errorf("core: unrouted list entries %d (net %d) and %d (net %d) are out of order",
+				k-1, o.unrouted[k-1], k, id)
+		}
+		if o.mayRoute(id) || o.scanRoutable(id) {
+			return fmt.Errorf("core: net %d is unrouted but can route now (mayRoute %v, scan %v)",
+				id, o.mayRoute(id), o.scanRoutable(id))
+		}
+	}
+	for id := range o.Rts {
+		if !listed[id] && !o.Rts[id].DetailDone() {
+			return fmt.Errorf("core: net %d lacks a detailed route but is not in the unrouted list", id)
+		}
+	}
+	return nil
+}
+
+// scanRoutable is mayRoute by exhaustive scan of the ownership tables: every
+// (column, vtrack) for a net without a global route, every track of every
+// missing channel otherwise.
+func (o *Optimizer) scanRoutable(id int32) bool {
+	r := &o.Rts[id]
+	if !r.Global {
+		box := o.P.NetBox(id)
+		if len(o.NL.Nets[id].Sinks) == 0 || box.ChLo == box.ChHi {
+			return true
+		}
+		vLo, vHi := o.A.VSegRange(box.ChLo, box.ChHi)
+		for col := 0; col < o.A.Cols; col++ {
+			for vt := 0; vt < o.A.VTracks; vt++ {
+				if o.F.VRangeFree(col, vt, vLo, vHi) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for i := range r.Chans {
+		ca := &r.Chans[i]
+		if ca.Routed() {
+			continue
+		}
+		for t := 0; t < o.A.Tracks; t++ {
+			sl, sh := o.A.SegRange(t, ca.Lo, ca.Hi)
+			if o.F.HRangeFree(ca.Ch, t, sl, sh) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // Clone returns a deep copy of the complete optimizer state: placement (cell
-// slots and pinmaps), fabric ownership tables and free log, every net's
-// segment assignment and failed-attempt stamp, the G/D/dc counters, the
+// slots and pinmaps), fabric ownership tables and free sets, every net's
+// segment assignment, the unrouted list and its keys, the G/D/dc counters, the
 // adaptive cost weights, the move-range window, and the incremental
 // timing-analyzer state. Clones share only immutable structures (the
 // architecture, the netlist, the prefilled pinmap palette) and evolve fully
@@ -41,9 +41,13 @@ func (o *Optimizer) Clone() *Optimizer {
 		wcr: o.wcr,
 
 		netStamp:  make([]uint32, len(o.netStamp)),
-		failAt:    append([]uint64(nil), o.failAt...),
 		cellStamp: make([]uint32, len(o.cellStamp)),
 		perturbed: o.perturbed,
+
+		unrouted: append(make([]int32, 0, cap(o.unrouted)), o.unrouted...),
+		spare:    make([]int32, 0, cap(o.spare)),
+		ripped:   make([]int32, 0, cap(o.ripped)),
+		estLen:   append([]float64(nil), o.estLen...),
 
 		dynamics: append([]DynamicsSample(nil), o.dynamics...),
 		window:   o.window,

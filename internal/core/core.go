@@ -287,17 +287,21 @@ type Optimizer struct {
 	netStamp     []uint32
 	epoch        uint32
 
-	// failAt[net] is the fabric free clock at the net's last failed routing
-	// attempt (0 = no stamp: the net must be tried). See mayRoute.
-	failAt []uint64
+	// The unrouted list: every net lacking a complete detailed route, in
+	// cascade order (estLen descending, then id ascending), where estLen[net]
+	// is the net's EstLength, refreshed when a move rips it. A move builds
+	// the next list in spare and leaves the old one there, so Reject swaps
+	// the two back. ripped is the move's re-keyed ripped nets, in order.
+	unrouted []int32
+	spare    []int32
+	ripped   []int32
+	estLen   []float64
 
 	// Dynamics instrumentation.
 	cellStamp     []uint32
 	cellEpochBase uint32
 	perturbed     int
 
-	worklist []int32
-	estLen   []float64
 	dynamics []DynamicsSample
 	dcalc    timing.DelayCalc
 	estBuf   []float64
@@ -362,14 +366,16 @@ func New(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Optimizer, error) {
 		cfg: cfg,
 
 		netStamp:  make([]uint32, nl.NumNets()),
-		failAt:    make([]uint64, nl.NumNets()),
 		cellStamp: make([]uint32, nl.NumCells()),
 
-		// Pre-sized move scratch: a move can journal and re-attempt every
-		// net, so sizing for the worst case up front keeps the steady-state
-		// move path at zero allocations (asserted by TestMoveAllocFree).
+		// Pre-sized move scratch: a move can journal, rip and leave unrouted
+		// every net, so sizing for the worst case up front keeps the
+		// steady-state move path at zero allocations (asserted by
+		// TestMoveAllocFree).
 		journal:  make([]jEntry, 0, nl.NumNets()),
-		worklist: make([]int32, 0, nl.NumNets()),
+		unrouted: make([]int32, 0, nl.NumNets()),
+		spare:    make([]int32, 0, nl.NumNets()),
+		ripped:   make([]int32, 0, nl.NumNets()),
 		estLen:   make([]float64, nl.NumNets()),
 	}
 	o.window = maxInt(a.Rows, a.Cols)
@@ -402,6 +408,21 @@ func New(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Optimizer, error) {
 	}
 	drouteDone()
 	o.recountGD()
+	for id := range o.Rts {
+		o.estLen[id] = o.P.EstLength(int32(id))
+		if !o.Rts[id].DetailDone() {
+			o.unrouted = append(o.unrouted, int32(id))
+		}
+	}
+	slices.SortFunc(o.unrouted, func(a, b int32) int {
+		switch {
+		case o.before(a, b):
+			return -1
+		case o.before(b, a):
+			return 1
+		}
+		return 0
+	})
 	if o.timingOn() {
 		an.Begin()
 		for id := range o.Rts {
@@ -857,32 +878,14 @@ func (o *Optimizer) cellOnUnroutedNet(rng *rand.Rand) (int32, bool) {
 // Dynamics returns the per-temperature activity trace of the last Run.
 func (o *Optimizer) Dynamics() []DynamicsSample { return o.dynamics }
 
-// sortWorklist orders net ids by decreasing estimated length (the paper's
-// U_G/U_D priority). The comparator is a strict total order (length, then
-// id), so any correct sort yields the same sequence; slices.SortFunc is used
-// because, unlike sort.Slice, it does not allocate — this runs on every move.
-func (o *Optimizer) sortWorklist() {
-	if cap(o.estLen) < o.NL.NumNets() {
-		o.estLen = make([]float64, o.NL.NumNets())
+// before reports whether net a precedes net b in cascade order: decreasing
+// estimated length (the paper's U_G/U_D priority), then increasing id. It is
+// a strict total order, so the order of the unrouted list is unique.
+func (o *Optimizer) before(a, b int32) bool {
+	if o.estLen[a] != o.estLen[b] {
+		return o.estLen[a] > o.estLen[b]
 	}
-	for _, id := range o.worklist {
-		o.estLen[id] = o.P.EstLength(id)
-	}
-	slices.SortFunc(o.worklist, func(a, b int32) int {
-		if o.estLen[a] != o.estLen[b] {
-			if o.estLen[a] > o.estLen[b] {
-				return -1
-			}
-			return 1
-		}
-		if a < b {
-			return -1
-		}
-		if a > b {
-			return 1
-		}
-		return 0
-	})
+	return a < b
 }
 
 var _ anneal.Problem = (*Optimizer)(nil)

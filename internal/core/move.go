@@ -14,11 +14,11 @@ import (
 // moved (their delays must be refreshed even if the route descriptor ends up
 // bitwise identical, e.g. unrouted before and after).
 type jEntry struct {
-	id        int32
-	old       fabric.NetRoute
-	ripped    bool
-	oldMaxD   float64 // pre-move worst sink delay (criticality term only)
-	oldFailAt uint64  // pre-move failed-attempt stamp
+	id      int32
+	old     fabric.NetRoute
+	ripped  bool
+	oldMaxD float64 // pre-move worst sink delay (criticality term only)
+	oldEst  float64 // pre-move unrouted-list key
 }
 
 // Propose implements anneal.Problem: apply one tentative move (cell swap /
@@ -140,7 +140,7 @@ func (o *Optimizer) journalNet(id int32, ripped bool) {
 	e.id = id
 	e.ripped = ripped
 	e.old.CopyFrom(&o.Rts[id])
-	e.oldFailAt = o.failAt[id]
+	e.oldEst = o.estLen[id]
 	if o.netMaxD != nil {
 		e.oldMaxD = o.netMaxD[id]
 	}
@@ -181,7 +181,6 @@ func (o *Optimizer) ripNet(id int32) {
 	}
 	o.F.RemoveRoute(id, r)
 	r.Reset()
-	o.failAt[id] = 0 // new pins: the old failure says nothing
 }
 
 // rerouteAndTime is the paper's incremental routing cascade (§3.3–§3.4):
@@ -190,56 +189,50 @@ func (o *Optimizer) ripNet(id int32) {
 // the missing channels of the detailed routing — and the timing view is
 // refreshed for every net whose embedding or pins changed.
 //
-// A stuck net whose failed-attempt stamp mayRoute rejects is passed over: its
-// attempt would fail and change nothing, so skipping it leaves the layout as
-// retrying it would. The net is checked again at its turn, since an earlier
-// net may have taken what was freed. The loop itself only allocates, so the
-// free clock stands still and every failure or pass-over is stamped with the
-// same clock.
+// The unroutable nets are the persistent unrouted list, so the cascade is one
+// merge: the ripped nets, re-keyed by their new estimated lengths, go into
+// the old list in order, and the walk builds the next list from the nets that
+// stay unrouted. A net whose attempt mayRoute rules out is passed over: the
+// attempt would fail and change nothing, so the layout is the one retrying
+// it would give. It is tested at its turn, since an earlier net may have
+// taken what it needs. The old list stays in spare for Reject.
 func (o *Optimizer) rerouteAndTime() {
-	clk := o.F.FreeClock()
-	o.worklist = o.worklist[:0]
-	for id := range o.Rts {
-		if o.Rts[id].DetailDone() {
-			continue
+	// So far the journal holds exactly the ripped nets.
+	o.ripped = o.ripped[:0]
+	for i := range o.journal {
+		id := o.journal[i].id
+		o.estLen[id] = o.P.EstLength(id)
+		k := len(o.ripped)
+		o.ripped = append(o.ripped, id)
+		for ; k > 0 && o.before(id, o.ripped[k-1]); k-- {
+			o.ripped[k] = o.ripped[k-1]
 		}
-		if o.mayRoute(int32(id)) {
-			o.worklist = append(o.worklist, int32(id))
-		} else {
-			o.failAt[id] = clk
-		}
+		o.ripped[k] = id
 	}
-	o.sortWorklist()
 
-	for _, id := range o.worklist {
-		if !o.mayRoute(id) {
-			o.failAt[id] = clk
-			continue
+	old, next := o.unrouted, o.spare[:0]
+	i, j := 0, 0
+	for {
+		// A ripped net still sits in old under its stale key; its netStamp is
+		// this epoch, which no other net in old has before its turn.
+		for i < len(old) && o.netStamp[old[i]] == o.epoch {
+			i++
 		}
-		o.journalNet(id, false)
-		o.failAt[id] = clk // until the net routes completely
-		r := &o.Rts[id]
-		if !r.Global {
-			if !groute.Route(o.F, o.P, id, r) {
-				continue
-			}
-			o.g--
-			o.dc += r.UnroutedChans()
-		}
-		if !r.DetailDone() {
-			u0 := r.UnroutedChans()
-			missing := droute.RouteNet(o.F, id, r, o.cfg.DrouteCost)
-			o.dc += missing - u0
-			if missing == 0 {
-				o.d--
-				o.failAt[id] = 0
-			}
+		var id int32
+		if i < len(old) && (j == len(o.ripped) || o.before(old[i], o.ripped[j])) {
+			id = old[i]
+			i++
+		} else if j < len(o.ripped) {
+			id = o.ripped[j]
+			j++
 		} else {
-			// Global route with no channel needs (e.g. sink-less nets).
-			o.d--
-			o.failAt[id] = 0
+			break
+		}
+		if !o.mayRoute(id) || !o.routeNet(id) {
+			next = append(next, id)
 		}
 	}
+	o.unrouted, o.spare = next, old
 
 	if !o.timingOn() {
 		return
@@ -274,6 +267,32 @@ func (o *Optimizer) rerouteAndTime() {
 		}
 	}
 	o.An.Propagate()
+}
+
+// routeNet attempts to complete the unrouted net id's route and reports
+// whether it is now fully detail-routed.
+func (o *Optimizer) routeNet(id int32) bool {
+	o.journalNet(id, false)
+	r := &o.Rts[id]
+	if !r.Global {
+		if !groute.Route(o.F, o.P, id, r) {
+			return false
+		}
+		o.g--
+		o.dc += r.UnroutedChans()
+	}
+	if !r.DetailDone() {
+		u0 := r.UnroutedChans()
+		missing := droute.RouteNet(o.F, id, r, o.cfg.DrouteCost)
+		o.dc += missing - u0
+		if missing > 0 {
+			return false
+		}
+	}
+	// Detail-routed now (a global route with no channel needs, such as a
+	// sink-less net's, is complete at once).
+	o.d--
+	return true
 }
 
 // Accept implements anneal.Problem.
@@ -334,8 +353,9 @@ func (o *Optimizer) Reject() {
 		o.P.SetPinmap(o.pmCell, o.pmOld)
 	}
 	o.g, o.d, o.dc = o.jOldG, o.jOldD, o.jOldDC
+	o.unrouted, o.spare = o.spare, o.unrouted
 	for i := range o.journal {
-		o.failAt[o.journal[i].id] = o.journal[i].oldFailAt
+		o.estLen[o.journal[i].id] = o.journal[i].oldEst
 	}
 	if o.netMaxD != nil {
 		for i := range o.journal {
@@ -346,26 +366,28 @@ func (o *Optimizer) Reject() {
 	o.moveKind = moveNone
 }
 
-// mayRoute reports whether an attempt to route the unrouted net id could
-// succeed now. A net with no stamp must be tried. A stamped net failed at
-// that free clock, and since a failed attempt changes nothing and resources
-// are freed only through the fabric's logged frees, it can route now only if
-// something freed since fits: a vertical run over its channel span when it
-// lacks a global route, otherwise a track in one of its missing channels.
+// mayRoute reports whether an attempt to route the unrouted net id would
+// change anything. A net without a global route needs a free vertical run
+// over its channel span (unless it has no sinks or stays in one channel); a
+// globally routed net needs a free track in at least one missing channel,
+// since channels share no resources. The test is exact: a false answer means
+// the attempt would fail and leave the fabric and the route as they are.
 func (o *Optimizer) mayRoute(id int32) bool {
-	stamp := o.failAt[id]
-	if stamp == 0 {
-		return true
-	}
 	r := &o.Rts[id]
 	if !r.Global {
+		if len(o.NL.Nets[id].Sinks) == 0 {
+			return true
+		}
 		box := o.P.NetBox(id)
+		if box.ChLo == box.ChHi {
+			return true
+		}
 		vLo, vHi := o.A.VSegRange(box.ChLo, box.ChHi)
-		return o.F.VMayFit(vLo, vHi, stamp)
+		return !o.F.VFit(vLo, vHi).Empty()
 	}
 	for i := range r.Chans {
 		ca := &r.Chans[i]
-		if !ca.Routed() && o.F.HMayFit(ca.Ch, ca.Lo, ca.Hi, stamp) {
+		if !ca.Routed() && !o.F.HFit(ca.Ch, ca.Lo, ca.Hi).Empty() {
 			return true
 		}
 	}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/fabric"
 	"repro/internal/netgen"
 )
 
@@ -61,10 +63,10 @@ func TestSoakLongRandomWalk(t *testing.T) {
 }
 
 // TestSoakStarvedSkipRule drives random moves on starved arrays, where most
-// moves leave nets stuck and the cascade passes over the ones whose stamps
-// rule out a route, with a full Check — which includes the skip rule — after
-// every move. It also requires that nets were in fact passed over, so the
-// check is not vacuous.
+// moves leave nets stuck and the cascade passes over the ones that cannot
+// route, with a full Check — which includes the free sets and the unrouted
+// list — after every move. It also requires that nets were in fact passed
+// over, so the check is not vacuous.
 func TestSoakStarvedSkipRule(t *testing.T) {
 	nl, err := netgen.Generate(netgen.Params{Name: "starve", Inputs: 5, Outputs: 4, Seq: 2, Comb: 40, Seed: 61})
 	if err != nil {
@@ -104,5 +106,69 @@ func TestSoakStarvedSkipRule(t *testing.T) {
 			t.Errorf("VTracks %d: no stuck net was ever passed over; the array is not starved", vt)
 		}
 		t.Logf("VTracks %d: %d stuck nets passed over across %d moves, final G=%d D=%d", vt, skipped, moves, o.G(), o.D())
+	}
+}
+
+// TestCheckCatchesDrift corrupts, one at a time, each structure the cascade
+// relies on — a free bit, an unrouted-list key, the list's membership and its
+// order — and requires Check to report it.
+func TestCheckCatchesDrift(t *testing.T) {
+	nl, err := netgen.Generate(netgen.Params{Name: "drift", Inputs: 5, Outputs: 4, Seq: 2, Comb: 40, Seed: 61})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := arch.Default(5, 14, 6)
+	p.VTracks = 1
+	o, err := New(arch.MustNew(p), nl, Config{Seed: 29})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 50; i++ {
+		o.Propose(rng)
+		o.Accept()
+	}
+	if err := o.Check(); err != nil {
+		t.Fatalf("consistent state rejected: %v", err)
+	}
+	if len(o.unrouted) < 2 {
+		t.Fatalf("%d unrouted nets; the array is not starved", len(o.unrouted))
+	}
+	routed := int32(-1)
+	for id := range o.Rts {
+		if o.Rts[id].DetailDone() {
+			routed = int32(id)
+			break
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		corrupt func(c *Optimizer)
+		want    string
+	}{
+		{"flipped free bit", func(c *Optimizer) {
+			// Allocating a free segment to Free leaves the ownership table
+			// as it was but clears the segment's free bit.
+			for tr := 0; tr < c.A.Tracks; tr++ {
+				if c.F.HOwner(0, tr, 0) == fabric.Free {
+					c.F.AllocH(0, tr, 0, 0, fabric.Free)
+					return
+				}
+			}
+			t.Fatal("channel 0 has no free first segment")
+		}, "free tracks"},
+		{"stale key", func(c *Optimizer) { c.estLen[c.unrouted[0]]++ }, "listed under length"},
+		{"missing net", func(c *Optimizer) { c.unrouted = c.unrouted[1:] }, "not in the unrouted list"},
+		{"routed net listed", func(c *Optimizer) { c.unrouted = append(c.unrouted, routed) }, "fully routed"},
+		{"out of order", func(c *Optimizer) {
+			c.unrouted[0], c.unrouted[1] = c.unrouted[1], c.unrouted[0]
+		}, "out of order"},
+	} {
+		cl := o.Clone()
+		c.corrupt(cl)
+		err := cl.Check()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Check = %v, want an error containing %q", c.name, err, c.want)
+		}
 	}
 }

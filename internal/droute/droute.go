@@ -10,6 +10,7 @@ package droute
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -28,20 +29,22 @@ func DefaultCost() Cost { return Cost{WWaste: 1, WSegs: 4} }
 
 // PickTrack returns the cheapest feasible track for covering columns
 // [lo, hi] in channel ch, or ok=false when no track has the needed free run.
+// Only the tracks in the fabric's fit set are costed, in ascending order with
+// a strict improvement test, so ties go to the lowest track.
 func PickTrack(f *fabric.Fabric, ch, lo, hi int, cost Cost) (track, segLo, segHi int, ok bool) {
 	a := f.A
 	best := math.Inf(1)
 	track = -1
-	for t := 0; t < a.Tracks; t++ {
-		sl, sh := a.SegRange(t, lo, hi)
-		if !f.HRangeFree(ch, t, sl, sh) {
-			continue
-		}
-		segs := a.Seg[t]
-		waste := float64((segs[sh].End - segs[sl].Start) - (hi - lo + 1))
-		c := cost.WWaste*waste + cost.WSegs*float64(sh-sl+1)
-		if c < best {
-			best, track, segLo, segHi = c, t, sl, sh
+	for k, w := range f.HFit(ch, lo, hi) {
+		for ; w != 0; w &= w - 1 {
+			t := k<<6 + bits.TrailingZeros64(w)
+			sl, sh := a.SegRange(t, lo, hi)
+			segs := a.Seg[t]
+			waste := float64((segs[sh].End - segs[sl].Start) - (hi - lo + 1))
+			c := cost.WWaste*waste + cost.WSegs*float64(sh-sl+1)
+			if c < best {
+				best, track, segLo, segHi = c, t, sl, sh
+			}
 		}
 	}
 	return track, segLo, segHi, track >= 0

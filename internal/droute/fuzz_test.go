@@ -16,9 +16,10 @@ func FuzzDetailedRoute(f *testing.F) {
 	f.Add(uint8(12), uint8(3), uint8(3), uint8(7), uint8(2), []byte{1, 2, 9, 0, 0, 11, 1, 5, 5}, int64(7))
 	f.Add(uint8(30), uint8(1), uint8(9), uint8(1), uint8(5), []byte{0, 10, 19, 0, 10, 19, 0, 0, 29}, int64(3))
 	f.Add(uint8(5), uint8(6), uint8(1), uint8(2), uint8(1), []byte{2, 4, 4}, int64(-9))
+	f.Add(uint8(35), uint8(69), uint8(2), uint8(8), uint8(3), []byte{0, 0, 30, 1, 3, 9, 0, 5, 20, 2, 0, 0}, int64(11))
 	f.Fuzz(func(t *testing.T, colsB, tracksB, seg1, seg2, phase uint8, needBytes []byte, seed int64) {
 		cols := int(colsB)%40 + 2
-		tracks := int(tracksB)%6 + 1
+		tracks := int(tracksB)%200 + 1
 		p := arch.Default(2, cols, tracks)
 		p.SegPattern = []int{int(seg1)%9 + 1, int(seg2)%9 + 1}
 		p.PhaseStep = int(phase) % 7

@@ -55,17 +55,21 @@ type Fabric struct {
 
 	usedH, usedV int
 
-	// The free log: clock counts every FreeH/FreeV, hlog[ch] remembers the
-	// tracks recently freed in channel ch and vlog the (column, vtrack) pairs
-	// recently freed (packed as col*VTracks + vtrack). See HMayFit.
-	clock uint64
-	hlog  []freeLog
-	vlog  freeLog
+	// Free sets (see freeset.go): hw words per (channel, column) entry of
+	// hfree, vw words per vertical-segment entry of vfree, and fit, the
+	// scratch that HFit and VFit return.
+	hw, vw       int
+	hfree, vfree []uint64
+	fit          []uint64
 }
 
 // New returns an empty fabric for the architecture.
 func New(a *arch.Arch) *Fabric {
-	f := &Fabric{A: a, clock: 1, hlog: make([]freeLog, a.Channels())}
+	f := &Fabric{A: a, hw: words(a.Tracks), vw: words(a.Cols * a.VTracks)}
+	f.hfree = make([]uint64, a.Channels()*a.Cols*f.hw)
+	f.vfree = make([]uint64, a.NVSegs*f.vw)
+	f.fit = make([]uint64, max(f.hw, f.vw))
+	f.fillFree()
 	f.h = make([][][]int32, a.Channels())
 	for ch := range f.h {
 		f.h[ch] = make([][]int32, a.Tracks)
@@ -91,11 +95,14 @@ func New(a *arch.Arch) *Fabric {
 	return f
 }
 
-// Clone returns a deep copy of the ownership tables, sharing only the
-// immutable architecture.
+// Clone returns a deep copy of the ownership tables and free sets, with its
+// own query scratch, sharing only the immutable architecture.
 func (f *Fabric) Clone() *Fabric {
 	c := &Fabric{A: f.A, Stats: f.Stats, usedH: f.usedH, usedV: f.usedV,
-		clock: f.clock, hlog: append([]freeLog(nil), f.hlog...), vlog: f.vlog}
+		hw: f.hw, vw: f.vw,
+		hfree: append([]uint64(nil), f.hfree...),
+		vfree: append([]uint64(nil), f.vfree...),
+		fit:   make([]uint64, len(f.fit))}
 	c.h = make([][][]int32, len(f.h))
 	for ch := range f.h {
 		c.h[ch] = make([][]int32, len(f.h[ch]))
@@ -113,15 +120,9 @@ func (f *Fabric) Clone() *Fabric {
 	return c
 }
 
-// Reset frees every segment. It does not log the frees one by one: it
-// advances the free clock and marks every log as no longer reaching back
-// before it, so any earlier stamp may fit.
+// Reset frees every segment.
 func (f *Fabric) Reset() {
-	f.clock++
-	for ch := range f.hlog {
-		f.hlog[ch].lost = f.clock
-	}
-	f.vlog.lost = f.clock
+	f.fillFree()
 	for _, ch := range f.h {
 		for _, t := range ch {
 			for i := range t {
@@ -180,6 +181,7 @@ func (f *Fabric) AllocH(ch, track, segLo, segHi int, net int32) {
 		row[i] = net
 	}
 	f.usedH += segHi - segLo + 1
+	f.markH(ch, track, segLo, segHi, false)
 }
 
 // FreeH releases horizontal segments [segLo, segHi] on (ch, track) owned by net.
@@ -193,8 +195,7 @@ func (f *Fabric) FreeH(ch, track, segLo, segHi int, net int32) {
 		row[i] = Free
 	}
 	f.usedH -= segHi - segLo + 1
-	f.clock++
-	f.hlog[ch].add(f.clock, int32(track))
+	f.markH(ch, track, segLo, segHi, true)
 }
 
 // AllocV assigns vertical segments [vLo, vHi] on (col, vtrack) to net.
@@ -208,6 +209,7 @@ func (f *Fabric) AllocV(col, vtrack, vLo, vHi int, net int32) {
 		row[i] = net
 	}
 	f.usedV += vHi - vLo + 1
+	f.markV(col, vtrack, vLo, vHi, false)
 }
 
 // FreeV releases vertical segments [vLo, vHi] on (col, vtrack) owned by net.
@@ -221,8 +223,7 @@ func (f *Fabric) FreeV(col, vtrack, vLo, vHi int, net int32) {
 		row[i] = Free
 	}
 	f.usedV -= vHi - vLo + 1
-	f.clock++
-	f.vlog.add(f.clock, int32(col*f.A.VTracks+vtrack))
+	f.markV(col, vtrack, vLo, vHi, true)
 }
 
 // UsedH returns the number of horizontal segments currently owned.

@@ -86,46 +86,48 @@ func Route(f *fabric.Fabric, p *layout.Placement, id int32, r *fabric.NetRoute) 
 		return true
 	}
 
-	// Multi-channel: find a free vertical run covering [chLo, chHi], trying
-	// columns by increasing distance from the bounding-box center.
+	// Multi-channel: take the free vertical run nearest the bounding-box
+	// center.
 	a := f.A
 	vLo, vHi := a.VSegRange(chLo, chHi)
-	center := (box.ColLo + box.ColHi) / 2
-	for d := 0; d < a.Cols; d++ {
-		cand := [2]int{center - d, center + d}
-		ncand := 2
-		if d == 0 {
-			ncand = 1
-		}
-		for _, col := range cand[:ncand] {
-			if col < 0 || col >= a.Cols {
-				continue
+	if col, vt, ok := nearestRun(f.VFit(vLo, vHi), a.VTracks, (box.ColLo+box.ColHi)/2); ok {
+		f.AllocV(col, vt, vLo, vHi, id)
+		r.Global = true
+		r.HasTrunk = true
+		r.TrunkCol, r.TrunkTrack = col, vt
+		r.VLo, r.VHi = vLo, vHi
+		r.Chans = r.Chans[:0]
+		for _, c := range chans {
+			if col < c.Lo {
+				c.Lo = col
 			}
-			for vt := 0; vt < a.VTracks; vt++ {
-				if !f.VRangeFree(col, vt, vLo, vHi) {
-					continue
-				}
-				f.AllocV(col, vt, vLo, vHi, id)
-				r.Global = true
-				r.HasTrunk = true
-				r.TrunkCol, r.TrunkTrack = col, vt
-				r.VLo, r.VHi = vLo, vHi
-				r.Chans = r.Chans[:0]
-				for _, c := range chans {
-					if col < c.Lo {
-						c.Lo = col
-					}
-					if col > c.Hi {
-						c.Hi = col
-					}
-					r.Chans = append(r.Chans, c)
-				}
-				return true
+			if col > c.Hi {
+				c.Hi = col
 			}
+			r.Chans = append(r.Chans, c)
 		}
+		return true
 	}
 	f.Stats.GRouteFails++
 	return false
+}
+
+// nearestRun picks from fit, a set of (column, vtrack) pairs packed as
+// col*vtracks+vtrack, the pair in the column nearest center, preferring the
+// left column at equal distance and the lowest vtrack within a column.
+func nearestRun(fit fabric.Bits, vtracks, center int) (col, vt int, ok bool) {
+	right := fit.Next(center * vtracks) // lowest vtrack of the nearest column >= center
+	left := fit.Prev(center*vtracks - 1)
+	if left >= 0 {
+		left = fit.Next(left / vtracks * vtracks) // lowest vtrack of that column
+	}
+	switch {
+	case left >= 0 && (right < 0 || center-left/vtracks <= right/vtracks-center):
+		return left / vtracks, left % vtracks, true
+	case right >= 0:
+		return right / vtracks, right % vtracks, true
+	}
+	return 0, 0, false
 }
 
 // RipUp releases everything net id holds and resets its route descriptor.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/fabric"
 	"repro/internal/layout"
+	"repro/internal/netgen"
 	"repro/internal/netlist"
 )
 
@@ -233,5 +234,81 @@ func TestRouteRipupProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// columnScan is the global router's trunk choice as an exhaustive scan:
+// columns by increasing distance from center, the left one first at equal
+// distance, vtracks in ascending order within a column, and the first
+// (column, vtrack) whose vertical segments [vLo, vHi] are free wins.
+func columnScan(f *fabric.Fabric, vLo, vHi, center int) (col, vt int, ok bool) {
+	a := f.A
+	for d := 0; d < a.Cols; d++ {
+		for _, col := range [2]int{center - d, center + d} {
+			if col < 0 || col >= a.Cols {
+				continue
+			}
+			for vt := 0; vt < a.VTracks; vt++ {
+				if f.VRangeFree(col, vt, vLo, vHi) {
+					return col, vt, true
+				}
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// Route reads only the (column, vtrack) pairs in the fabric's free set; on
+// random vertical occupancy, with up to 360 pairs, it must pick exactly the
+// trunk the exhaustive column scan picks.
+func TestRouteMatchesColumnScan(t *testing.T) {
+	nl, err := netgen.Generate(netgen.Params{Name: "scan", Inputs: 5, Outputs: 4, Seq: 2, Comb: 40, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compared := 0
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := arch.Default(3+rng.Intn(6), 17+rng.Intn(44), 1+rng.Intn(200))
+		p.VTracks = 1 + rng.Intn(6)
+		p.VSpan = 1 + rng.Intn(3)
+		a := arch.MustNew(p)
+		pl, err := layout.NewRandom(a, nl, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := fabric.New(a)
+		density := rng.Float64()
+		for col := 0; col < a.Cols; col++ {
+			for vt := 0; vt < a.VTracks; vt++ {
+				for s := 0; s < a.NVSegs; s++ {
+					if rng.Float64() < density {
+						f.AllocV(col, vt, s, s, 9999)
+					}
+				}
+			}
+		}
+		// Routed nets keep their trunks, so the occupancy evolves as nets
+		// are routed one after another.
+		routes := make([]fabric.NetRoute, nl.NumNets())
+		for id := int32(0); id < int32(nl.NumNets()); id++ {
+			box := pl.NetBox(id)
+			if len(nl.Nets[id].Sinks) == 0 || box.ChLo == box.ChHi {
+				continue
+			}
+			vLo, vHi := a.VSegRange(box.ChLo, box.ChHi)
+			col, vt, ok := columnScan(f, vLo, vHi, (box.ColLo+box.ColHi)/2)
+			r := &routes[id]
+			if got := Route(f, pl, id, r); got != ok {
+				t.Fatalf("seed %d net %d: Route = %v, column scan found a run: %v", seed, id, got, ok)
+			}
+			if ok && (r.TrunkCol != col || r.TrunkTrack != vt) {
+				t.Fatalf("seed %d net %d: trunk (%d, %d), column scan (%d, %d)", seed, id, r.TrunkCol, r.TrunkTrack, col, vt)
+			}
+			compared++
+		}
+	}
+	if compared < 500 {
+		t.Fatalf("only %d multi-channel routes compared", compared)
 	}
 }

@@ -187,9 +187,9 @@ type NetBox struct {
 
 // NetBox returns the bounding box over all pin positions of the net, serving
 // it from the incremental cache when the net's pins have not moved since the
-// last computation. This is the hot lookup behind EstLength (the per-move
-// worklist ordering), the global router's trunk-column selection, and the
-// timing estimator.
+// last computation. This is the hot lookup behind EstLength (the key of the
+// optimizer's unrouted list), the global router's trunk-column selection, and
+// the timing estimator.
 func (p *Placement) NetBox(netID int32) NetBox {
 	if p.boxOK != nil && p.boxOK[netID] {
 		return p.boxCache[netID]
