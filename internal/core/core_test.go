@@ -246,6 +246,40 @@ func TestMoveMisusePanics(t *testing.T) {
 // the route backend shapes the initial layout the anneal starts from. The
 // full run must stay deterministic per seed and worker-count invariant, and
 // an unknown backend must be rejected before any work happens.
+// TestNewStarvedStateConsistent runs Check right after New for every route
+// backend on starved arrays, where the initial route leaves nets stuck. The
+// cascade skips listed nets from the first move on, on the grounds that none
+// of them can route at a move boundary; Check's unrouted-list branch asserts
+// exactly that, so it must hold for each backend's initial state too.
+func TestNewStarvedStateConsistent(t *testing.T) {
+	prof, ok := netgen.Profile("s1")
+	if !ok {
+		t.Fatal("no s1 profile")
+	}
+	nl, err := netgen.Generate(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vt := range []int{1, 2} {
+		p := arch.Default(8, 41, 14)
+		p.VTracks = vt
+		a := arch.MustNew(p)
+		for _, backend := range []droute.Backend{"", "negotiated", "lagrange"} {
+			o, err := New(a, nl, Config{Seed: 1, RouteBackend: backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := o.Check(); err != nil {
+				t.Errorf("VTracks %d, backend %q: %v", vt, backend, err)
+			}
+			if len(o.unrouted) == 0 {
+				t.Errorf("VTracks %d, backend %q: no unrouted net; the array is not starved", vt, backend)
+			}
+			t.Logf("VTracks %d, backend %q: %d unrouted nets", vt, backend, len(o.unrouted))
+		}
+	}
+}
+
 func TestRouteBackendInitialRoute(t *testing.T) {
 	a, nl := smallDesign(t)
 	if _, err := New(a, nl, Config{Seed: 1, RouteBackend: "pathfinder"}); err == nil {

@@ -1,7 +1,9 @@
 package fabric
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -199,5 +201,141 @@ func TestCheckConsistentCatchesDrift(t *testing.T) {
 	fab.FreeH(1, 0, sl, sl, 0)
 	if err := fab.CheckConsistent(routes); err == nil {
 		t.Error("drift not detected")
+	}
+}
+
+// TestCheckConsistentCatches builds one inconsistent state per fault
+// CheckConsistent reports and requires the matching error.
+func TestCheckConsistentCatches(t *testing.T) {
+	a := testArch()
+	sl, sh := a.SegRange(0, 2, 7)
+	hrun := ChanAssign{Ch: 1, Lo: 2, Hi: 7, Track: 0, SegLo: sl, SegHi: sh}
+	trunk := NetRoute{Global: true, HasTrunk: true, TrunkCol: 3, TrunkTrack: 1, VLo: 0, VHi: 1}
+	for _, tc := range []struct {
+		name string
+		// build returns the routes; install, when set, fills the fabric
+		// (by default every route is installed under its own id).
+		build   func() []NetRoute
+		install func(f *Fabric, routes []NetRoute)
+		want    string
+	}{
+		{
+			name:  "consistent",
+			build: func() []NetRoute { return []NetRoute{{Global: true, Chans: []ChanAssign{hrun}}, trunk} },
+		},
+		{
+			name: "two nets claim one hseg",
+			build: func() []NetRoute {
+				return []NetRoute{{Global: true, Chans: []ChanAssign{hrun}}, {Global: true, Chans: []ChanAssign{hrun}}}
+			},
+			install: func(f *Fabric, routes []NetRoute) { f.InstallRoute(0, &routes[0]) },
+			want:    fmt.Sprintf("fabric: nets 0 and 1 both claim hseg [1 0 %d]", sl),
+		},
+		{
+			name:    "two nets claim one vseg",
+			build:   func() []NetRoute { return []NetRoute{trunk, trunk} },
+			install: func(f *Fabric, routes []NetRoute) { f.InstallRoute(0, &routes[0]) },
+			want:    "fabric: nets 0 and 1 both claim vseg [3 1 0]",
+		},
+		{
+			name: "one net claims an hseg twice",
+			build: func() []NetRoute {
+				return []NetRoute{{Global: true, Chans: []ChanAssign{hrun, hrun}}}
+			},
+			install: func(*Fabric, []NetRoute) {},
+			want:    fmt.Sprintf("fabric: nets 0 and 0 both claim hseg [1 0 %d]", sl),
+		},
+		{
+			name:    "owned hseg no route claims",
+			build:   func() []NetRoute { return make([]NetRoute, 6) },
+			install: func(f *Fabric, _ []NetRoute) { f.AllocH(2, 1, 0, 0, 5) },
+			want:    "fabric: hseg ch=2 t=1 s=0 owner=5 want=-1",
+		},
+		{
+			name:    "owned vseg no route claims",
+			build:   func() []NetRoute { return make([]NetRoute, 6) },
+			install: func(f *Fabric, _ []NetRoute) { f.AllocV(4, 2, 1, 1, 5) },
+			want:    "fabric: vseg col=4 t=2 s=1 owner=5 want=-1",
+		},
+		{
+			name:    "claimed hseg left free",
+			build:   func() []NetRoute { return []NetRoute{{Global: true, Chans: []ChanAssign{hrun}}} },
+			install: func(*Fabric, []NetRoute) {},
+			want:    fmt.Sprintf("fabric: hseg ch=1 t=0 s=%d owner=-1 want=0", sl),
+		},
+		{
+			name:    "hseg owner differs from claimant",
+			build:   func() []NetRoute { return []NetRoute{{Global: true, Chans: []ChanAssign{hrun}}, {}} },
+			install: func(f *Fabric, routes []NetRoute) { f.InstallRoute(1, &routes[0]) },
+			want:    fmt.Sprintf("fabric: hseg ch=1 t=0 s=%d owner=1 want=0", sl),
+		},
+		{
+			name:    "vseg owner differs from claimant",
+			build:   func() []NetRoute { return []NetRoute{trunk, {}} },
+			install: func(f *Fabric, routes []NetRoute) { f.InstallRoute(1, &routes[0]) },
+			want:    "fabric: vseg col=3 t=1 s=0 owner=1 want=0",
+		},
+		{
+			name: "trunk on a non-global net",
+			build: func() []NetRoute {
+				r := trunk
+				r.Global = false
+				return []NetRoute{r}
+			},
+			install: func(*Fabric, []NetRoute) {},
+			want:    "fabric: net 0 has trunk but not global",
+		},
+		{
+			name: "run does not cover its interval",
+			build: func() []NetRoute {
+				r := hrun
+				r.Hi = a.Cols - 1
+				return []NetRoute{{Global: true, Chans: []ChanAssign{r}}}
+			},
+			install: func(*Fabric, []NetRoute) {},
+			want:    fmt.Sprintf("fabric: net 0 channel 1 assignment does not cover [2,%d]", a.Cols-1),
+		},
+		{
+			name: "run out of range",
+			build: func() []NetRoute {
+				r := hrun
+				r.Track = a.Tracks
+				return []NetRoute{{Global: true, Chans: []ChanAssign{r}}}
+			},
+			install: func(*Fabric, []NetRoute) {},
+			want:    "out of range",
+		},
+		{
+			name: "trunk out of range",
+			build: func() []NetRoute {
+				r := trunk
+				r.TrunkCol = a.Cols
+				return []NetRoute{r}
+			},
+			install: func(*Fabric, []NetRoute) {},
+			want:    "out of range",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := New(a)
+			routes := tc.build()
+			if tc.install != nil {
+				tc.install(f, routes)
+			} else {
+				for id := range routes {
+					f.InstallRoute(int32(id), &routes[id])
+				}
+			}
+			err := f.CheckConsistent(routes)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("consistent state rejected: %v", err)
+			case tc.want == "":
+			case err == nil:
+				t.Fatalf("fault not reported, want %q", tc.want)
+			case !strings.Contains(err.Error(), tc.want):
+				t.Fatalf("error %q, want %q", err, tc.want)
+			}
+		})
 	}
 }

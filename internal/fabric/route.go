@@ -128,23 +128,38 @@ func (r *NetRoute) AntifuseCount() int {
 
 // CheckConsistent verifies that the ownership tables are exactly the union of
 // the given routes: every resource held by route i is owned by net i in the
-// fabric and vice versa. Used by tests and the optimizer's self-checks.
+// fabric and vice versa. Used by tests, the optimizer's self-checks and every
+// layout reload (layio.Read), so its claim tables are dense arrays.
 func (f *Fabric) CheckConsistent(routes []NetRoute) error {
 	a := f.A
-	wantH := make(map[[3]int]int32)
-	wantV := make(map[[3]int]int32)
+	// Claim tables in the ownership tables' iteration order: claimant + 1,
+	// or 0 where no route claims the segment, so claim - 1 is the owner the
+	// fabric must hold (Free is -1). Channel ch, track t's horizontal
+	// segments start at claimH[ch*perCh+hOff[t]]; column c, vertical track
+	// t's at claimV[(c*a.VTracks+t)*a.NVSegs].
+	hOff := make([]int, a.Tracks+1)
+	for t := 0; t < a.Tracks; t++ {
+		hOff[t+1] = hOff[t] + len(a.Seg[t])
+	}
+	perCh := hOff[a.Tracks]
+	claimH := make([]int32, a.Channels()*perCh)
+	claimV := make([]int32, a.Cols*a.VTracks*a.NVSegs)
 	for id := range routes {
 		r := &routes[id]
 		if r.HasTrunk {
 			if !r.Global {
 				return fmt.Errorf("fabric: net %d has trunk but not global", id)
 			}
+			if r.TrunkCol < 0 || r.TrunkCol >= a.Cols || r.TrunkTrack < 0 || r.TrunkTrack >= a.VTracks ||
+				r.VLo < 0 || r.VHi < r.VLo || r.VHi >= a.NVSegs {
+				return fmt.Errorf("fabric: net %d trunk col=%d t=%d [%d,%d] out of range", id, r.TrunkCol, r.TrunkTrack, r.VLo, r.VHi)
+			}
+			row := claimV[(r.TrunkCol*a.VTracks+r.TrunkTrack)*a.NVSegs:]
 			for s := r.VLo; s <= r.VHi; s++ {
-				key := [3]int{r.TrunkCol, r.TrunkTrack, s}
-				if prev, ok := wantV[key]; ok {
-					return fmt.Errorf("fabric: nets %d and %d both claim vseg %v", prev, id, key)
+				if prev := row[s]; prev != 0 {
+					return fmt.Errorf("fabric: nets %d and %d both claim vseg %v", prev-1, id, [3]int{r.TrunkCol, r.TrunkTrack, s})
 				}
-				wantV[key] = int32(id)
+				row[s] = int32(id) + 1
 			}
 		}
 		for i := range r.Chans {
@@ -152,27 +167,28 @@ func (f *Fabric) CheckConsistent(routes []NetRoute) error {
 			if !ca.Routed() {
 				continue
 			}
+			if ca.Ch < 0 || ca.Ch >= a.Channels() || ca.Track >= a.Tracks ||
+				ca.SegLo < 0 || ca.SegHi < ca.SegLo || ca.SegHi >= len(a.Seg[ca.Track]) {
+				return fmt.Errorf("fabric: net %d channel %d track %d run [%d,%d] out of range", id, ca.Ch, ca.Track, ca.SegLo, ca.SegHi)
+			}
 			segs := a.Seg[ca.Track]
 			if segs[ca.SegLo].Start > ca.Lo || segs[ca.SegHi].End <= ca.Hi {
 				return fmt.Errorf("fabric: net %d channel %d assignment does not cover [%d,%d]", id, ca.Ch, ca.Lo, ca.Hi)
 			}
+			row := claimH[ca.Ch*perCh+hOff[ca.Track]:]
 			for s := ca.SegLo; s <= ca.SegHi; s++ {
-				key := [3]int{ca.Ch, ca.Track, s}
-				if prev, ok := wantH[key]; ok {
-					return fmt.Errorf("fabric: nets %d and %d both claim hseg %v", prev, id, key)
+				if prev := row[s]; prev != 0 {
+					return fmt.Errorf("fabric: nets %d and %d both claim hseg %v", prev-1, id, [3]int{ca.Ch, ca.Track, s})
 				}
-				wantH[key] = int32(id)
+				row[s] = int32(id) + 1
 			}
 		}
 	}
 	for ch := range f.h {
 		for t := range f.h[ch] {
+			row := claimH[ch*perCh+hOff[t]:]
 			for s, owner := range f.h[ch][t] {
-				want, ok := wantH[[3]int{ch, t, s}]
-				if !ok {
-					want = Free
-				}
-				if owner != want {
+				if want := row[s] - 1; owner != want {
 					return fmt.Errorf("fabric: hseg ch=%d t=%d s=%d owner=%d want=%d", ch, t, s, owner, want)
 				}
 			}
@@ -180,12 +196,9 @@ func (f *Fabric) CheckConsistent(routes []NetRoute) error {
 	}
 	for c := range f.v {
 		for t := range f.v[c] {
+			row := claimV[(c*a.VTracks+t)*a.NVSegs:]
 			for s, owner := range f.v[c][t] {
-				want, ok := wantV[[3]int{c, t, s}]
-				if !ok {
-					want = Free
-				}
-				if owner != want {
+				if want := row[s] - 1; owner != want {
 					return fmt.Errorf("fabric: vseg col=%d t=%d s=%d owner=%d want=%d", c, t, s, owner, want)
 				}
 			}

@@ -14,29 +14,62 @@ import (
 // Usage per move: Begin, then SetNetDelays for every affected net, then
 // Propagate to get the new worst-case delay; finally Commit or Revert.
 type Analyzer struct {
-	nl    *netlist.Netlist
-	level []int32
-	order []int32 // cell ids sorted by level, for full recomputation
+	nl *netlist.Netlist
+	g  *graph // immutable, shared by clones
 
-	arr      []float64   // per cell: output arrival time
-	netDelay [][]float64 // per net: per-sink interconnect delay
-	sinkIdx  [][]int32   // per cell, per input pin: index into net.Sinks
-	sinkPins []netlist.PinRef
-	wcd      float64
-	stats    Stats
+	arr    []float64 // per cell: output arrival time
+	delays []float64 // every net's per-sink interconnect delays, see graph.netOff
+	wcd    float64
+	stats  Stats
 
 	// Move journal.
-	inMove     bool
-	jCells     []int32
-	jOldArr    []float64
-	jNets      []int32
-	jOldDelay  [][]float64
-	jOldWCD    float64
-	stamp      []uint32 // per cell: epoch when journaled
-	netStamp   []uint32 // per net: epoch when journaled
-	epoch      uint32
-	frontier   levelHeap
-	inFrontier []uint32 // per cell: epoch when enqueued
+	inMove    bool
+	jCells    []int32
+	jOldArr   []float64
+	jNets     []int32
+	jOldDelay []float64 // old delays of jNets, concatenated in journal order
+	jOldWCD   float64
+	stamp     []uint32 // per cell: epoch when journaled
+	netStamp  []uint32 // per net: epoch when journaled
+	epoch     uint32
+
+	// Frontier: one bucket per level, laid out like graph.order. Level l's
+	// queued cells are bucket[lvlOff[l]:tail[l]]; a cell is queued at most
+	// once per sweep, so no bucket outgrows its level.
+	bucket []int32
+	tail   []int32
+	lo, hi int32    // lowest and highest level queued this sweep
+	sweep  uint32   // numbers the Propagate calls
+	queued []uint32 // per cell: the sweep that last queued it
+}
+
+// graph is the analyzer's flat view of the netlist's timing graph, built once
+// by NewAnalyzer. Fanin edges and fanout lists are in compressed sparse row
+// form: cell c's entries are fanin[inOff[c]:inOff[c+1]] and
+// fanout[outOff[c]:outOff[c+1]].
+type graph struct {
+	level  []int32 // per cell
+	order  []int32 // cell ids sorted by level, for full recomputation
+	lvlOff []int32 // level l's cells are order[lvlOff[l]:lvlOff[l+1]]
+
+	inOff  []int32
+	fanin  []edge // per cell, in input-pin order over connected pins
+	outOff []int32
+	fanout []int32 // per cell: the non-source sinks of its output net
+	netOff []int32 // net n's sink delays are delays[netOff[n]:netOff[n+1]]
+
+	delay    []float64 // per cell: intrinsic delay
+	source   []bool    // per cell: Input or Seq (arrival is the intrinsic delay)
+	endpoint []bool    // per cell: Output or Seq (inputs end timing paths)
+
+	sinkPins  []netlist.PinRef // every connected endpoint input pin
+	sinkEdges []edge           // parallel to sinkPins
+}
+
+// edge is one timing arc into a sink pin: the driving cell and the pin's slot
+// in the analyzer's delay array.
+type edge struct {
+	drv, slot int32
 }
 
 // Stats counts incremental-analysis activity: how many net-delay updates were
@@ -69,121 +102,147 @@ func NewAnalyzer(nl *netlist.Netlist) (*Analyzer, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Analyzer{nl: nl, level: level}
-	n := nl.NumCells()
-	t.order = make([]int32, n)
-	for i := range t.order {
-		t.order[i] = int32(i)
+	g := newGraph(nl, level)
+	t := &Analyzer{
+		nl:     nl,
+		g:      g,
+		arr:    make([]float64, nl.NumCells()),
+		delays: make([]float64, g.netOff[len(g.netOff)-1]),
 	}
-	// Counting-sort cells by level.
-	maxL := int32(0)
-	for _, l := range level {
-		if l > maxL {
-			maxL = l
-		}
-	}
-	buckets := make([][]int32, maxL+1)
-	for i := int32(0); i < int32(n); i++ {
-		buckets[level[i]] = append(buckets[level[i]], i)
-	}
-	t.order = t.order[:0]
-	for _, b := range buckets {
-		t.order = append(t.order, b...)
-	}
-
-	t.arr = make([]float64, n)
-	t.netDelay = make([][]float64, nl.NumNets())
-	for i := range t.netDelay {
-		t.netDelay[i] = make([]float64, len(nl.Nets[i].Sinks))
-	}
-	t.sinkIdx = make([][]int32, n)
-	for i := range nl.Cells {
-		t.sinkIdx[i] = make([]int32, len(nl.Cells[i].In))
-		for pi := range t.sinkIdx[i] {
-			t.sinkIdx[i][pi] = -1
-		}
-	}
-	for ni := range nl.Nets {
-		for si, s := range nl.Nets[ni].Sinks {
-			t.sinkIdx[s.Cell][s.Pin-1] = int32(si)
-		}
-	}
-	for i := range nl.Cells {
-		c := &nl.Cells[i]
-		if c.Type == netlist.Output || c.Type == netlist.Seq {
-			for pi := range c.In {
-				if c.In[pi] >= 0 {
-					t.sinkPins = append(t.sinkPins, netlist.PinRef{Cell: int32(i), Pin: int32(pi + 1)})
-				}
-			}
-		}
-	}
-	t.stamp = make([]uint32, n)
-	t.netStamp = make([]uint32, nl.NumNets())
-	t.inFrontier = make([]uint32, n)
+	t.initScratch()
 	t.Full()
 	return t, nil
 }
 
+// initScratch allocates the journal stamps and the frontier.
+func (t *Analyzer) initScratch() {
+	n := len(t.arr)
+	t.stamp = make([]uint32, n)
+	t.netStamp = make([]uint32, len(t.g.netOff)-1)
+	t.bucket = make([]int32, n)
+	t.tail = append([]int32(nil), t.g.lvlOff[:len(t.g.lvlOff)-1]...)
+	t.queued = make([]uint32, n)
+}
+
+// newGraph builds the flat timing graph for a levelized netlist.
+func newGraph(nl *netlist.Netlist, level []int32) *graph {
+	n := nl.NumCells()
+	g := &graph{level: level}
+
+	// Counting-sort cells by level.
+	maxL := int32(0)
+	for _, l := range level {
+		maxL = max(maxL, l)
+	}
+	g.lvlOff = make([]int32, maxL+2)
+	for _, l := range level {
+		g.lvlOff[l+1]++
+	}
+	for l := 1; l < len(g.lvlOff); l++ {
+		g.lvlOff[l] += g.lvlOff[l-1]
+	}
+	g.order = make([]int32, n)
+	next := append([]int32(nil), g.lvlOff[:maxL+1]...)
+	for i, l := range level {
+		g.order[next[l]] = int32(i)
+		next[l]++
+	}
+
+	// Delay slots, net by net in sink order; pinSlot maps each cell input pin
+	// to its slot.
+	g.netOff = make([]int32, nl.NumNets()+1)
+	for i := range nl.Nets {
+		g.netOff[i+1] = g.netOff[i] + int32(len(nl.Nets[i].Sinks))
+	}
+	pinOff := make([]int32, n+1)
+	for i := range nl.Cells {
+		pinOff[i+1] = pinOff[i] + int32(len(nl.Cells[i].In))
+	}
+	pinSlot := make([]int32, pinOff[n])
+	for ni := range nl.Nets {
+		for si, s := range nl.Nets[ni].Sinks {
+			pinSlot[pinOff[s.Cell]+s.Pin-1] = g.netOff[ni] + int32(si)
+		}
+	}
+
+	g.delay = make([]float64, n)
+	g.source = make([]bool, n)
+	g.endpoint = make([]bool, n)
+	g.inOff = make([]int32, n+1)
+	g.outOff = make([]int32, n+1)
+	for i := range nl.Cells {
+		c := &nl.Cells[i]
+		g.delay[i] = c.Delay
+		g.source[i] = c.Type == netlist.Input || c.Type == netlist.Seq
+		g.endpoint[i] = c.Type == netlist.Output || c.Type == netlist.Seq
+	}
+	for i := range nl.Cells {
+		c := &nl.Cells[i]
+		for pi, nid := range c.In {
+			if nid < 0 {
+				continue
+			}
+			e := edge{drv: nl.Nets[nid].Driver.Cell, slot: pinSlot[pinOff[i]+int32(pi)]}
+			g.fanin = append(g.fanin, e)
+			if g.endpoint[i] {
+				g.sinkPins = append(g.sinkPins, netlist.PinRef{Cell: int32(i), Pin: int32(pi + 1)})
+				g.sinkEdges = append(g.sinkEdges, e)
+			}
+		}
+		g.inOff[i+1] = int32(len(g.fanin))
+		if c.Out >= 0 {
+			for _, s := range nl.Nets[c.Out].Sinks {
+				if !g.source[s.Cell] {
+					g.fanout = append(g.fanout, s.Cell)
+				}
+			}
+		}
+		g.outOff[i+1] = int32(len(g.fanout))
+	}
+	return g
+}
+
 // Clone returns a deep copy of the analyzer's committed state, sharing only
-// the immutable netlist and levelization tables. The clone starts with fresh
-// journal scratch; cloning inside an open move is a programming error.
+// the immutable netlist and timing graph. The clone starts with fresh journal
+// and frontier scratch; cloning inside an open move is a programming error.
 func (t *Analyzer) Clone() *Analyzer {
 	if t.inMove {
 		panic("timing: Clone inside an open move")
 	}
 	c := &Analyzer{
-		nl:       t.nl,
-		level:    t.level,
-		order:    t.order,
-		arr:      append([]float64(nil), t.arr...),
-		netDelay: make([][]float64, len(t.netDelay)),
-		sinkIdx:  t.sinkIdx,
-		sinkPins: t.sinkPins,
-		wcd:      t.wcd,
-		stats:    t.stats,
-
-		stamp:      make([]uint32, len(t.stamp)),
-		netStamp:   make([]uint32, len(t.netStamp)),
-		inFrontier: make([]uint32, len(t.inFrontier)),
+		nl:     t.nl,
+		g:      t.g,
+		arr:    append([]float64(nil), t.arr...),
+		delays: append([]float64(nil), t.delays...),
+		wcd:    t.wcd,
+		stats:  t.stats,
 	}
-	for i := range t.netDelay {
-		c.netDelay[i] = append([]float64(nil), t.netDelay[i]...)
-	}
+	c.initScratch()
 	return c
 }
 
-// computeArr evaluates a cell's output arrival from current state.
-func (t *Analyzer) computeArr(cell int32) float64 {
-	c := &t.nl.Cells[cell]
-	switch c.Type {
-	case netlist.Input, netlist.Seq:
-		return c.Delay
-	}
+// faninOf returns the cell's fanin edges.
+func (g *graph) faninOf(cell int32) []edge { return g.fanin[g.inOff[cell]:g.inOff[cell+1]] }
+
+// edgeArr returns the arrival time at the sink pin of edge e.
+func (t *Analyzer) edgeArr(e edge) float64 { return t.arr[e.drv] + t.delays[e.slot] }
+
+// faninArr evaluates a non-source cell's output arrival from current state.
+func (t *Analyzer) faninArr(cell int32) float64 {
 	m := 0.0
-	for pi, nid := range c.In {
-		if nid < 0 {
-			continue
-		}
-		v := t.arr[t.nl.Nets[nid].Driver.Cell] + t.netDelay[nid][t.sinkIdx[cell][pi]]
-		if v > m {
+	for _, e := range t.g.faninOf(cell) {
+		if v := t.edgeArr(e); v > m {
 			m = v
 		}
 	}
-	return m + c.Delay
-}
-
-// pinArrival returns the arrival time at a sink pin.
-func (t *Analyzer) pinArrival(p netlist.PinRef) float64 {
-	nid := t.nl.Cells[p.Cell].In[p.Pin-1]
-	return t.arr[t.nl.Nets[nid].Driver.Cell] + t.netDelay[nid][t.sinkIdx[p.Cell][p.Pin-1]]
+	return m + t.g.delay[cell]
 }
 
 // scanWCD computes the worst arrival over all timing sink pins.
 func (t *Analyzer) scanWCD() float64 {
 	w := 0.0
-	for _, p := range t.sinkPins {
-		if v := t.pinArrival(p); v > w {
+	for _, e := range t.g.sinkEdges {
+		if v := t.edgeArr(e); v > w {
 			w = v
 		}
 	}
@@ -193,8 +252,12 @@ func (t *Analyzer) scanWCD() float64 {
 // Full recomputes every arrival from scratch in level order and refreshes the
 // worst-case delay. Used at initialization and as the reference in tests.
 func (t *Analyzer) Full() {
-	for _, id := range t.order {
-		t.arr[id] = t.computeArr(id)
+	for _, id := range t.g.order {
+		if t.g.source[id] {
+			t.arr[id] = t.g.delay[id]
+		} else {
+			t.arr[id] = t.faninArr(id)
+		}
 	}
 	t.wcd = t.scanWCD()
 }
@@ -207,7 +270,10 @@ func (t *Analyzer) Arrival(cell int32) float64 { return t.arr[cell] }
 
 // NetDelay returns the current per-sink delay cache for a net. The slice is
 // owned by the analyzer; callers must not mutate it.
-func (t *Analyzer) NetDelay(id int32) []float64 { return t.netDelay[id] }
+func (t *Analyzer) NetDelay(id int32) []float64 {
+	a, b := t.g.netOff[id], t.g.netOff[id+1]
+	return t.delays[a:b:b]
+}
 
 // Begin opens a move journal. Nested moves are a programming error.
 func (t *Analyzer) Begin() {
@@ -229,76 +295,75 @@ func (t *Analyzer) SetNetDelays(id int32, d []float64) {
 	if !t.inMove {
 		panic("timing: SetNetDelays outside a move")
 	}
-	if len(d) != len(t.netDelay[id]) {
-		panic(fmt.Sprintf("timing: net %d delay arity %d, want %d", id, len(d), len(t.netDelay[id])))
+	cur := t.NetDelay(id)
+	if len(d) != len(cur) {
+		panic(fmt.Sprintf("timing: net %d delay arity %d, want %d", id, len(d), len(cur)))
 	}
 	t.stats.NetUpdates++
 	if t.netStamp[id] != t.epoch {
 		t.netStamp[id] = t.epoch
 		t.jNets = append(t.jNets, id)
-		// Reuse the journal slot's backing storage across moves.
-		if len(t.jOldDelay) < cap(t.jOldDelay) {
-			t.jOldDelay = t.jOldDelay[:len(t.jOldDelay)+1]
-		} else {
-			t.jOldDelay = append(t.jOldDelay, nil)
-		}
-		last := len(t.jOldDelay) - 1
-		t.jOldDelay[last] = append(t.jOldDelay[last][:0], t.netDelay[id]...)
+		t.jOldDelay = append(t.jOldDelay, cur...)
 	}
-	copy(t.netDelay[id], d)
+	copy(cur, d)
 }
 
 // Propagate pushes the consequences of all SetNetDelays calls in this move
 // through the levelized frontier and returns the new worst-case delay. It may
 // be called once per move, after all delay updates.
+//
+// The frontier is swept one level at a time in ascending order. Every cell a
+// relaxed cell can enqueue sits on a strictly higher level (netlist.Levels),
+// so a level's arrivals are final when the sweep reaches it, and each queued
+// cell is evaluated once, from final inputs.
 func (t *Analyzer) Propagate() float64 {
 	if !t.inMove {
 		panic("timing: Propagate outside a move")
 	}
 	t.stats.Propagates++
-	t.frontier = t.frontier[:0]
+	t.sweep++
+	g := t.g
+	t.lo, t.hi = int32(len(t.tail)), -1
 	for _, nid := range t.jNets {
-		for _, s := range t.nl.Nets[nid].Sinks {
-			t.push(s.Cell)
-		}
+		t.pushFanout(t.nl.Nets[nid].Driver.Cell)
 	}
-	for len(t.frontier) > 0 {
-		cell := t.pop()
-		nv := t.computeArr(cell)
-		if nv == t.arr[cell] {
-			continue
-		}
-		if t.stamp[cell] != t.epoch {
-			t.stamp[cell] = t.epoch
-			t.jCells = append(t.jCells, cell)
-			t.jOldArr = append(t.jOldArr, t.arr[cell])
-		}
-		t.arr[cell] = nv
-		t.stats.CellsRelaxed++
-		if out := t.nl.Cells[cell].Out; out >= 0 {
-			for _, s := range t.nl.Nets[out].Sinks {
-				t.push(s.Cell)
+	for l := t.lo; l <= t.hi; l++ {
+		queued := t.bucket[g.lvlOff[l]:t.tail[l]]
+		t.tail[l] = g.lvlOff[l]
+		for _, cell := range queued {
+			nv := t.faninArr(cell)
+			if nv == t.arr[cell] {
+				continue
 			}
+			if t.stamp[cell] != t.epoch {
+				t.stamp[cell] = t.epoch
+				t.jCells = append(t.jCells, cell)
+				t.jOldArr = append(t.jOldArr, t.arr[cell])
+			}
+			t.arr[cell] = nv
+			t.stats.CellsRelaxed++
+			t.pushFanout(cell)
 		}
 	}
 	t.wcd = t.scanWCD()
 	return t.wcd
 }
 
-// push enqueues a cell unless it is a timing source (whose arrival never
-// depends on inputs) or already queued this move.
-func (t *Analyzer) push(cell int32) {
-	if t.nl.IsSource(cell) || t.inFrontier[cell] == t.epoch {
-		return
+// pushFanout enqueues the cells whose arrival depends on cell's output,
+// skipping those already queued this sweep.
+func (t *Analyzer) pushFanout(cell int32) {
+	g := t.g
+	for _, s := range g.fanout[g.outOff[cell]:g.outOff[cell+1]] {
+		if t.queued[s] == t.sweep {
+			continue
+		}
+		t.queued[s] = t.sweep
+		l := g.level[s]
+		t.bucket[t.tail[l]] = s
+		t.tail[l]++
+		t.lo = min(t.lo, l)
+		t.hi = max(t.hi, l)
 	}
-	t.inFrontier[cell] = t.epoch
-	t.frontier.push(cell, t.level[cell])
-}
-
-func (t *Analyzer) pop() int32 {
-	cell := t.frontier.pop()
-	t.inFrontier[cell] = 0
-	return cell
 }
 
 // Commit closes the move keeping the new state.
@@ -314,8 +379,9 @@ func (t *Analyzer) Revert() {
 	if !t.inMove {
 		panic("timing: Revert outside a move")
 	}
-	for i, id := range t.jNets {
-		copy(t.netDelay[id], t.jOldDelay[i])
+	old := t.jOldDelay
+	for _, id := range t.jNets {
+		old = old[copy(t.NetDelay(id), old):]
 	}
 	for i, c := range t.jCells {
 		t.arr[c] = t.jOldArr[i]
@@ -325,94 +391,17 @@ func (t *Analyzer) Revert() {
 }
 
 // CriticalPath traces back from the worst sink pin and returns the cells on
-// the critical path, source first.
+// the critical path, source first. The worst pin is the first strict maximum
+// in sink-pin order.
 func (t *Analyzer) CriticalPath() []int32 {
-	if len(t.sinkPins) == 0 {
+	if len(t.g.sinkEdges) == 0 {
 		return nil
 	}
-	worst := t.sinkPins[0]
-	wv := t.pinArrival(worst)
-	for _, p := range t.sinkPins[1:] {
-		if v := t.pinArrival(p); v > wv {
-			worst, wv = p, v
+	worst, wv := 0, t.edgeArr(t.g.sinkEdges[0])
+	for i, e := range t.g.sinkEdges[1:] {
+		if v := t.edgeArr(e); v > wv {
+			worst, wv = i+1, v
 		}
 	}
-	var rev []int32
-	cell := worst.Cell
-	rev = append(rev, cell)
-	// Walk upstream from the worst pin's driver.
-	nid := t.nl.Cells[worst.Cell].In[worst.Pin-1]
-	cell = t.nl.Nets[nid].Driver.Cell
-	for {
-		rev = append(rev, cell)
-		if t.nl.IsSource(cell) {
-			break
-		}
-		c := &t.nl.Cells[cell]
-		best := int32(-1)
-		bv := -1.0
-		for pi, in := range c.In {
-			if in < 0 {
-				continue
-			}
-			v := t.arr[t.nl.Nets[in].Driver.Cell] + t.netDelay[in][t.sinkIdx[cell][pi]]
-			if v > bv {
-				bv = v
-				best = t.nl.Nets[in].Driver.Cell
-			}
-		}
-		if best < 0 {
-			break
-		}
-		cell = best
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// levelHeap is a binary min-heap of cells keyed by level.
-type levelHeap []levelItem
-
-type levelItem struct {
-	cell  int32
-	level int32
-}
-
-func (h *levelHeap) push(cell, level int32) {
-	*h = append(*h, levelItem{cell, level})
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if (*h)[p].level <= (*h)[i].level {
-			break
-		}
-		(*h)[p], (*h)[i] = (*h)[i], (*h)[p]
-		i = p
-	}
-}
-
-func (h *levelHeap) pop() int32 {
-	top := (*h)[0].cell
-	last := len(*h) - 1
-	(*h)[0] = (*h)[last]
-	*h = (*h)[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < last && (*h)[l].level < (*h)[m].level {
-			m = l
-		}
-		if r < last && (*h)[r].level < (*h)[m].level {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		(*h)[i], (*h)[m] = (*h)[m], (*h)[i]
-		i = m
-	}
-	return top
+	return t.traceBack(worst)
 }

@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -140,66 +141,126 @@ func TestRevertRestoresExactly(t *testing.T) {
 	}
 }
 
-// Property: on a realistic design, random bursts of net-delay changes with
+// Property: on realistic designs, random bursts of net-delay changes with
 // mixed commit/revert always leave the incremental analyzer bit-identical to
-// a from-scratch recomputation.
+// a from-scratch recomputation. Midway through each sequence the analyzer is
+// cloned and later moves go to the original or the clone at random: neither
+// may disturb the other.
 func TestIncrementalMatchesFullProperty(t *testing.T) {
-	nl, err := netgen.Generate(netgen.Params{Name: "p", Inputs: 6, Outputs: 5, Seq: 4, Comb: 60, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
+	big, ok := netgen.Profile("big529")
+	if !ok {
+		t.Fatal("no big529 profile")
 	}
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		an, err := NewAnalyzer(nl)
+	for _, p := range []netgen.Params{
+		{Name: "p", Inputs: 6, Outputs: 5, Seq: 4, Comb: 60, Seed: 21},
+		big, // more levels and higher fanout
+	} {
+		nl, err := netgen.Generate(p)
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		ref, err := NewAnalyzer(nl)
-		if err != nil {
-			return false
-		}
-		for move := 0; move < 25; move++ {
-			an.Begin()
-			touched := map[int32][]float64{}
-			for k := 0; k < 1+rng.Intn(4); k++ {
-				id := int32(rng.Intn(nl.NumNets()))
-				d := make([]float64, len(nl.Nets[id].Sinks))
-				for i := range d {
-					d[i] = rng.Float64() * 2000
-				}
-				an.SetNetDelays(id, d)
-				touched[id] = d
-			}
-			an.Propagate()
-			if rng.Intn(3) == 0 {
-				an.Revert()
-			} else {
-				an.Commit()
-				for id, d := range touched {
-					ref.Begin()
-					ref.SetNetDelays(id, d)
-					ref.Propagate()
-					ref.Commit()
-				}
-			}
-			// Reference: full recompute from the same delay caches.
-			ref.Full()
-			if an.WCD() != ref.WCD() {
-				t.Logf("seed %d move %d: WCD %v vs %v", seed, move, an.WCD(), ref.WCD())
-				return false
-			}
-			for c := int32(0); c < int32(nl.NumCells()); c++ {
-				if an.Arrival(c) != ref.Arrival(c) {
-					t.Logf("seed %d move %d: cell %d arr %v vs %v", seed, move, c, an.Arrival(c), ref.Arrival(c))
+		t.Run(p.Name, func(t *testing.T) {
+			check := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				orig, err := newTracked(nl)
+				if err != nil {
+					t.Log(err)
 					return false
 				}
+				var clone *tracked
+				for move := 0; move < 25; move++ {
+					if move == 12 {
+						clone = &tracked{an: orig.an.Clone(), ref: orig.ref.Clone()}
+					}
+					if clone != nil && rng.Intn(2) == 0 {
+						clone.move(rng, nl)
+					} else {
+						orig.move(rng, nl)
+					}
+					for _, x := range []*tracked{orig, clone} {
+						if x == nil {
+							continue
+						}
+						if err := x.matchesFull(nl); err != nil {
+							t.Logf("seed %d move %d (clone %v): %v", seed, move, x == clone, err)
+							return false
+						}
+					}
+				}
+				return true
+			}
+			if err := quick.Check(check, &quick.Config{MaxCount: 12}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// tracked pairs an analyzer under test with a reference that receives only
+// its committed delay changes and is recomputed from scratch.
+type tracked struct{ an, ref *Analyzer }
+
+func newTracked(nl *netlist.Netlist) (*tracked, error) {
+	an, err := NewAnalyzer(nl)
+	if err != nil {
+		return nil, err
+	}
+	ref, err := NewAnalyzer(nl)
+	if err != nil {
+		return nil, err
+	}
+	return &tracked{an: an, ref: ref}, nil
+}
+
+// move applies one random burst of net-delay changes, then commits it (and
+// mirrors it into the reference) or reverts it.
+func (x *tracked) move(rng *rand.Rand, nl *netlist.Netlist) {
+	x.an.Begin()
+	touched := map[int32][]float64{}
+	for k := 0; k < 1+rng.Intn(4); k++ {
+		id := int32(rng.Intn(nl.NumNets()))
+		d := make([]float64, len(nl.Nets[id].Sinks))
+		for i := range d {
+			d[i] = rng.Float64() * 2000
+		}
+		x.an.SetNetDelays(id, d)
+		touched[id] = d
+	}
+	x.an.Propagate()
+	if rng.Intn(3) == 0 {
+		x.an.Revert()
+		return
+	}
+	x.an.Commit()
+	x.ref.Begin()
+	for id, d := range touched {
+		x.ref.SetNetDelays(id, d)
+	}
+	x.ref.Propagate()
+	x.ref.Commit()
+}
+
+// matchesFull recomputes the reference from scratch and requires the
+// analyzer's WCD, arrivals and net delays to equal it bit for bit.
+func (x *tracked) matchesFull(nl *netlist.Netlist) error {
+	x.ref.Full()
+	if x.an.WCD() != x.ref.WCD() {
+		return fmt.Errorf("WCD %v vs %v", x.an.WCD(), x.ref.WCD())
+	}
+	for c := int32(0); c < int32(nl.NumCells()); c++ {
+		if x.an.Arrival(c) != x.ref.Arrival(c) {
+			return fmt.Errorf("cell %d arr %v vs %v", c, x.an.Arrival(c), x.ref.Arrival(c))
+		}
+	}
+	for id := int32(0); id < int32(nl.NumNets()); id++ {
+		got, want := x.an.NetDelay(id), x.ref.NetDelay(id)
+		for i := range want {
+			if got[i] != want[i] {
+				return fmt.Errorf("net %d sink %d delay %v vs %v", id, i, got[i], want[i])
 			}
 		}
-		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 12}); err != nil {
-		t.Fatal(err)
-	}
+	return nil
 }
 
 func TestCriticalPathEndsAtBoundaries(t *testing.T) {

@@ -38,28 +38,22 @@ func (t *Analyzer) requiredInto(reqOut []float64, target float64) {
 		reqOut[i] = math.Inf(1)
 	}
 	// Walk cells in reverse level order; boundary sink pins require target.
+	g := t.g
 	for i := len(reqOut) - 1; i >= 0; i-- {
-		cell := t.order[i]
-		c := &t.nl.Cells[cell]
+		cell := g.order[i]
 		// Required at this cell's input pins.
 		var reqIn float64
-		switch c.Type {
-		case netlist.Output, netlist.Seq:
+		if g.endpoint[cell] {
 			reqIn = target
-		default:
+		} else {
 			if math.IsInf(reqOut[cell], 1) {
 				continue
 			}
-			reqIn = reqOut[cell] - c.Delay
+			reqIn = reqOut[cell] - g.delay[cell]
 		}
-		for pi, nid := range c.In {
-			if nid < 0 {
-				continue
-			}
-			drv := t.nl.Nets[nid].Driver.Cell
-			r := reqIn - t.netDelay[nid][t.sinkIdx[cell][pi]]
-			if r < reqOut[drv] {
-				reqOut[drv] = r
+		for _, e := range g.faninOf(cell) {
+			if r := reqIn - t.delays[e.slot]; r < reqOut[e.drv] {
+				reqOut[e.drv] = r
 			}
 		}
 	}
@@ -81,21 +75,19 @@ func (t *Analyzer) NetCriticality(target float64) []float64 {
 // the caller).
 func (t *Analyzer) netCriticalityInto(out, reqOut []float64, target float64) {
 	t.requiredInto(reqOut, target)
+	g := t.g
 	for i := range t.nl.Nets {
 		n := &t.nl.Nets[i]
+		drvArr := t.arr[n.Driver.Cell]
 		minSlack := math.Inf(1)
 		for si, s := range n.Sinks {
-			c := &t.nl.Cells[s.Cell]
 			// required at pin = required at cell output - cell delay for
 			// comb; = target for boundary sinks.
-			var reqIn float64
-			switch c.Type {
-			case netlist.Output, netlist.Seq:
-				reqIn = target
-			default:
-				reqIn = reqOut[s.Cell] - c.Delay
+			reqIn := target
+			if !g.endpoint[s.Cell] {
+				reqIn = reqOut[s.Cell] - g.delay[s.Cell]
 			}
-			arrAtPin := t.arr[n.Driver.Cell] + t.netDelay[i][si]
+			arrAtPin := drvArr + t.delays[g.netOff[i]+int32(si)]
 			if sl := reqIn - arrAtPin; sl < minSlack {
 				minSlack = sl
 			}
@@ -129,10 +121,11 @@ func (t *Analyzer) TopPaths(k int) []Path {
 	type endpoint struct {
 		pin netlist.PinRef
 		arr float64
+		idx int // into sinkPins
 	}
-	eps := make([]endpoint, 0, len(t.sinkPins))
-	for _, p := range t.sinkPins {
-		eps = append(eps, endpoint{pin: p, arr: t.pinArrival(p)})
+	eps := make([]endpoint, 0, len(t.g.sinkPins))
+	for i, p := range t.g.sinkPins {
+		eps = append(eps, endpoint{pin: p, arr: t.edgeArr(t.g.sinkEdges[i]), idx: i})
 	}
 	sort.Slice(eps, func(i, j int) bool {
 		if eps[i].arr != eps[j].arr {
@@ -148,33 +141,29 @@ func (t *Analyzer) TopPaths(k int) []Path {
 	}
 	out := make([]Path, 0, k)
 	for _, ep := range eps[:k] {
-		out = append(out, Path{Cells: t.traceBack(ep.pin), Arrival: ep.arr})
+		out = append(out, Path{Cells: t.traceBack(ep.idx), Arrival: ep.arr})
 	}
 	return out
 }
 
-// traceBack walks upstream from a sink pin along worst-arrival inputs.
-func (t *Analyzer) traceBack(pin netlist.PinRef) []int32 {
-	var rev []int32
-	rev = append(rev, pin.Cell)
-	nid := t.nl.Cells[pin.Cell].In[pin.Pin-1]
-	cell := t.nl.Nets[nid].Driver.Cell
+// traceBack walks upstream from the i'th timing sink pin along worst-arrival
+// inputs (the first strict maximum in pin order) and returns the path, source
+// first.
+func (t *Analyzer) traceBack(i int) []int32 {
+	g := t.g
+	rev := []int32{g.sinkPins[i].Cell}
+	cell := g.sinkEdges[i].drv
 	for {
 		rev = append(rev, cell)
-		if t.nl.IsSource(cell) {
+		if g.source[cell] {
 			break
 		}
-		c := &t.nl.Cells[cell]
 		best := int32(-1)
 		bv := math.Inf(-1)
-		for pi, in := range c.In {
-			if in < 0 {
-				continue
-			}
-			v := t.arr[t.nl.Nets[in].Driver.Cell] + t.netDelay[in][t.sinkIdx[cell][pi]]
-			if v > bv {
+		for _, e := range g.faninOf(cell) {
+			if v := t.edgeArr(e); v > bv {
 				bv = v
-				best = t.nl.Nets[in].Driver.Cell
+				best = e.drv
 			}
 		}
 		if best < 0 {
