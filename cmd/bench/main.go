@@ -39,7 +39,6 @@ func main() {
 		designs    = flag.String("designs", strings.Join(exper.BenchDesigns(), ","), "comma-separated design names")
 		tracks     = flag.Int("tracks", exper.DefaultTracks, "tracks per channel")
 		chains     = flag.Int("chains", 1, "parallel annealing chains (1 = serial engine)")
-		workers    = flag.Int("workers", 0, "max chains stepped concurrently (0 = GOMAXPROCS)")
 		out        = flag.String("out", "", "output path (default BENCH_<yyyy-mm-dd>.json; - for stdout)")
 		tracePath  = flag.String("trace", "", "also write the collector event stream to this JSONL file")
 		compare    = flag.String("compare", "", "baseline BENCH_*.json to gate against; exit 1 on regression")
@@ -51,7 +50,6 @@ func main() {
 		timingGate  = flag.Bool("timing-gate", false, "-compare in timing-quality mode: require geomean critical-path improvement over the baseline at <=5% total wall cost (same-machine baseline)")
 
 		routeBackend = flag.String("route-backend", "", `detailed-router backend: "ordered" (default), "negotiated" or "lagrange"`)
-		routeWorkers = flag.Int("route-workers", 0, "max router concurrency (0 = GOMAXPROCS; scheduling only, never affects results)")
 		routeIters   = flag.Int("route-iters", 0, "iteration cap for the negotiated/lagrange backends (0 = backend default)")
 		routeGate    = flag.Bool("route-gate", false, "-compare in route-scaling mode: the selected backend must be quality-neutral on routing at no higher total route wall time than the baseline (same-machine baseline)")
 	)
@@ -78,12 +76,11 @@ func main() {
 
 	o := runOpts{
 		effortName: *effortFlag, seed: *seed, designCSV: *designs,
-		tracks: *tracks, chains: *chains, workers: *workers,
+		tracks: *tracks, chains: *chains,
 		out: *out, tracePath: *tracePath, compare: *compare, wallTol: *wallTol,
 		critWeight: *critWeight, critBias: *critBias, critDamping: *critDamping,
 		timingGate:   *timingGate,
-		routeBackend: *routeBackend, routeWorkers: *routeWorkers,
-		routeIters: *routeIters, routeGate: *routeGate,
+		routeBackend: *routeBackend, routeIters: *routeIters, routeGate: *routeGate,
 	}
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
@@ -98,7 +95,6 @@ type runOpts struct {
 	designCSV   string
 	tracks      int
 	chains      int
-	workers     int
 	out         string
 	tracePath   string
 	compare     string
@@ -109,7 +105,6 @@ type runOpts struct {
 	timingGate  bool
 
 	routeBackend string
-	routeWorkers int
 	routeIters   int
 	routeGate    bool
 }
@@ -119,7 +114,7 @@ func run(o runOpts) error {
 		return fmt.Errorf("-timing-gate and -route-gate select different -compare modes; give at most one")
 	}
 	effortName, seed, designCSV := o.effortName, o.seed, o.designCSV
-	tracks, chains, workers := o.tracks, o.chains, o.workers
+	tracks, chains := o.tracks, o.chains
 	out, tracePath, compare, wallTol := o.out, o.tracePath, o.compare, o.wallTol
 	var e exper.Effort
 	switch effortName {
@@ -131,7 +126,6 @@ func run(o runOpts) error {
 		return fmt.Errorf("unknown -effort %q (want fast or paper)", effortName)
 	}
 	e.Chains = chains
-	e.Workers = workers
 	e.CritWeight = o.critWeight
 	e.CritBias = o.critBias
 	e.CritDamping = o.critDamping
@@ -142,7 +136,6 @@ func run(o runOpts) error {
 	if backend != droute.BackendOrdered {
 		e.RouteBackend = string(backend)
 	}
-	e.RouteWorkers = o.routeWorkers
 	e.RouteIters = o.routeIters
 
 	var trace *metrics.Trace

@@ -8,9 +8,11 @@
 //	fpgapr -design cse -stats -pprof prof    # metrics report + prof.cpu/heap.pprof
 //	fpgapr -design s1 -portfolio seeds4      # best-of-N sweep, champion reported
 //
-// The netlist comes from -netlist (a .net or .blif file) or -design (a named
-// synthetic benchmark). The tool prints a layout summary and, when the
-// layout routes completely, the independent timing verification.
+// The netlist comes from -netlist (a .net, .blif or .xnf file) or -design (a
+// named synthetic benchmark). The tool prints a layout summary and, when the
+// layout routes completely, the independent timing verification. Engine
+// concurrency (parallel chains, router pools) follows GOMAXPROCS and never
+// changes a result.
 package main
 
 import (
@@ -43,7 +45,6 @@ type options struct {
 	render      bool
 	maxFanin    int
 	chains      int
-	workers     int
 
 	critWeight   float64
 	critBias     float64
@@ -51,7 +52,6 @@ type options struct {
 	timingDriven bool // sequential flow: criticality-weighted second placement pass
 
 	routeBackend string // detailed-router backend (ordered, negotiated, lagrange)
-	routeWorkers int
 	routeIters   int
 
 	portfolio string // best-of-N sweep: preset name or inline JSON matrix
@@ -62,7 +62,7 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.netlistPath, "netlist", "", "netlist file (.net or .blif)")
+	flag.StringVar(&o.netlistPath, "netlist", "", "netlist file (.net, .blif or .xnf)")
 	flag.StringVar(&o.design, "design", "", "named synthetic benchmark (s1, cse, ex1, bw, s1a, big529, tiny)")
 	flag.StringVar(&o.flow, "flow", "sim", "layout flow: sim (simultaneous) or seq (sequential)")
 	flag.IntVar(&o.tracks, "tracks", 28, "tracks per channel")
@@ -73,13 +73,11 @@ func main() {
 	flag.BoolVar(&o.render, "render", false, "print an ASCII rendering of the finished layout")
 	flag.IntVar(&o.maxFanin, "maxfanin", 0, "technology-map the netlist to this module fanin first (0 = netlist must already be legal)")
 	flag.IntVar(&o.chains, "chains", 1, "simultaneous flow: parallel annealing chains (1 = serial engine)")
-	flag.IntVar(&o.workers, "workers", 0, "max chains stepped concurrently (0 = GOMAXPROCS; scheduling only, never results)")
 	flag.Float64Var(&o.critWeight, "crit-weight", 0, "simultaneous flow: weight of the criticality-weighted net-delay cost term (0 = off)")
 	flag.Float64Var(&o.critBias, "crit-bias", 0, "simultaneous flow: fraction of moves drawn from near-critical cells (0 = default when -crit-weight is set)")
 	flag.Float64Var(&o.critDamping, "crit-damping", 0, "simultaneous flow: exponential damping of per-net criticalities (0 = default when -crit-weight is set)")
 	flag.BoolVar(&o.timingDriven, "timing-driven", false, "sequential flow: run a criticality-weighted second placement pass")
 	flag.StringVar(&o.routeBackend, "route-backend", "", `detailed-router backend: "ordered" (default), "negotiated" or "lagrange"`)
-	flag.IntVar(&o.routeWorkers, "route-workers", 0, "max router concurrency (0 = GOMAXPROCS; scheduling only, never results)")
 	flag.IntVar(&o.routeIters, "route-iters", 0, "iteration cap for the negotiated/lagrange route backends (0 = backend default)")
 	flag.StringVar(&o.portfolio, "portfolio", "", `simultaneous flow: best-of-N sweep over a matrix preset (paper8, seeds4, seeds8) or an inline JSON matrix like {"seeds":[1,2,3]}`)
 	flag.BoolVar(&o.stats, "stats", false, "print optimizer metrics (phase timers, move/router/STA counters) after the run")
@@ -172,13 +170,11 @@ func run(o options) error {
 			MaxTemps:      o.maxTemps,
 			DisableTiming: o.wirability,
 			Chains:        o.chains,
-			Workers:       o.workers,
 			CritWeight:    o.critWeight,
 			CritBias:      o.critBias,
 			CritDamping:   o.critDamping,
 			RouteBackend:  droute.Backend(o.routeBackend),
 			RouteIters:    o.routeIters,
-			RouteWorkers:  o.routeWorkers,
 			Metrics:       collectorOrNil(sum),
 		})
 	case "seq":
@@ -187,7 +183,6 @@ func run(o options) error {
 		cfg.Place.MaxTemps = o.maxTemps
 		cfg.RouteBackend = droute.Backend(o.routeBackend)
 		cfg.RouteIters = o.routeIters
-		cfg.RouteWorkers = o.routeWorkers
 		if o.timingDriven {
 			cfg.TimingDriven = true
 			cfg.CritWeight = o.critWeight
@@ -283,13 +278,11 @@ func runPortfolio(o options, a *repro.Arch, nl *repro.Netlist, sum *metrics.Summ
 			MaxTemps:      o.maxTemps,
 			DisableTiming: o.wirability,
 			Chains:        o.chains,
-			Workers:       o.workers,
 			CritWeight:    o.critWeight,
 			CritBias:      o.critBias,
 			CritDamping:   o.critDamping,
 			RouteBackend:  droute.Backend(o.routeBackend),
 			RouteIters:    o.routeIters,
-			RouteWorkers:  o.routeWorkers,
 			Metrics:       collectorOrNil(sum),
 		}
 		if m.Seed != 0 {

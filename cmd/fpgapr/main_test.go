@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -20,8 +21,9 @@ func TestRunSimOnTiny(t *testing.T) {
 }
 
 func TestRunSimParallelChains(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	o := tinyOpts()
-	o.chains, o.workers = 2, 1
+	o.chains = 2
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}

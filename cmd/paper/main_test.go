@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/exper"
@@ -30,7 +31,8 @@ func TestChainsFlagReachesParallelEngine(t *testing.T) {
 		t.Fatalf("FastEffort().Chains = %d, want 1 (explicit serial default)", e.Chains)
 	}
 	e.CoreMovesPerCell, e.CoreMaxTemps = 4, 30
-	e.Chains, e.Workers = 4, 2
+	e.Chains = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 
 	nl, err := exper.Design("tiny")
 	if err != nil {

@@ -25,8 +25,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Four chains, synchronized every 6 temperatures. Workers defaults to
-	// GOMAXPROCS and only affects scheduling, never the result.
+	// Four chains, synchronized every 6 temperatures. Up to GOMAXPROCS of
+	// them step at once; that affects scheduling only, never the result.
 	lay, err := repro.Simultaneous(a, nl, repro.SimConfig{
 		Seed:         1,
 		MovesPerCell: 8,

@@ -1,7 +1,5 @@
-// timingreport lays out a design, prints its top critical paths cell by
-// cell, and then applies the slack-driven rerouting refinement ([13]-style):
-// critical nets are re-embedded onto fewer segments (fewer antifuses) at the
-// cost of wastage, exactly where the slack budget says it pays.
+// timingreport lays out a design and prints its top critical paths cell by
+// cell.
 //
 //	go run ./examples/timingreport
 //	go run ./examples/timingreport -design s1 -flow seq
@@ -14,7 +12,6 @@ import (
 	"strings"
 
 	"repro"
-	"repro/internal/droute"
 )
 
 func main() {
@@ -39,10 +36,6 @@ func main() {
 	} else {
 		cfg := repro.SeqConfig{Seed: *seed}
 		cfg.Place.MovesPerCell = *effort
-		// Route capacity-first (minimize wastage, ignore antifuse count) the
-		// way a purely wirability-minded flow would — leaving delay on the
-		// table for the refinement pass below to recover.
-		cfg.DrouteCost = droute.Cost{WWaste: 4, WSegs: 0.5}
 		lay, err = repro.Sequential(a, nl, cfg)
 	}
 	if err != nil {
@@ -60,12 +53,4 @@ func main() {
 	for i, p := range paths {
 		fmt.Printf("path %d (%.2f ns): %s\n", i+1, p.Arrival/1000, strings.Join(p.CellNames, " -> "))
 	}
-
-	before := lay.WCD
-	improved, err := lay.RefineTiming(0.5)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nslack-driven rerouting refinement: %d nets re-embedded, WCD %.2f -> %.2f ns (%.1f%%)\n",
-		improved, before/1000, lay.WCD/1000, 100*(before-lay.WCD)/before)
 }

@@ -1,6 +1,7 @@
 package anneal
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -69,13 +70,14 @@ func TestCancelPreCancelledRunsNothing(t *testing.T) {
 // TestCancelParallelStopsAllChains cancels a portfolio run mid-flight and
 // checks every chain stops promptly and the result is flagged.
 func TestCancelParallelStopsAllChains(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	cancel := make(chan struct{})
 	done := make(chan ParallelResult, 1)
 	go func() {
 		tr := newForkableTour(24, 5)
 		done <- RunParallel(tr, ParallelConfig{
 			Config: Config{Seed: 9, MovesPerTemp: 400, MaxTemps: 100000, FrozenTemps: 100000, Cancel: cancel},
-			Chains: 3, Workers: 2, SyncTemps: 4,
+			Chains: 3, SyncTemps: 4,
 		}, nil)
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -97,11 +99,12 @@ func TestCancelParallelStopsAllChains(t *testing.T) {
 // channel through the portfolio engine leaves the deterministic outcome
 // untouched.
 func TestCancelParallelUnsetMatchesBaseline(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	run := func(cancel <-chan struct{}) ParallelResult {
 		tr := newForkableTour(16, 7)
 		return RunParallel(tr, ParallelConfig{
 			Config: Config{Seed: 21, MovesPerTemp: 150, MaxTemps: 40, Cancel: cancel},
-			Chains: 3, Workers: 2, SyncTemps: 4,
+			Chains: 3, SyncTemps: 4,
 		}, nil)
 	}
 	a, b := run(nil), run(make(chan struct{}))

@@ -3,7 +3,7 @@
 // losing chains restart from a clone of the current champion (portfolio +
 // elite-migration). Because chains interact exclusively at the barriers and
 // the champion tiebreak is (cost, chain index), the outcome for a fixed
-// (seed, K, SyncTemps) is deterministic regardless of worker count or
+// (seed, K, SyncTemps) is deterministic regardless of GOMAXPROCS or
 // goroutine scheduling.
 package anneal
 
@@ -31,12 +31,8 @@ type ParallelConfig struct {
 	Config
 
 	// Chains is the number of independent annealing chains K (default 1).
+	// Up to GOMAXPROCS of them are stepped concurrently.
 	Chains int
-
-	// Workers caps how many chains are stepped concurrently (default
-	// runtime.GOMAXPROCS(0), at most Chains). It affects scheduling only,
-	// never results.
-	Workers int
 
 	// SyncTemps is the number of temperature steps each chain runs between
 	// synchronization barriers (default 8).
@@ -93,13 +89,7 @@ func RunParallel(p Forkable, cfg ParallelConfig, onTemp func(chain int, p Proble
 	if k < 1 {
 		k = 1
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > k {
-		workers = k
-	}
+	workers := min(runtime.GOMAXPROCS(0), k)
 	syncTemps := cfg.SyncTemps
 	if syncTemps <= 0 {
 		syncTemps = 8

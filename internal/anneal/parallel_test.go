@@ -101,30 +101,28 @@ func TestRunParallelSingleChainMatchesRun(t *testing.T) {
 	}
 }
 
-// The worker count (and GOMAXPROCS) is pure scheduling: a K-chain run must
-// produce identical results for any worker count.
+// The worker count, which follows GOMAXPROCS, is pure scheduling: a K-chain
+// run must produce identical results for any worker count.
 func TestRunParallelWorkerCountInvariant(t *testing.T) {
 	cfg := ParallelConfig{
 		Config:    Config{Seed: 11, MovesPerTemp: 120, MaxTemps: 40},
 		Chains:    5,
 		SyncTemps: 4,
 	}
-	run := func(workers, maxprocs int) ParallelResult {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(maxprocs))
-		c := cfg
-		c.Workers = workers
-		return RunParallel(newForkableTour(20, 3), c, nil)
+	run := func(procs int) ParallelResult {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return RunParallel(newForkableTour(20, 3), cfg, nil)
 	}
-	ref := run(1, 1)
-	for _, w := range []int{2, 5, 16} {
-		got := run(w, 4)
+	ref := run(1)
+	for _, p := range []int{2, 5, 16} {
+		got := run(p)
 		if got.Result != ref.Result || got.Champion != ref.Champion || got.Restarts != ref.Restarts {
-			t.Errorf("workers=%d diverged: %+v vs %+v (champion %d vs %d, restarts %d vs %d)",
-				w, got.Result, ref.Result, got.Champion, ref.Champion, got.Restarts, ref.Restarts)
+			t.Errorf("GOMAXPROCS=%d diverged: %+v vs %+v (champion %d vs %d, restarts %d vs %d)",
+				p, got.Result, ref.Result, got.Champion, ref.Champion, got.Restarts, ref.Restarts)
 		}
 		for i := range ref.PerChain {
 			if got.PerChain[i] != ref.PerChain[i] {
-				t.Errorf("workers=%d chain %d diverged: %+v vs %+v", w, i, got.PerChain[i], ref.PerChain[i])
+				t.Errorf("GOMAXPROCS=%d chain %d diverged: %+v vs %+v", p, i, got.PerChain[i], ref.PerChain[i])
 			}
 		}
 	}
@@ -133,10 +131,10 @@ func TestRunParallelWorkerCountInvariant(t *testing.T) {
 // Every onTemp callback must arrive with the right chain index and in
 // per-chain step order, and the champion must hold the lowest final cost.
 func TestRunParallelCallbacksAndChampion(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	cfg := ParallelConfig{
 		Config:    Config{Seed: 9, MovesPerTemp: 100, MaxTemps: 30},
 		Chains:    3,
-		Workers:   2,
 		SyncTemps: 5,
 	}
 	lastStep := make([]int, cfg.Chains)

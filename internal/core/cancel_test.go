@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -104,8 +105,9 @@ func TestCancelStopsParallelRun(t *testing.T) {
 		res Result
 	}
 	done := make(chan out, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	o, err := New(a, nl, Config{Seed: 7, MovesPerCell: 8, MaxTemps: 10000,
-		Chains: 3, Workers: 2, Cancel: cancel})
+		Chains: 3, Cancel: cancel})
 	if err != nil {
 		t.Fatal(err)
 	}

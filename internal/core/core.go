@@ -61,17 +61,13 @@ type Config struct {
 	// (droute.BackendNegotiated), or the Lagrangian-relaxation net-parallel
 	// router (droute.BackendLagrange). The in-loop incremental rerouting is
 	// backend-independent. Every backend is deterministic for a fixed Seed
-	// regardless of RouteWorkers or GOMAXPROCS.
+	// regardless of GOMAXPROCS.
 	RouteBackend droute.Backend
 
 	// RouteIters overrides the iteration cap of the negotiated and lagrange
 	// route backends (0 = the backend's default). Ignored when the ordered
 	// backend is selected.
 	RouteIters int
-
-	// RouteWorkers caps the selected route backend's concurrency
-	// (0 = GOMAXPROCS). Scheduling only; never affects results.
-	RouteWorkers int
 
 	// DisablePinmapMoves removes pinmap reassignment from the move set
 	// (ablation: quantifies what the paper's "Cell Pin Assignments" state
@@ -123,14 +119,10 @@ type Config struct {
 	// Chains selects parallel portfolio annealing: K independent chains run
 	// concurrently and exchange state at synchronization barriers (losers
 	// restart from a clone of the champion). 0 or 1 keeps the serial engine
-	// with bit-identical behavior for a fixed seed. Results for a fixed
-	// (Seed, Chains, SyncTemps) are deterministic regardless of Workers or
-	// GOMAXPROCS.
+	// with bit-identical behavior for a fixed seed. Up to GOMAXPROCS chains
+	// step concurrently; results for a fixed (Seed, Chains, SyncTemps) are
+	// deterministic regardless of GOMAXPROCS.
 	Chains int
-
-	// Workers caps how many chains are stepped concurrently (default
-	// runtime.GOMAXPROCS(0)). Scheduling only; never affects results.
-	Workers int
 
 	// SyncTemps is the number of temperatures between chain synchronization
 	// barriers (default 8).
@@ -392,13 +384,11 @@ func New(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Optimizer, error) {
 		o.initRouteFailed = droute.RouteAllNegotiated(o.F, o.Rts, cfg.DrouteCost, droute.NegotiateConfig{
 			MaxIters: cfg.RouteIters,
 			Seed:     cfg.Seed,
-			Workers:  cfg.RouteWorkers,
 		})
 	case droute.BackendLagrange:
 		o.initRouteFailed = droute.RouteAllLagrange(o.F, o.Rts, cfg.DrouteCost, droute.LagrangeConfig{
 			MaxIters: cfg.RouteIters,
 			Seed:     cfg.Seed,
-			Workers:  cfg.RouteWorkers,
 		})
 	default:
 		// A single ordered pass consuming no RNG draws beyond placement's:
@@ -677,7 +667,6 @@ func (o *Optimizer) RunParallel() (*Optimizer, Result) {
 	pres := anneal.RunParallel(o, anneal.ParallelConfig{
 		Config:    o.annealConfig(),
 		Chains:    o.cfg.Chains,
-		Workers:   o.cfg.Workers,
 		SyncTemps: o.cfg.SyncTemps,
 	}, func(ci int, p anneal.Problem, s anneal.TempStats) {
 		// Each chain maintains its own weights, window and dynamics trace;

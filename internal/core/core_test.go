@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -286,10 +287,11 @@ func TestRouteBackendInitialRoute(t *testing.T) {
 		t.Fatal("New accepted route backend \"pathfinder\"")
 	}
 	for _, backend := range []string{"negotiated", "lagrange"} {
-		run := func(workers int) Result {
+		run := func(procs int) Result {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			o, err := New(a, nl, Config{
 				Seed: 4, MovesPerCell: 3, MaxTemps: 25,
-				RouteBackend: droute.Backend(backend), RouteWorkers: workers,
+				RouteBackend: droute.Backend(backend),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -304,11 +306,11 @@ func TestRouteBackendInitialRoute(t *testing.T) {
 		if ref.RouteFailed < 0 {
 			t.Errorf("%s: negative RouteFailed %d", backend, ref.RouteFailed)
 		}
-		for _, workers := range []int{4, 16} {
-			r := run(workers)
+		for _, procs := range []int{4, 16} {
+			r := run(procs)
 			if r.WCD != ref.WCD || r.G != ref.G || r.D != ref.D || r.RouteFailed != ref.RouteFailed {
-				t.Errorf("%s workers=%d diverged: (%v,%d,%d) vs (%v,%d,%d)",
-					backend, workers, r.WCD, r.G, r.D, ref.WCD, ref.G, ref.D)
+				t.Errorf("%s GOMAXPROCS=%d diverged: (%v,%d,%d) vs (%v,%d,%d)",
+					backend, procs, r.WCD, r.G, r.D, ref.WCD, ref.G, ref.D)
 			}
 		}
 	}

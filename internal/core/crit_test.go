@@ -51,11 +51,11 @@ func TestCritParallelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := arch.MustNew(arch.Default(5, 12, 14))
-	run := func(maxprocs, workers int) Result {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(maxprocs))
+	run := func(procs int) Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		o, err := New(a, nl, Config{
 			Seed: 9, MovesPerCell: 3, MaxTemps: 25,
-			Chains: 3, Workers: workers, SyncTemps: 4,
+			Chains: 3, SyncTemps: 4,
 			CritWeight: 1, CritBias: 0.3,
 		})
 		if err != nil {
@@ -67,8 +67,8 @@ func TestCritParallelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		}
 		return r
 	}
-	r1 := run(1, 1)
-	r2 := run(4, 4)
+	r1 := run(1)
+	r2 := run(4)
 	if r1.WCD != r2.WCD || r1.FinalCost != r2.FinalCost || r1.Champion != r2.Champion {
 		t.Errorf("crit-on parallel run scheduling-dependent: (WCD=%.17g cost=%.17g champ=%d) vs (WCD=%.17g cost=%.17g champ=%d)",
 			r1.WCD, r1.FinalCost, r1.Champion, r2.WCD, r2.FinalCost, r2.Champion)

@@ -113,18 +113,19 @@ func TestRunParallelSingleChainIsSerial(t *testing.T) {
 
 // TestParallelDeterministicAcrossGOMAXPROCS: a K=4 run must reproduce the
 // identical final result for a fixed seed across two runs with different
-// GOMAXPROCS and worker counts — scheduling must never leak into results.
+// GOMAXPROCS (and so chain worker counts) — scheduling must never leak into
+// results.
 func TestParallelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	nl, err := netgen.Generate(netgen.Params{Name: "t", Inputs: 4, Outputs: 3, Seq: 2, Comb: 30, Seed: 51})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := arch.MustNew(arch.Default(5, 12, 14))
-	run := func(maxprocs, workers int) Result {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(maxprocs))
+	run := func(procs int) Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		o, err := New(a, nl, Config{
 			Seed: 9, MovesPerCell: 3, MaxTemps: 25,
-			Chains: 4, Workers: workers, SyncTemps: 4,
+			Chains: 4, SyncTemps: 4,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -135,8 +136,8 @@ func TestParallelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		}
 		return r
 	}
-	r1 := run(1, 1)
-	r2 := run(4, 4)
+	r1 := run(1)
+	r2 := run(4)
 	if r1.WCD != r2.WCD || r1.FinalCost != r2.FinalCost || r1.G != r2.G || r1.D != r2.D {
 		t.Errorf("GOMAXPROCS changed the outcome: (WCD=%.17g cost=%.17g G=%d D=%d) vs (WCD=%.17g cost=%.17g G=%d D=%d)",
 			r1.WCD, r1.FinalCost, r1.G, r1.D, r2.WCD, r2.FinalCost, r2.G, r2.D)

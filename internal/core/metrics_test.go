@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/metrics"
@@ -84,8 +85,9 @@ func TestMetricsDoNotPerturbResults(t *testing.T) {
 func TestMetricsParallelChainRecords(t *testing.T) {
 	a, nl := smallDesign(t)
 	sum := metrics.NewSummary()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	o, err := New(a, nl, Config{Seed: 3, MovesPerCell: 4, MaxTemps: 8,
-		Chains: 3, Workers: 2, Metrics: sum})
+		Chains: 3, Metrics: sum})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
 	"sort"
 
 	"repro/internal/fabric"
@@ -103,28 +102,16 @@ type chanItem struct {
 // kept. Returns the total number of channel needs left unrouted.
 //
 // Retry orderings for one channel are evaluated concurrently on up to
-// GOMAXPROCS workers; see RouteAllDetailedWorkers for the determinism
-// contract.
+// GOMAXPROCS goroutines. Each gets its own RNG seeded from a value drawn
+// serially from rng before any attempt runs, and is evaluated as a pure
+// simulation against a frozen snapshot of the channel's occupancy — attempts
+// share no mutable state. The winner (fewest failures, lowest attempt index
+// on ties, with the deterministic longest-first ordering as attempt zero) is
+// then replayed into the fabric serially, so results are bit-identical at
+// every GOMAXPROCS setting.
 func RouteAllDetailed(f *fabric.Fabric, routes []fabric.NetRoute, cost Cost, attempts int, rng *rand.Rand) int {
-	return RouteAllDetailedWorkers(f, routes, cost, attempts, rng, 0)
-}
-
-// RouteAllDetailedWorkers is RouteAllDetailed with an explicit cap on how
-// many retry orderings are evaluated concurrently (0 = GOMAXPROCS).
-//
-// Workers is scheduling only: each retry ordering gets its own RNG seeded
-// from a value drawn serially from rng before any attempt runs, and is
-// evaluated as a pure simulation against a frozen snapshot of the channel's
-// occupancy — attempts share no mutable state. The winner (fewest failures,
-// lowest attempt index on ties, with the deterministic longest-first
-// ordering as attempt zero) is then replayed into the fabric serially, so
-// results are bit-identical for every worker count and GOMAXPROCS setting.
-func RouteAllDetailedWorkers(f *fabric.Fabric, routes []fabric.NetRoute, cost Cost, attempts int, rng *rand.Rand, workers int) int {
 	if attempts < 1 {
 		attempts = 1
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	totalFailed := 0
 	for ch := 0; ch < f.A.Channels(); ch++ {
@@ -167,7 +154,7 @@ func RouteAllDetailedWorkers(f *fabric.Fabric, routes []fabric.NetRoute, cost Co
 			orders := make([][]chanItem, attempts)
 			fails := make([]int, attempts)
 			orders[0], fails[0] = items, bestFailed
-			parallelIndex(min(workers, attempts-1), attempts-1, func(k int) {
+			parallelIndex(attempts-1, func(k int) {
 				order := append([]chanItem(nil), items...)
 				r := rand.New(rand.NewSource(seeds[k]))
 				r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })

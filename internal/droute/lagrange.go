@@ -62,11 +62,6 @@ type LagrangeConfig struct {
 	// FallbackAttempts is the ordering-retry budget of the ordered-router
 	// fallback on instances the relaxation cannot fully embed (default 8).
 	FallbackAttempts int
-	// Workers caps how many nets choose tracks concurrently within an
-	// iteration (0 = GOMAXPROCS). Scheduling only: the choice pass reads a
-	// frozen price snapshot and each worker writes a disjoint index of the
-	// choice array, so results are bit-identical for every worker count.
-	Workers int
 }
 
 func (c *LagrangeConfig) setDefaults() {
@@ -79,17 +74,6 @@ func (c *LagrangeConfig) setDefaults() {
 	if c.FallbackAttempts <= 0 {
 		c.FallbackAttempts = 8
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-}
-
-// lagItem is one unrouted channel need plus its dedicated tie-break RNG.
-type lagItem struct {
-	net int32
-	ci  int
-	ch  int
-	rng *rand.Rand
 }
 
 // lagChannel is the priced view of one channel: λ ≥ 0 per (track, segment),
@@ -107,9 +91,9 @@ type lagChannel struct {
 //
 // Each iteration proceeds in three strictly separated steps. First, every
 // net independently picks the track minimizing base cost plus the summed
-// congestion prices λ of the segments it would occupy — this step runs on a
-// bounded worker pool against a frozen price snapshot, with workers writing
-// only their own items' choice slots, so it is embarrassingly parallel and
+// congestion prices λ of the segments it would occupy — this step runs on up
+// to GOMAXPROCS goroutines against a frozen price snapshot, each item
+// writing only its own choice slot, so it is embarrassingly parallel and
 // schedule-independent. Second, occupancy is accumulated serially and the
 // iteration terminates the loop if no segment is over-subscribed. Third, a
 // projected sub-gradient step updates the prices: λ ← max(0, λ + αt·(occ−1))
@@ -123,27 +107,25 @@ type lagChannel struct {
 // losers; if needs remain unrouted, the ordered router with retry orderings
 // runs as a fallback and the better result is kept, so the relaxation is
 // never a downgrade. Results are bit-identical for fixed (Seed, MaxIters)
-// regardless of Workers or GOMAXPROCS.
+// at every GOMAXPROCS setting.
 func RouteAllLagrange(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg LagrangeConfig) int {
 	cfg.setDefaults()
 
-	var items []lagItem
+	// Each item has a dedicated tie-break RNG.
+	var items []negItem
+	var rngs []*rand.Rand
 	for id := range routes {
 		if !routes[id].Global {
 			continue
 		}
 		for ci := range routes[id].Chans {
-			ca := &routes[id].Chans[ci]
-			if !ca.Routed() {
-				items = append(items, lagItem{
-					net: int32(id),
-					ci:  ci,
-					ch:  ca.Ch,
-					rng: rand.New(rand.NewSource(splitSeed(cfg.Seed, int32(id), ci))),
-				})
+			if !routes[id].Chans[ci].Routed() {
+				items = append(items, negItem{int32(id), ci})
+				rngs = append(rngs, rand.New(rand.NewSource(splitSeed(cfg.Seed, int32(id), ci))))
 			}
 		}
 	}
+	chOf := func(it negItem) int { return routes[it.net].Chans[it.ci].Ch }
 	if len(items) == 0 {
 		return 0
 	}
@@ -154,28 +136,28 @@ func RouteAllLagrange(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 	a := f.A
 	chans := make([]*lagChannel, a.Channels())
 	for _, it := range items {
-		if chans[it.ch] != nil {
+		ch := chOf(it)
+		if chans[ch] != nil {
 			continue
 		}
 		lc := &lagChannel{
 			price:   make([][]float64, a.Tracks),
 			occ:     make([][]int16, a.Tracks),
-			blocked: channelBlocked(f, it.ch),
+			blocked: channelBlocked(f, ch),
 		}
 		for t := 0; t < a.Tracks; t++ {
 			n := len(a.Seg[t])
 			lc.price[t] = make([]float64, n)
 			lc.occ[t] = make([]int16, n)
 		}
-		chans[it.ch] = lc
+		chans[ch] = lc
 	}
 
 	choices := make([]negChoice, len(items))
-	workers := min(cfg.Workers, len(items))
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		// Step 1: parallel per-net track choice against frozen prices.
-		parallelIndex(workers, len(items), func(i int) {
-			choices[i] = lagrangeChoose(f, routes, chans[items[i].ch], items[i], base)
+		parallelIndex(len(items), func(i int) {
+			choices[i] = lagrangeChoose(f, routes, chans[chOf(items[i])], items[i], rngs[i], base)
 		})
 		// Step 2: serial occupancy accumulation.
 		for _, lc := range chans {
@@ -191,7 +173,7 @@ func RouteAllLagrange(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 			if c.track < 0 {
 				continue
 			}
-			occ := chans[it.ch].occ[c.track]
+			occ := chans[chOf(it)].occ[c.track]
 			for s := c.segLo; s <= c.segHi; s++ {
 				occ[s]++
 			}
@@ -221,49 +203,8 @@ func RouteAllLagrange(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 		}
 	}
 
-	// Commit serially in ascending (net, ci) order: first-come wins on
-	// residual conflicts, and conflict losers get a salvage attempt on
-	// whatever capacity remains.
-	commit := func() int {
-		failed := 0
-		for i, it := range items {
-			c := choices[i]
-			ca := &routes[it.net].Chans[it.ci]
-			if c.track >= 0 && f.HRangeFree(ca.Ch, c.track, c.segLo, c.segHi) {
-				f.AllocH(ca.Ch, c.track, c.segLo, c.segHi, it.net)
-				ca.Track, ca.SegLo, ca.SegHi = c.track, c.segLo, c.segHi
-				continue
-			}
-			if RouteChan(f, it.net, &routes[it.net], it.ci, base) {
-				continue
-			}
-			failed++ // the salvage RouteChan already counted the failure
-		}
-		return failed
-	}
-	ripItems := func() {
-		for _, it := range items {
-			if routes[it.net].Chans[it.ci].Routed() {
-				UnrouteChan(f, it.net, &routes[it.net], it.ci)
-			}
-		}
-	}
-	failed := commit()
-	if failed == 0 {
-		return 0
-	}
-	// Non-convergent (infeasible or pathological) instance: the classic
-	// ordered router with retry orderings may salvage more. Keep whichever
-	// result loses fewer channel needs, so the relaxation is never a
-	// downgrade relative to the baseline.
-	ripItems()
-	orderedFailed := RouteAllDetailedWorkers(f, routes, base, cfg.FallbackAttempts,
-		rand.New(rand.NewSource(cfg.Seed+43)), cfg.Workers)
-	if orderedFailed <= failed {
-		return orderedFailed
-	}
-	ripItems()
-	return commit()
+	// Commit in ascending (net, ci) order.
+	return commitChoices(f, routes, base, items, choices, cfg.FallbackAttempts, cfg.Seed+43)
 }
 
 // lagrangeChoose picks the track minimizing base cost plus summed congestion
@@ -273,8 +214,8 @@ func RouteAllLagrange(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 // schedule-independent. Exact cost ties are broken by reservoir sampling on
 // the item's own RNG: the stream advances only with this item's tie count,
 // which is itself a pure function of the frozen prices, so the draw sequence
-// is identical no matter which worker runs the item or when.
-func lagrangeChoose(f *fabric.Fabric, routes []fabric.NetRoute, lc *lagChannel, it lagItem, base Cost) negChoice {
+// is identical no matter which goroutine runs the item or when.
+func lagrangeChoose(f *fabric.Fabric, routes []fabric.NetRoute, lc *lagChannel, it negItem, rng *rand.Rand, base Cost) negChoice {
 	a := f.A
 	ca := &routes[it.net].Chans[it.ci]
 	best := math.Inf(1)
@@ -304,7 +245,7 @@ func lagrangeChoose(f *fabric.Fabric, routes []fabric.NetRoute, lc *lagChannel, 
 			ties = 1
 		case cost == best:
 			ties++
-			if it.rng.Intn(ties) == 0 {
+			if rng.Intn(ties) == 0 {
 				bt, bl, bh = t, sl, sh
 			}
 		}
@@ -327,18 +268,22 @@ func channelBlocked(f *fabric.Fabric, ch int) [][]bool {
 	return blocked
 }
 
-// parallelIndex runs fn(i) for every i in [0, n) on up to workers
+// parallelIndex runs fn(i) for every i in [0, n) on up to GOMAXPROCS
 // goroutines. Work is handed out in chunks via an atomic cursor; fn must
 // touch only state owned by index i, which makes the execution order
 // unobservable and the result schedule-independent.
-func parallelIndex(workers, n int, fn func(int)) {
-	if workers <= 1 || n <= 1 {
+func parallelIndex(n int, fn func(int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	const chunk = 16
+	// Chunks of up to 16 amortize the cursor over many cheap items (nets),
+	// yet a few expensive ones (channels, retry orderings) still get one
+	// chunk each so that every worker takes a share.
+	chunk := max(1, min(16, n/(4*workers)))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -346,7 +291,7 @@ func parallelIndex(workers, n int, fn func(int)) {
 		go func() {
 			defer wg.Done()
 			for {
-				lo := int(next.Add(chunk)) - chunk
+				lo := int(next.Add(int64(chunk))) - chunk
 				if lo >= n {
 					return
 				}

@@ -31,10 +31,10 @@ func TestParseBackend(t *testing.T) {
 
 // TestLagrangeParallelInvariance pins the determinism contract of the
 // net-parallel Lagrangian router: for a fixed (seed, iteration cap), every
-// worker count must produce the identical layout — same failure count, same
+// GOMAXPROCS must produce the identical layout — same failure count, same
 // track/segment assignment for every channel need of every net. Under -race
 // (the CI race gate covers this package) it additionally proves the choice
-// pass shares no mutable state across workers.
+// pass shares no mutable state across goroutines.
 func TestLagrangeParallelInvariance(t *testing.T) {
 	nl, err := netgen.Generate(netgen.Params{Name: "lw", Inputs: 5, Outputs: 4, Seq: 2, Comb: 45, Seed: 87})
 	if err != nil {
@@ -47,40 +47,40 @@ func TestLagrangeParallelInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			route := func(workers int) (int, *fabric.Fabric, []fabric.NetRoute) {
+			route := func(procs int) (int, *fabric.Fabric, []fabric.NetRoute) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				f := fabric.New(a)
 				routes := make([]fabric.NetRoute, nl.NumNets())
 				if gf := groute.RouteAll(f, pl, routes); len(gf) > 0 {
 					t.Skipf("global routing failed at %d tracks", tracks)
 				}
-				failed := RouteAllLagrange(f, routes, DefaultCost(), LagrangeConfig{Seed: seed, Workers: workers})
+				failed := RouteAllLagrange(f, routes, DefaultCost(), LagrangeConfig{Seed: seed})
 				return failed, f, routes
 			}
 			refFailed, refF, refRoutes := route(1)
 			if err := refF.CheckConsistent(refRoutes); err != nil {
-				t.Fatalf("tracks=%d seed=%d workers=1: %v", tracks, seed, err)
+				t.Fatalf("tracks=%d seed=%d GOMAXPROCS=1: %v", tracks, seed, err)
 			}
 			refKey := routeKey(refRoutes)
-			for _, workers := range []int{4, 16, 0} {
-				failed, f, routes := route(workers)
+			for _, procs := range []int{4, 16, 0} {
+				failed, f, routes := route(procs)
 				if failed != refFailed {
-					t.Errorf("tracks=%d seed=%d workers=%d: %d failed, want %d",
-						tracks, seed, workers, failed, refFailed)
+					t.Errorf("tracks=%d seed=%d GOMAXPROCS=%d: %d failed, want %d",
+						tracks, seed, procs, failed, refFailed)
 				}
 				if !equalKeys(routeKey(routes), refKey) {
-					t.Errorf("tracks=%d seed=%d workers=%d: layout differs from workers=1",
-						tracks, seed, workers)
+					t.Errorf("tracks=%d seed=%d GOMAXPROCS=%d: layout differs from GOMAXPROCS=1",
+						tracks, seed, procs)
 				}
 				if err := f.CheckConsistent(routes); err != nil {
-					t.Fatalf("tracks=%d seed=%d workers=%d: %v", tracks, seed, workers, err)
+					t.Fatalf("tracks=%d seed=%d GOMAXPROCS=%d: %v", tracks, seed, procs, err)
 				}
 			}
 		}
 	}
 }
 
-// TestLagrangeGOMAXPROCSInvariance re-runs the default-workers Lagrangian
-// router under GOMAXPROCS=1 and checks the result matches a fully parallel
+// TestLagrangeGOMAXPROCSInvariance re-runs the Lagrangian router under GOMAXPROCS=1 and checks the result matches a fully parallel
 // run — the same scheduling-independence contract the negotiated router and
 // the parallel annealer pin.
 func TestLagrangeGOMAXPROCSInvariance(t *testing.T) {
@@ -220,7 +220,8 @@ func FuzzLagrangeRoute(f *testing.F) {
 			return
 		}
 
-		cfg := LagrangeConfig{MaxIters: 1 + int(seed&7), Seed: seed, Workers: 1 + int(seed>>3&3)}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1 + int(seed>>3&3)))
+		cfg := LagrangeConfig{MaxIters: 1 + int(seed&7), Seed: seed}
 		failed := RouteAllLagrange(f, routes, DefaultCost(), cfg)
 		if failed < 0 || failed > len(routes) {
 			t.Fatalf("failed = %d with %d needs", failed, len(routes))
@@ -274,8 +275,8 @@ func FuzzLagrangeRoute(f *testing.F) {
 
 // TestDetailedWorkersInvariance pins the retry-path determinism of the
 // ordered router: the attempts>1 loop simulates candidate orderings
-// concurrently, and the chosen winner must be identical for every worker
-// count because candidate seeds are drawn serially and ties go to the lowest
+// concurrently, and the chosen winner must be identical at every GOMAXPROCS
+// because candidate seeds are drawn serially and ties go to the lowest
 // attempt index.
 func TestDetailedWorkersInvariance(t *testing.T) {
 	nl, err := netgen.Generate(netgen.Params{Name: "dw", Inputs: 5, Outputs: 4, Seq: 2, Comb: 45, Seed: 87})
@@ -288,13 +289,14 @@ func TestDetailedWorkersInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	route := func(workers int) (int, *fabric.Fabric, []fabric.NetRoute) {
+	route := func(procs int) (int, *fabric.Fabric, []fabric.NetRoute) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		f := fabric.New(a)
 		routes := make([]fabric.NetRoute, nl.NumNets())
 		if gf := groute.RouteAll(f, pl, routes); len(gf) > 0 {
 			t.Skip("global routing failed at 8 tracks")
 		}
-		failed := RouteAllDetailedWorkers(f, routes, DefaultCost(), 6, rand.New(rand.NewSource(9)), workers)
+		failed := RouteAllDetailed(f, routes, DefaultCost(), 6, rand.New(rand.NewSource(9)))
 		return failed, f, routes
 	}
 	refFailed, refF, refRoutes := route(1)
@@ -302,13 +304,13 @@ func TestDetailedWorkersInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	refKey := routeKey(refRoutes)
-	for _, workers := range []int{4, 16, 0} {
-		failed, f, routes := route(workers)
+	for _, procs := range []int{4, 16, 0} {
+		failed, f, routes := route(procs)
 		if failed != refFailed {
-			t.Errorf("workers=%d: %d failed, want %d", workers, failed, refFailed)
+			t.Errorf("GOMAXPROCS=%d: %d failed, want %d", procs, failed, refFailed)
 		}
 		if !equalKeys(routeKey(routes), refKey) {
-			t.Errorf("workers=%d: layout differs from workers=1", workers)
+			t.Errorf("GOMAXPROCS=%d: layout differs from GOMAXPROCS=1", procs)
 		}
 		if err := f.CheckConsistent(routes); err != nil {
 			t.Fatal(err)

@@ -3,9 +3,7 @@ package droute
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/fabric"
 )
@@ -27,12 +25,6 @@ type NegotiateConfig struct {
 	// FallbackAttempts is the ordering-retry budget of the ordered-router
 	// fallback on non-convergent instances (default 8).
 	FallbackAttempts int
-
-	// Workers caps how many channels are negotiated concurrently
-	// (0 = GOMAXPROCS). Scheduling only: results are identical for every
-	// worker count because channels share no horizontal resources — each is
-	// negotiated independently and committed in fixed channel order.
-	Workers int
 }
 
 func (c *NegotiateConfig) setDefaults() {
@@ -51,12 +43,9 @@ func (c *NegotiateConfig) setDefaults() {
 	if c.FallbackAttempts <= 0 {
 		c.FallbackAttempts = 8
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 }
 
-// negItem identifies one unrouted channel need during negotiation.
+// negItem identifies one unrouted channel need of an iterative backend.
 type negItem struct {
 	net int32
 	ci  int
@@ -74,9 +63,9 @@ type negChoice struct{ track, segLo, segHi int }
 //
 // Horizontal segments never span channels, so the negotiation decomposes
 // exactly by channel: each channel's needs are negotiated independently (its
-// own occupancy, history and present-cost schedule) on a bounded worker pool
-// and the results are committed serially in ascending channel order. The
-// outcome is bit-identical for every Workers value and GOMAXPROCS setting.
+// own occupancy, history and present-cost schedule) on up to GOMAXPROCS
+// goroutines and the results are committed serially in ascending channel
+// order. The outcome is bit-identical at every GOMAXPROCS setting.
 func RouteAllNegotiated(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg NegotiateConfig) int {
 	cfg.setDefaults()
 
@@ -132,37 +121,28 @@ func RouteAllNegotiated(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, c
 		lo = hi
 	}
 
-	// Negotiate each channel independently. Workers write disjoint choices
-	// ranges and only read f (no fabric mutation happens until commit), so the
-	// pool is race-free; per-group results do not depend on scheduling.
+	// Negotiate each channel independently. Each channel writes its own
+	// choices range and only reads f (no fabric mutation happens until
+	// commit), so the pool is race-free; per-group results do not depend on
+	// scheduling.
 	choices := make([]negChoice, len(items))
-	if workers := min(cfg.Workers, len(groups)); workers <= 1 {
-		for _, g := range groups {
-			negotiateChannel(f, routes, base, cfg, items[g.lo:g.hi], choices[g.lo:g.hi])
-		}
-	} else {
-		work := make(chan group)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for g := range work {
-					negotiateChannel(f, routes, base, cfg, items[g.lo:g.hi], choices[g.lo:g.hi])
-				}
-			}()
-		}
-		for _, g := range groups {
-			work <- g
-		}
-		close(work)
-		wg.Wait()
-	}
+	parallelIndex(len(groups), func(i int) {
+		g := groups[i]
+		negotiateChannel(f, routes, base, cfg, items[g.lo:g.hi], choices[g.lo:g.hi])
+	})
+	// Commit in item (= ascending channel) order.
+	return commitChoices(f, routes, base, items, choices, cfg.FallbackAttempts, cfg.Seed+41)
+}
 
-	// Commit serially in item (= ascending channel) order: first-come wins on
-	// residual conflicts, and conflict losers get a salvage attempt on
-	// whatever capacity remains (matters only when the instance is infeasible
-	// and negotiation could not converge).
+// commitChoices installs the iterative backends' final track choices into f
+// serially in item order: first come wins on residual conflicts, and
+// conflict losers get a salvage attempt on whatever capacity remains
+// (matters only when the instance is infeasible and the iteration could not
+// converge). If needs stay unrouted, the classic ordered router with
+// fallbackAttempts retry orderings, seeded from fallbackSeed, reroutes them,
+// and whichever result loses fewer channel needs is kept, so an iterative
+// backend is never a downgrade. Returns the number of needs left unrouted.
+func commitChoices(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, items []negItem, choices []negChoice, fallbackAttempts int, fallbackSeed int64) int {
 	commit := func() int {
 		failed := 0
 		for i, it := range items {
@@ -191,12 +171,8 @@ func RouteAllNegotiated(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, c
 	if failed == 0 {
 		return 0
 	}
-	// Non-convergent (infeasible or pathological) instance: the classic
-	// ordered router with retry orderings may salvage more. Keep whichever
-	// result loses fewer channel needs, so negotiation is never a downgrade.
 	ripItems()
-	orderedFailed := RouteAllDetailedWorkers(f, routes, base, cfg.FallbackAttempts,
-		rand.New(rand.NewSource(cfg.Seed+41)), cfg.Workers)
+	orderedFailed := RouteAllDetailed(f, routes, base, fallbackAttempts, rand.New(rand.NewSource(fallbackSeed)))
 	if orderedFailed <= failed {
 		return orderedFailed
 	}
@@ -220,15 +196,11 @@ func negotiateChannel(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 	// fabric are permanently blocked.
 	occ := make([][]int16, a.Tracks)
 	hist := make([][]float64, a.Tracks)
-	blocked := make([][]bool, a.Tracks)
+	blocked := channelBlocked(f, ch)
 	for t := 0; t < a.Tracks; t++ {
 		n := len(a.Seg[t])
 		occ[t] = make([]int16, n)
 		hist[t] = make([]float64, n)
-		blocked[t] = make([]bool, n)
-		for s := 0; s < n; s++ {
-			blocked[t][s] = f.HOwner(ch, t, s) != fabric.Free
-		}
 	}
 	for i := range choices {
 		choices[i].track = -1

@@ -39,11 +39,11 @@ func equalKeys(a, b [][]fabric.ChanAssign) bool {
 }
 
 // TestNegotiatedParallelInvariance pins the determinism contract of the
-// channel-parallel negotiated router: for a fixed input, every worker count
-// (1, 2, 8 and the GOMAXPROCS default) must produce the identical layout —
+// channel-parallel negotiated router: for a fixed input, every GOMAXPROCS
+// (1, 2, 8 and the process default) must produce the identical layout —
 // same failure count, same track/segment assignment for every channel need of
 // every net. Running under -race (the CI race gate covers this package)
-// additionally proves the worker pool shares no mutable state.
+// additionally proves the channel pool shares no mutable state.
 func TestNegotiatedParallelInvariance(t *testing.T) {
 	nl, err := netgen.Generate(netgen.Params{Name: "pw", Inputs: 5, Outputs: 4, Seq: 2, Comb: 45, Seed: 87})
 	if err != nil {
@@ -56,39 +56,40 @@ func TestNegotiatedParallelInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			route := func(workers int) (int, *fabric.Fabric, []fabric.NetRoute) {
+			route := func(procs int) (int, *fabric.Fabric, []fabric.NetRoute) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				f := fabric.New(a)
 				routes := make([]fabric.NetRoute, nl.NumNets())
 				if gf := groute.RouteAll(f, pl, routes); len(gf) > 0 {
 					t.Skipf("global routing failed at %d tracks", tracks)
 				}
-				failed := RouteAllNegotiated(f, routes, DefaultCost(), NegotiateConfig{Workers: workers})
+				failed := RouteAllNegotiated(f, routes, DefaultCost(), NegotiateConfig{})
 				return failed, f, routes
 			}
 			refFailed, refF, refRoutes := route(1)
 			if err := refF.CheckConsistent(refRoutes); err != nil {
-				t.Fatalf("tracks=%d seed=%d workers=1: %v", tracks, seed, err)
+				t.Fatalf("tracks=%d seed=%d GOMAXPROCS=1: %v", tracks, seed, err)
 			}
 			refKey := routeKey(refRoutes)
-			for _, workers := range []int{2, 8, 0} {
-				failed, f, routes := route(workers)
+			for _, procs := range []int{2, 8, 0} {
+				failed, f, routes := route(procs)
 				if failed != refFailed {
-					t.Errorf("tracks=%d seed=%d workers=%d: %d failed, want %d",
-						tracks, seed, workers, failed, refFailed)
+					t.Errorf("tracks=%d seed=%d GOMAXPROCS=%d: %d failed, want %d",
+						tracks, seed, procs, failed, refFailed)
 				}
 				if !equalKeys(routeKey(routes), refKey) {
-					t.Errorf("tracks=%d seed=%d workers=%d: layout differs from workers=1",
-						tracks, seed, workers)
+					t.Errorf("tracks=%d seed=%d GOMAXPROCS=%d: layout differs from GOMAXPROCS=1",
+						tracks, seed, procs)
 				}
 				if err := f.CheckConsistent(routes); err != nil {
-					t.Fatalf("tracks=%d seed=%d workers=%d: %v", tracks, seed, workers, err)
+					t.Fatalf("tracks=%d seed=%d GOMAXPROCS=%d: %v", tracks, seed, procs, err)
 				}
 			}
 		}
 	}
 }
 
-// TestNegotiatedGOMAXPROCSInvariance re-runs the default-workers router under
+// TestNegotiatedGOMAXPROCSInvariance re-runs the router under
 // GOMAXPROCS=1 and checks the result matches a fully parallel run — the same
 // scheduling-independence contract the parallel annealer pins.
 func TestNegotiatedGOMAXPROCSInvariance(t *testing.T) {

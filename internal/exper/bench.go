@@ -42,8 +42,7 @@ type BenchReport struct {
 
 	// Detailed-router backend the suite ran with (see droute.Backend). Empty
 	// — and omitted from the JSON — for the default ordered router, so
-	// pre-extension reports decode and compare unchanged. RouteWorkers is
-	// deliberately absent: it is scheduling-only and never affects results.
+	// pre-extension reports decode and compare unchanged.
 	RouteBackend string `json:"route_backend,omitempty"`
 	RouteIters   int    `json:"route_iters,omitempty"`
 }

@@ -34,12 +34,11 @@ type Effort struct {
 	CoreMaxTemps      int
 	RouteAttempts     int
 
-	// Chains/Workers select parallel portfolio annealing for the
-	// simultaneous flow (1 chain = the serial engine). The constructors set
-	// Chains explicitly so that a constructed Effort is always fully
-	// specified; callers (cmd/paper -chains, cmd/bench -chains) override.
-	Chains  int
-	Workers int
+	// Chains selects parallel portfolio annealing for the simultaneous flow
+	// (1 chain = the serial engine). The constructors set Chains explicitly
+	// so that a constructed Effort is always fully specified; callers
+	// (cmd/paper -chains, cmd/bench -chains) override.
+	Chains int
 
 	// Criticality-weighted timing term for the simultaneous flow (see
 	// core.Config). All zero — the term off — in both constructors; callers
@@ -50,13 +49,11 @@ type Effort struct {
 
 	// RouteBackend selects the detailed-router backend for both flows
 	// ("", "ordered", "negotiated" or "lagrange"; see droute.Backend), with
-	// RouteIters overriding the iterative backends' iteration cap and
-	// RouteWorkers capping router concurrency (scheduling only). Zero values
-	// — the ordered backend — in both constructors; callers opt in
+	// RouteIters overriding the iterative backends' iteration cap. Zero
+	// values — the ordered backend — in both constructors; callers opt in
 	// (cmd/bench / cmd/paper -route-backend).
 	RouteBackend string
 	RouteIters   int
-	RouteWorkers int
 
 	// Metrics, when non-nil, is threaded into every flow the effort runs
 	// (core and seq). It must be safe for concurrent use: table rows run
@@ -68,14 +65,14 @@ type Effort struct {
 func FastEffort() Effort {
 	return Effort{Name: "fast", PlaceMovesPerCell: 6, PlaceMaxTemps: 80,
 		CoreMovesPerCell: 6, CoreMaxTemps: 80, RouteAttempts: 4,
-		Chains: 1, Workers: 0}
+		Chains: 1}
 }
 
 // PaperEffort is sized for regenerating the reported tables.
 func PaperEffort() Effort {
 	return Effort{Name: "paper", PlaceMovesPerCell: 14, PlaceMaxTemps: 200,
 		CoreMovesPerCell: 12, CoreMaxTemps: 180, RouteAttempts: 10,
-		Chains: 1, Workers: 0}
+		Chains: 1}
 }
 
 // DefaultTracks is the generous channel capacity used for the timing
@@ -141,7 +138,6 @@ func runSeq(a *arch.Arch, nl *netlist.Netlist, e Effort, seed int64) (*seq.Resul
 		RouteAttempts: e.RouteAttempts,
 		RouteBackend:  droute.Backend(e.RouteBackend),
 		RouteIters:    e.RouteIters,
-		RouteWorkers:  e.RouteWorkers,
 		Metrics:       e.Metrics,
 	})
 	return res, time.Since(start), err
@@ -159,13 +155,11 @@ func RunSim(a *arch.Arch, nl *netlist.Netlist, e Effort, seed int64, wirabilityO
 		MaxTemps:      e.CoreMaxTemps,
 		DisableTiming: wirabilityOnly,
 		Chains:        e.Chains,
-		Workers:       e.Workers,
 		CritWeight:    e.CritWeight,
 		CritBias:      e.CritBias,
 		CritDamping:   e.CritDamping,
 		RouteBackend:  droute.Backend(e.RouteBackend),
 		RouteIters:    e.RouteIters,
-		RouteWorkers:  e.RouteWorkers,
 		Metrics:       e.Metrics,
 	})
 	if err != nil {

@@ -14,18 +14,13 @@ import (
 	"repro/internal/layout"
 )
 
-// Needs derives the channel intervals a net requires given the current
+// appendNeeds derives the channel intervals a net requires given the current
 // placement and pinmaps, before any trunk extension: one ChanAssign (with
-// Track == -1) per channel containing at least one of the net's pins, in
-// ascending channel order.
-func Needs(p *layout.Placement, id int32) []fabric.ChanAssign {
-	return appendNeeds(nil, p, id)
-}
-
-// appendNeeds appends the channel needs to dst (reusing its storage) and
-// returns it sorted by channel. Nets touch at most a handful of channels, so
-// linear insertion into channel order beats any map or sort — and, unlike
-// sort.Slice, allocates nothing, which matters because this runs on every
+// Track == -1) per channel containing at least one of the net's pins. It
+// appends them to dst (reusing its storage) and returns it sorted by
+// channel. Nets touch at most a handful of channels, so linear insertion
+// into channel order beats any map or sort — and, unlike sort.Slice,
+// allocates nothing, which matters because this runs on every
 // rip-up/re-route of the annealer's inner loop. Channels are unique keys, so
 // the result is identical to the historical append-then-sort.
 func appendNeeds(dst []fabric.ChanAssign, p *layout.Placement, id int32) []fabric.ChanAssign {

@@ -144,7 +144,7 @@ func (pr *problem) overflow(load float64) float64 {
 }
 
 // computeContrib derives a net's wirelength and per-channel occupied length
-// from the current placement (matching groute.Needs geometry).
+// from the current placement (matching the channel needs groute derives).
 func (pr *problem) computeContrib(id int32) netContrib {
 	nl := pr.p.NL
 	net := &nl.Nets[id]

@@ -44,18 +44,12 @@ type Config struct {
 	// PathFinder-style negotiated router (droute.BackendNegotiated), or the
 	// Lagrangian-relaxation net-parallel router (droute.BackendLagrange).
 	// Every backend is deterministic for a fixed Seed regardless of
-	// RouteWorkers or GOMAXPROCS.
+	// GOMAXPROCS.
 	RouteBackend droute.Backend
 
 	// RouteIters overrides the iteration cap of the negotiated and lagrange
 	// backends (0 = the backend's default). Ignored by the ordered router.
 	RouteIters int
-
-	// RouteWorkers caps the detailed router's concurrency: channels
-	// negotiated at once (negotiated), nets choosing tracks at once
-	// (lagrange), or retry orderings evaluated at once (ordered). 0 =
-	// GOMAXPROCS. Scheduling only; never affects results.
-	RouteWorkers int
 
 	// Metrics, when non-nil, receives per-phase wall-clock records for the
 	// four sequential stages (place, global-route, detail-route, timing).
@@ -135,17 +129,15 @@ func Run(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Result, error) {
 			MaxIters:         cfg.RouteIters,
 			Seed:             cfg.Seed,
 			FallbackAttempts: cfg.RouteAttempts,
-			Workers:          cfg.RouteWorkers,
 		})
 	case droute.BackendLagrange:
 		dFailed = droute.RouteAllLagrange(f, routes, cfg.DrouteCost, droute.LagrangeConfig{
 			MaxIters:         cfg.RouteIters,
 			Seed:             cfg.Seed,
 			FallbackAttempts: cfg.RouteAttempts,
-			Workers:          cfg.RouteWorkers,
 		})
 	default:
-		dFailed = droute.RouteAllDetailedWorkers(f, routes, cfg.DrouteCost, cfg.RouteAttempts, rng, cfg.RouteWorkers)
+		dFailed = droute.RouteAllDetailed(f, routes, cfg.DrouteCost, cfg.RouteAttempts, rng)
 	}
 	drouteDone()
 

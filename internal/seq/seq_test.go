@@ -1,6 +1,7 @@
 package seq
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/arch"
@@ -204,19 +205,19 @@ func TestLagrangeRouterVariant(t *testing.T) {
 	if !res.FullyRouted {
 		t.Errorf("lagrange router failed on generous fabric: %d unrouted", res.UnroutedNets)
 	}
-	// The choice pass is net-parallel: every worker count must reproduce the
+	// The choice pass is net-parallel: every GOMAXPROCS must reproduce the
 	// exact same layout (full-flow extension of the droute invariance tests).
-	for _, workers := range []int{1, 4, 16} {
-		c := fastCfg(1)
-		c.RouteBackend = "lagrange"
-		c.RouteWorkers = workers
-		r, err := Run(a, nl, c)
+	for _, procs := range []int{1, 4, 16} {
+		r, err := func() (*Result, error) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			return Run(a, nl, cfg)
+		}()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.WCD != res.WCD || r.UnroutedNets != res.UnroutedNets {
-			t.Errorf("workers=%d diverged: %v/%d vs %v/%d",
-				workers, r.WCD, r.UnroutedNets, res.WCD, res.UnroutedNets)
+			t.Errorf("GOMAXPROCS=%d diverged: %v/%d vs %v/%d",
+				procs, r.WCD, r.UnroutedNets, res.WCD, res.UnroutedNets)
 		}
 	}
 	t.Logf("generous fabric: lagrange WCD %v", res.WCD)

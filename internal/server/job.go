@@ -29,7 +29,6 @@ const (
 	maxMaxTemps     = 1000
 	maxChains       = 16
 	maxSyncTemps    = 256
-	maxWorkersCfg   = 64
 	maxCritWeight   = 100
 	maxRouteIters   = 512
 )
@@ -83,14 +82,13 @@ type JobRequest struct {
 }
 
 // JobConfig is the JSON-facing subset of core.Config accepted by the service.
-// Workers is deliberately excluded from the cache key: it only affects
-// scheduling, never results.
+// Every field can change the result; the engine's concurrency follows the
+// executing process's GOMAXPROCS and is not part of a request.
 type JobConfig struct {
 	Seed          int64 `json:"seed,omitempty"`
 	MovesPerCell  int   `json:"moves_per_cell,omitempty"`
 	MaxTemps      int   `json:"max_temps,omitempty"`
 	Chains        int   `json:"chains,omitempty"`
-	Workers       int   `json:"workers,omitempty"`
 	SyncTemps     int   `json:"sync_temps,omitempty"`
 	RangeLimit    bool  `json:"range_limit,omitempty"`
 	DisableTiming bool  `json:"disable_timing,omitempty"`
@@ -104,10 +102,8 @@ type JobConfig struct {
 	// Detailed-router backend of the constructive pass (see droute.Backend;
 	// "" = ordered). Result-affecting together with RouteIters: both enter
 	// the cache key whenever a non-default backend is selected.
-	// RouteWorkers, like Workers, is scheduling-only and excluded.
 	RouteBackend string `json:"route_backend,omitempty"`
 	RouteIters   int    `json:"route_iters,omitempty"`
-	RouteWorkers int    `json:"route_workers,omitempty"`
 }
 
 // critOn reports whether the request enables the criticality extension.
@@ -229,9 +225,6 @@ func (c *JobConfig) validate() error {
 	if err := check("chains", c.Chains, maxChains); err != nil {
 		return err
 	}
-	if err := check("workers", c.Workers, maxWorkersCfg); err != nil {
-		return err
-	}
 	if err := check("sync_temps", c.SyncTemps, maxSyncTemps); err != nil {
 		return err
 	}
@@ -253,9 +246,6 @@ func (c *JobConfig) validate() error {
 	if err := check("route_iters", c.RouteIters, maxRouteIters); err != nil {
 		return err
 	}
-	if err := check("route_workers", c.RouteWorkers, maxWorkersCfg); err != nil {
-		return err
-	}
 	if !c.routeOn() && c.RouteIters != 0 {
 		return fmt.Errorf("config.route_iters requires a negotiated or lagrange config.route_backend")
 	}
@@ -266,10 +256,10 @@ func (c *JobConfig) validate() error {
 // netlist, the architecture parameters, and every result-affecting config
 // field. Two requests with the same key produce bit-identical layouts (the
 // determinism contract pinned by the golden/GOMAXPROCS-invariance tests), so
-// a cache hit can be served without re-annealing. Workers and Priority are
-// excluded: both are scheduling-only — priority changes when a job runs,
-// never what it computes, so the same design submitted at different
-// priorities shares one cached result.
+// a cache hit can be served without re-annealing. Priority is excluded: it is
+// scheduling-only — it changes when a job runs, never what it computes, so
+// the same design submitted at different priorities shares one cached
+// result.
 func (s *jobSpec) cacheKey() string {
 	h := sha256.New()
 	c := s.req.Config
@@ -284,7 +274,7 @@ func (s *jobSpec) cacheKey() string {
 	}
 	// Same contract for the route backend: the line is appended only when a
 	// non-default backend is selected, so ordered-backend requests keep their
-	// pre-extension keys and cached results. RouteWorkers never participates.
+	// pre-extension keys and cached results.
 	if c.routeOn() {
 		fmt.Fprintf(h, "route=%s iters=%d\n", c.RouteBackend, c.RouteIters)
 	}
@@ -301,7 +291,6 @@ func (s *jobSpec) coreConfig() core.Config {
 		MovesPerCell:  c.MovesPerCell,
 		MaxTemps:      c.MaxTemps,
 		Chains:        c.Chains,
-		Workers:       c.Workers,
 		SyncTemps:     c.SyncTemps,
 		RangeLimit:    c.RangeLimit,
 		DisableTiming: c.DisableTiming,
@@ -310,7 +299,6 @@ func (s *jobSpec) coreConfig() core.Config {
 		CritDamping:   c.CritDamping,
 		RouteBackend:  droute.Backend(c.RouteBackend),
 		RouteIters:    c.RouteIters,
-		RouteWorkers:  c.RouteWorkers,
 	}
 }
 

@@ -10,9 +10,8 @@ import (
 )
 
 // TestCacheKeyCanonicalization pins the dedup property of the cache key: a
-// named design and the equivalent inline netlist hash identically, every
-// result-affecting config field feeds the key, and the scheduling-only
-// Workers field does not.
+// named design and the equivalent inline netlist hash identically, and every
+// result-affecting config field feeds the key.
 func TestCacheKeyCanonicalization(t *testing.T) {
 	named, err := buildSpec(JobRequest{Design: "tiny"})
 	if err != nil {
@@ -51,14 +50,6 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		t.Error("tracks change did not change the cache key")
 	}
 
-	workers, err := buildSpec(JobRequest{Design: "tiny", Config: JobConfig{Workers: 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if workers.key != named.key {
-		t.Error("scheduling-only Workers field changed the cache key")
-	}
-
 	// Criticality knobs are result-affecting: enabling the term changes the
 	// key, and every sub-knob feeds it; leaving it off preserves the
 	// pre-extension key so existing cached results stay addressable.
@@ -84,7 +75,7 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	// Route-backend knobs: selecting a non-default backend changes the key,
 	// its iteration cap feeds it, and the default (empty or explicit
 	// "ordered") preserves the pre-extension key so existing cached results
-	// stay addressable. The scheduling-only route_workers never feeds it.
+	// stay addressable.
 	ordered, err := buildSpec(JobRequest{Design: "tiny", Config: JobConfig{RouteBackend: "ordered"}})
 	if err != nil {
 		t.Fatal(err)
@@ -105,13 +96,6 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	}
 	if lagIters.key == lag.key {
 		t.Error("route_iters did not feed the cache key")
-	}
-	lagWorkers, err := buildSpec(JobRequest{Design: "tiny", Config: JobConfig{RouteBackend: "lagrange", RouteWorkers: 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lagWorkers.key != lag.key {
-		t.Error("scheduling-only route_workers field changed the cache key")
 	}
 	neg, err := buildSpec(JobRequest{Design: "tiny", Config: JobConfig{RouteBackend: "negotiated"}})
 	if err != nil {
@@ -147,7 +131,8 @@ func TestParseJobRequestValidation(t *testing.T) {
 		{"unknown route backend", `{"design":"tiny","config":{"route_backend":"pathfinder"}}`},
 		{"route iters without backend", `{"design":"tiny","config":{"route_iters":8}}`},
 		{"route iters high", `{"design":"tiny","config":{"route_backend":"lagrange","route_iters":9999}}`},
-		{"route workers high", `{"design":"tiny","config":{"route_backend":"lagrange","route_workers":9999}}`},
+		{"retired workers field", `{"design":"tiny","config":{"workers":2}}`},
+		{"retired route workers field", `{"design":"tiny","config":{"route_backend":"lagrange","route_workers":4}}`},
 		{"trailing data", `{"design":"tiny"} {"x":1}`},
 		{"not an object", `42`},
 	} {
@@ -157,7 +142,7 @@ func TestParseJobRequestValidation(t *testing.T) {
 	}
 	for _, body := range []string{
 		`{"design":"tiny","tracks":24,"config":{"seed":9,"chains":2}}`,
-		`{"design":"tiny","config":{"route_backend":"lagrange","route_iters":12,"route_workers":4}}`,
+		`{"design":"tiny","config":{"route_backend":"lagrange","route_iters":12}}`,
 		`{"design":"tiny","config":{"route_backend":"negotiated"}}`,
 	} {
 		if _, err := parseJobRequest([]byte(body)); err != nil {

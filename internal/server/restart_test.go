@@ -184,6 +184,46 @@ func TestRestartRecovery(t *testing.T) {
 	}
 }
 
+// TestRecoverRetiredWorkerFields: a submission journaled before the per-run
+// worker-count fields were retired still carries them. Recovery
+// decodes the journal with plain json.Unmarshal, which ignores them, so the
+// job recovers and completes under the cache key, and with the layout, that
+// the same request gets today without them.
+func TestRecoverRetiredWorkerFields(t *testing.T) {
+	const config = `"seed":3,"moves_per_cell":4,"max_temps":10,"route_backend":"lagrange"`
+	_, base := newTestService(t, server.Config{Workers: 1, QueueDepth: 4})
+	fresh, resp := submitJob(t, base, `{"design":"tiny","config":{`+config+`}}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	waitState(t, base, fresh.ID, server.StateDone, 60*time.Second)
+	_, wantLayout := getBody(t, base+"/v1/jobs/"+fresh.ID+"/layout")
+
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	old := `{"req":{"design":"tiny","config":{` + config + `,"workers":2,"route_workers":4}}}`
+	if err := st1.Journal(store.Record{Kind: store.KindSubmitted, Job: "j7", Key: fresh.CacheKey, Data: []byte(old)}); err != nil {
+		t.Fatal(err)
+	}
+	st1.Close()
+
+	st2 := openStore(t, dir)
+	srv, ts := startService(server.Config{Workers: 1, QueueDepth: 4, Store: st2})
+	defer func() {
+		ts.Close()
+		srv.Close()
+		st2.Close()
+	}()
+	got := waitState(t, ts.URL, "j7", server.StateDone, 60*time.Second)
+	if got.CacheKey != fresh.CacheKey {
+		t.Errorf("recovered key %s, want %s", got.CacheKey, fresh.CacheKey)
+	}
+	code, gotLayout := getBody(t, ts.URL+"/v1/jobs/j7/layout")
+	if code != http.StatusOK || !bytes.Equal(gotLayout, wantLayout) {
+		t.Errorf("recovered layout: status %d, bytes equal %v", code, bytes.Equal(gotLayout, wantLayout))
+	}
+}
+
 // TestRejectedSubmissionNotResurrected pins the journal-before-enqueue
 // contract's counterpart: a submission bounced by queue backpressure has its
 // record neutralized and must not reappear after a restart.

@@ -7,31 +7,9 @@ import (
 	"repro/internal/netlist"
 )
 
-// SlackReport carries the results of a required-time analysis against a
-// delay target.
-type SlackReport struct {
-	Target float64   // the required time used (usually the WCD itself)
-	Slack  []float64 // per cell: required output time minus arrival
-}
-
-// Slacks runs a backward required-time propagation against target (pass the
-// current WCD to measure each cell's margin relative to the critical path;
-// cells on it get slack 0). Cells whose output reaches no timing sink get
-// +Inf slack.
-func (t *Analyzer) Slacks(target float64) SlackReport {
-	n := len(t.nl.Cells)
-	reqOut := make([]float64, n)
-	t.requiredInto(reqOut, target)
-	rep := SlackReport{Target: target, Slack: make([]float64, n)}
-	for i := range rep.Slack {
-		rep.Slack[i] = reqOut[i] - t.arr[i]
-	}
-	return rep
-}
-
 // requiredInto fills reqOut (one entry per cell) with required output times
 // against target via a backward pass in reverse level order. Cells whose
-// output reaches no timing sink get +Inf. Allocation-free; shared by Slacks,
+// output reaches no timing sink get +Inf. Allocation-free; shared by
 // NetCriticality and the damped Criticality extractor.
 func (t *Analyzer) requiredInto(reqOut []float64, target float64) {
 	for i := range reqOut {

@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/droute"
 	"repro/internal/exper"
 	"repro/internal/fabric"
 	"repro/internal/layio"
@@ -36,11 +35,9 @@ import (
 	"repro/internal/netgen"
 	"repro/internal/netlist"
 	"repro/internal/partition"
-	"repro/internal/refine"
 	"repro/internal/seq"
 	"repro/internal/techmap"
 	"repro/internal/timing"
-	"repro/internal/wirepred"
 )
 
 // Re-exported building blocks. The aliases expose the full documented API of
@@ -232,44 +229,6 @@ func (l *Layout) VerifyTiming() (wcd, agreement float64, err error) {
 		return 0, 0, err
 	}
 	return res.WCD, res.Agreement, nil
-}
-
-// RefineTiming applies a slack-driven rerouting post-pass (after Frankle's
-// iterative slack allocation, the paper's reference [13]): nets whose timing
-// criticality is at least critThreshold (use ~0.5) are re-embedded with the
-// antifuse-count term amplified, trading segment wastage for delay exactly
-// where slack demands it. The layout's routes and WCD are updated in place;
-// the pass never makes a net slower. Returns how many nets improved.
-func (l *Layout) RefineTiming(critThreshold float64) (int, error) {
-	if !l.FullyRouted {
-		return 0, fmt.Errorf("repro: layout is not fully routed")
-	}
-	f := fabric.New(l.Arch)
-	for id := range l.Routes {
-		f.InstallRoute(int32(id), &l.Routes[id])
-	}
-	an, err := l.analyzer()
-	if err != nil {
-		return 0, err
-	}
-	improved, err := refine.TimingRefine(f, l.Placement, l.Routes, an, droute.DefaultCost(), critThreshold)
-	if err != nil {
-		return improved, err
-	}
-	l.WCD = an.WCD()
-	return improved, nil
-}
-
-// WirabilityPrediction is the placement-level routability estimate of
-// internal/wirepred (after the paper's reference [22]).
-type WirabilityPrediction = wirepred.Prediction
-
-// PredictWirability estimates, from the placement alone (no routing
-// information), how likely the layout is to route completely — the kind of
-// stochastic prediction §2.2 describes, with the Figure-2 blindness that
-// motivates simultaneous place and route.
-func PredictWirability(l *Layout) WirabilityPrediction {
-	return wirepred.Predict(l.Placement)
 }
 
 // TimingPath is one reported critical path.

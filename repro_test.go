@@ -227,61 +227,3 @@ func TestCriticalPathsFacade(t *testing.T) {
 		t.Errorf("no fully critical net (max %v)", max)
 	}
 }
-
-func TestRefineTimingFacade(t *testing.T) {
-	nl, err := GenerateBenchmark("tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := ArchFor(nl, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sequential layouts (timing-blind) leave the most on the table.
-	cfg := SeqConfig{Seed: 2}
-	cfg.Place.MovesPerCell = 5
-	cfg.Place.MaxTemps = 40
-	lay, err := Sequential(a, nl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !lay.FullyRouted {
-		t.Skip("not routed at this seed")
-	}
-	before := lay.WCD
-	improved, err := lay.RefineTiming(0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lay.WCD > before+1e-9 {
-		t.Errorf("refine worsened WCD: %v -> %v", before, lay.WCD)
-	}
-	t.Logf("refine improved %d nets, WCD %.1f -> %.1f", improved, before, lay.WCD)
-	// Layout must still be loadable/consistent.
-	var buf bytes.Buffer
-	if err := lay.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadLayout(a, nl, &buf); err != nil {
-		t.Fatalf("refined layout fails validation: %v", err)
-	}
-}
-
-func TestPredictWirabilityFacade(t *testing.T) {
-	nl, err := GenerateBenchmark("tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := ArchFor(nl, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lay, err := Simultaneous(a, nl, SimConfig{Seed: 1, MovesPerCell: 5, MaxTemps: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := PredictWirability(lay)
-	if !pr.Routable || pr.Score < 0.5 {
-		t.Errorf("routed layout predicted unroutable: score %v", pr.Score)
-	}
-}
