@@ -7,9 +7,11 @@ package repro
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/droute"
 	"repro/internal/exper"
@@ -196,35 +198,66 @@ func BenchmarkIncrementalMove(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalMoveStarved measures one move of the reroute cascade on
-// big529 right after core.New, while about 350 of its 513 nets are still
-// unrouted: the per-move cost of re-attempting a long list of stuck nets.
-// Moves alternate between accept and reject, which keeps the placement
-// random and the list long; run it at a fixed -benchtime count (e.g. 2000x)
-// so every run walks the same moves.
+// BenchmarkIncrementalMoveStarved measures one move of the reroute cascade
+// right after core.New, while most nets are still unrouted: the per-move cost
+// of a long list of stuck nets, against design size. x1 is big529 on
+// exper.ArchFor's array (about 350 of its 513 nets unrouted); xK scales
+// big529's netgen profile (inputs, outputs, sequential and combinational
+// cells) by K, on 38 tracks and round(√(1.8·cells)/2.5) rows. Moves alternate
+// between accept and reject, which keeps the placement random and the list
+// long; run it at a fixed -benchtime count (e.g. 3000x) so every run walks
+// the same moves.
 func BenchmarkIncrementalMoveStarved(b *testing.B) {
-	nl, a := benchDesign(b, "big529")
-	o, err := core.New(a, nl, core.Config{Seed: 1})
+	for _, k := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("x%d", k), func(b *testing.B) {
+			nl, a := scaledBig529(b, k)
+			o, err := core.New(a, nl, core.Config{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			start := o.D()
+			rng := rand.New(rand.NewSource(2))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o.Propose(rng)
+				if i%2 == 0 {
+					o.Accept()
+				} else {
+					o.Reject()
+				}
+			}
+			b.ReportMetric(float64(nl.NumCells()), "cells")
+			b.ReportMetric(float64(start), "unrouted-at-start")
+			b.ReportMetric(float64(o.D()), "unrouted-at-end")
+		})
+	}
+}
+
+// scaledBig529 is big529's profile scaled k times and its array: exper.ArchFor's
+// for k = 1, else 38 tracks and rows growing with the square root of the cell
+// count, so the array keeps its aspect instead of widening at 12 rows.
+func scaledBig529(b *testing.B, k int) (*Netlist, *Arch) {
+	if k == 1 {
+		return benchDesign(b, "big529")
+	}
+	p, _ := netgen.Profile("big529")
+	p.Name = fmt.Sprintf("big529x%d", k)
+	p.Inputs, p.Outputs, p.Seq, p.Comb = k*p.Inputs, k*p.Outputs, k*p.Seq, k*p.Comb
+	nl, err := netgen.Generate(p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	start := o.D()
-	rng := rand.New(rand.NewSource(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.Propose(rng)
-		if i%2 == 0 {
-			o.Accept()
-		} else {
-			o.Reject()
-		}
+	cells := nl.NumCells()
+	rows := int(math.Round(math.Sqrt(1.8*float64(cells)) / 2.5))
+	a, err := arch.New(arch.Default(rows, (cells*18/10+rows-1)/rows, exper.DefaultTracks))
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(float64(start), "unrouted-at-start")
-	b.ReportMetric(float64(o.D()), "unrouted-at-end")
+	return nl, a
 }
 
 // BenchmarkElmoreNetDelay measures the detailed RC-tree evaluation of one
-// routed net.
+// routed net with a reused DelayCalc, as the move loop evaluates it.
 func BenchmarkElmoreNetDelay(b *testing.B) {
 	nl, a := benchDesign(b, "s1")
 	rng := rand.New(rand.NewSource(3))
@@ -247,9 +280,10 @@ func BenchmarkElmoreNetDelay(b *testing.B) {
 	if target < 0 {
 		b.Fatal("no routed trunk net")
 	}
+	var dc timing.DelayCalc
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := timing.NetDelays(p, target, &routes[target], 1.0); err != nil {
+		if _, err := dc.NetDelays(p, target, &routes[target], 1.0); err != nil {
 			b.Fatal(err)
 		}
 	}

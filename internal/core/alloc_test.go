@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/netlist"
 )
 
 // TestMoveAllocFree asserts the absolute steady-state bound the hot-path work
@@ -55,25 +59,41 @@ func TestMoveAllocFree(t *testing.T) {
 // accept/reject burst after warm-up must average out to zero allocations per
 // move. Accepts mutate state, so exact replay is impossible; instead the
 // warm-up burst is long and uses the same move policy, making any scratch
-// growth during measurement a real regression.
+// growth during measurement a real regression. The starved arrays keep many
+// nets listed, so Accept files wake-index entries on most moves.
 func TestAcceptAllocFree(t *testing.T) {
+	type design struct {
+		name string
+		a    *arch.Arch
+		nl   *netlist.Netlist
+	}
+	var designs []design
 	a, nl := smallDesign(t)
-	o, err := New(a, nl, Config{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
+	designs = append(designs, design{"small", a, nl})
+	for _, vt := range []int{1, 2} {
+		a, nl := starvedDesign(t, vt)
+		designs = append(designs, design{fmt.Sprintf("starved-vtracks-%d", vt), a, nl})
 	}
-	rng := rand.New(rand.NewSource(23))
-	step := func() {
-		if o.Propose(rng) <= 0 {
-			o.Accept()
-		} else {
-			o.Reject()
-		}
-	}
-	for i := 0; i < 4000; i++ {
-		step()
-	}
-	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
-		t.Errorf("accept/reject mix allocates: %.4f allocs/move, want exactly 0", allocs)
+	for _, d := range designs {
+		t.Run(d.name, func(t *testing.T) {
+			o, err := New(d.a, d.nl, Config{Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(23))
+			step := func() {
+				if o.Propose(rng) <= 0 {
+					o.Accept()
+				} else {
+					o.Reject()
+				}
+			}
+			for i := 0; i < 4000; i++ {
+				step()
+			}
+			if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+				t.Errorf("accept/reject mix allocates: %.4f allocs/move, want exactly 0", allocs)
+			}
+		})
 	}
 }

@@ -9,10 +9,11 @@ import (
 
 // Check verifies every cross-structure invariant of the optimizer state from
 // scratch: placement legality, fabric/route consistency, the fabric's free
-// sets, the G and D counters, the unrouted list, route geometry against
-// current pin positions, and the incremental timing view against a full
-// recomputation. Tests call it after move bursts; it is far too slow for the
-// inner loop. Any change to engine state must keep it passing.
+// sets, the G and D counters, the unrouted list and its wake index, route
+// geometry against current pin positions, and the incremental timing view
+// against a full recomputation. Tests call it after move bursts; it is far
+// too slow for the inner loop. Any change to engine state must keep it
+// passing.
 func (o *Optimizer) Check() error {
 	if o.moveKind != moveNone {
 		return fmt.Errorf("core: Check inside an open move")
@@ -44,6 +45,9 @@ func (o *Optimizer) Check() error {
 		return err
 	}
 	if err := o.checkUnrouted(); err != nil {
+		return err
+	}
+	if err := o.checkWatches(); err != nil {
 		return err
 	}
 

@@ -7,12 +7,12 @@ import (
 
 // Clone returns a deep copy of the complete optimizer state: placement (cell
 // slots and pinmaps), fabric ownership tables and free sets, every net's
-// segment assignment, the unrouted list and its keys, the G/D/dc counters, the
-// adaptive cost weights, the move-range window, and the incremental
-// timing-analyzer state. Clones share only immutable structures (the
-// architecture, the netlist, the prefilled pinmap palette) and evolve fully
-// independently afterwards — the parallel annealing engine relies on this to
-// run chains on separate goroutines.
+// segment assignment, the unrouted list and its keys, the wake index (rebuilt
+// from the list), the G/D/dc counters, the adaptive cost weights, the
+// move-range window, and the incremental timing-analyzer state. Clones share
+// only immutable structures (the architecture, the netlist, the pinmap
+// palette) and evolve fully independently afterwards — the parallel annealing
+// engine relies on this to run chains on separate goroutines.
 //
 // The clone starts with fresh journal scratch and epoch counters; cloning
 // inside an open move is a programming error and panics.
@@ -59,6 +59,7 @@ func (o *Optimizer) Clone() *Optimizer {
 	for id := range o.Rts {
 		c.Rts[id] = o.Rts[id].Clone()
 	}
+	c.watchAll()
 	if o.crit != nil {
 		c.crit = o.crit.Clone(c.An)
 		c.netMaxD = append([]float64(nil), o.netMaxD...)

@@ -289,6 +289,17 @@ type Optimizer struct {
 	ripped   []int32
 	estLen   []float64
 
+	// The wake index (wake.go): per channel and for the vertical list, what
+	// the listed nets are stuck on, live iff an entry's generation is its
+	// net's netGen; watchGen is the generation counter. woke[net] == epoch
+	// marks the nets this move's rip-up woke; freedH is the move's freed runs.
+	hwatch   [][]watch
+	vwatch   []watch
+	netGen   []uint64
+	watchGen uint64
+	woke     []uint32
+	freedH   []freedRun
+
 	// Dynamics instrumentation.
 	cellStamp     []uint32
 	cellEpochBase uint32
@@ -413,6 +424,7 @@ func New(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Optimizer, error) {
 		}
 		return 0
 	})
+	o.watchAll()
 	if o.timingOn() {
 		an.Begin()
 		for id := range o.Rts {

@@ -38,9 +38,10 @@ func fuzzSetup() (a, starved *arch.Arch, nl *netlist.Netlist, err error) {
 // the identical cost trajectory — the contract the parallel portfolio engine
 // rests on. Any state the clone shares mutably with the original, or fails to
 // copy, diverges the trajectories. Both arrays are run; on the starved one the
-// router counters must agree too, which shows the clone carries the
-// failed-attempt stamps and the fabric's free log (a clone without them would
-// reach the same layouts through more attempts).
+// router counters must agree too, and Check must pass on both copies, which
+// shows the clone carries its own free sets, unrouted list and wake index (a
+// clone missing one, or sharing it with the original, would attempt other
+// nets or fail Check).
 func FuzzCloneEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint16(60))
 	f.Add(int64(9), uint8(0), uint16(120))

@@ -97,22 +97,37 @@ func (o *Optimizer) begin(kind moveKind) float64 {
 }
 
 func (o *Optimizer) proposeSwap(la, lb layout.Loc) float64 {
-	before := o.begin(moveSwap)
-	o.swapA, o.swapB = la, lb
-	o.ripCell(o.P.CellAt(la.Row, la.Col))
-	o.ripCell(o.P.CellAt(lb.Row, lb.Col))
-	o.P.Swap(la, lb)
+	before := o.ripSwap(la, lb)
 	o.rerouteAndTime()
 	return o.Cost() - before
 }
 
 func (o *Optimizer) proposePinmap(cell int32, nv uint8) float64 {
+	before := o.ripPinmap(cell, nv)
+	o.rerouteAndTime()
+	return o.Cost() - before
+}
+
+// ripSwap opens a swap move up to its rip-up: it rips the nets of the cells
+// at la and lb and exchanges the two slots. It returns the cost before the
+// move.
+func (o *Optimizer) ripSwap(la, lb layout.Loc) float64 {
+	before := o.begin(moveSwap)
+	o.swapA, o.swapB = la, lb
+	o.ripCell(o.P.CellAt(la.Row, la.Col))
+	o.ripCell(o.P.CellAt(lb.Row, lb.Col))
+	o.P.Swap(la, lb)
+	return before
+}
+
+// ripPinmap opens a pinmap move up to its rip-up: it rips the cell's nets and
+// gives it pinmap variant nv. It returns the cost before the move.
+func (o *Optimizer) ripPinmap(cell int32, nv uint8) float64 {
 	before := o.begin(movePinmap)
 	o.pmCell, o.pmOld = cell, o.P.Pm[cell]
 	o.ripCell(cell)
 	o.P.SetPinmap(cell, nv)
-	o.rerouteAndTime()
-	return o.Cost() - before
+	return before
 }
 
 // journalNet records a net's current route once per move; returns its entry.
@@ -188,15 +203,22 @@ func (o *Optimizer) ripNet(id int32) {
 // before this move) is attempted again, longest first — global routing, then
 // the missing channels of the detailed routing — and the timing view is
 // refreshed for every net whose embedding or pins changed.
-//
-// The unroutable nets are the persistent unrouted list, so the cascade is one
-// merge: the ripped nets, re-keyed by their new estimated lengths, go into
-// the old list in order, and the walk builds the next list from the nets that
-// stay unrouted. A net whose attempt mayRoute rules out is passed over: the
-// attempt would fail and change nothing, so the layout is the one retrying
-// it would give. It is tested at its turn, since an earlier net may have
-// taken what it needs. The old list stays in spare for Reject.
 func (o *Optimizer) rerouteAndTime() {
+	o.wake()
+	o.cascade()
+	o.retime()
+}
+
+// cascade reroutes the unroutable nets. They are the persistent unrouted
+// list, so the cascade is one merge: the ripped nets, re-keyed by their new
+// estimated lengths, go into the old list in order, and the walk builds the
+// next list from the nets that stay unrouted. A net whose attempt mayRoute
+// rules out is passed over: the attempt would fail and change nothing, so
+// the layout is the one retrying it would give. It is tested at its turn,
+// since an earlier net may have taken what it needs. A listed net that wake
+// did not mark could not route after rip-up and cannot later, so it is
+// passed over untested. The old list stays in spare for Reject.
+func (o *Optimizer) cascade() {
 	// So far the journal holds exactly the ripped nets.
 	o.ripped = o.ripped[:0]
 	for i := range o.journal {
@@ -222,6 +244,10 @@ func (o *Optimizer) rerouteAndTime() {
 		if i < len(old) && (j == len(o.ripped) || o.before(old[i], o.ripped[j])) {
 			id = old[i]
 			i++
+			if o.woke[id] != o.epoch {
+				next = append(next, id)
+				continue
+			}
 		} else if j < len(o.ripped) {
 			id = o.ripped[j]
 			j++
@@ -233,7 +259,11 @@ func (o *Optimizer) rerouteAndTime() {
 		}
 	}
 	o.unrouted, o.spare = next, old
+}
 
+// retime refreshes the delays of every journaled net whose route or pins
+// changed and propagates them.
+func (o *Optimizer) retime() {
 	if !o.timingOn() {
 		return
 	}
@@ -311,6 +341,9 @@ func (o *Optimizer) Accept() {
 		if o.P.Pm[o.pmCell] != o.pmOld {
 			o.countPerturbed(o.pmCell)
 		}
+	}
+	for i := range o.journal {
+		o.rewatch(o.journal[i].id)
 	}
 	o.moveKind = moveNone
 }

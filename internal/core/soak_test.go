@@ -8,6 +8,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/fabric"
 	"repro/internal/netgen"
+	"repro/internal/netlist"
 )
 
 // TestSoakLongRandomWalk drives the optimizer through a long mixed sequence
@@ -62,24 +63,31 @@ func TestSoakLongRandomWalk(t *testing.T) {
 	}
 }
 
+// starvedDesign returns a 51-cell design on a 5 × 14 array with 6 tracks and
+// vt vertical tracks per column, where many nets stay stuck.
+func starvedDesign(t *testing.T, vt int) (*arch.Arch, *netlist.Netlist) {
+	t.Helper()
+	nl, err := netgen.Generate(netgen.Params{Name: "starve", Inputs: 5, Outputs: 4, Seq: 2, Comb: 40, Seed: 61})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := arch.Default(5, 14, 6)
+	p.VTracks = vt
+	return arch.MustNew(p), nl
+}
+
 // TestSoakStarvedSkipRule drives random moves on starved arrays, where most
 // moves leave nets stuck and the cascade passes over the ones that cannot
 // route, with a full Check — which includes the free sets and the unrouted
 // list — after every move. It also requires that nets were in fact passed
 // over, so the check is not vacuous.
 func TestSoakStarvedSkipRule(t *testing.T) {
-	nl, err := netgen.Generate(netgen.Params{Name: "starve", Inputs: 5, Outputs: 4, Seq: 2, Comb: 40, Seed: 61})
-	if err != nil {
-		t.Fatal(err)
-	}
 	moves := 1500
 	if testing.Short() {
 		moves = 300
 	}
 	for _, vt := range []int{1, 2} {
-		p := arch.Default(5, 14, 6)
-		p.VTracks = vt
-		a := arch.MustNew(p)
+		a, nl := starvedDesign(t, vt)
 		o, err := New(a, nl, Config{Seed: 29})
 		if err != nil {
 			t.Fatal(err)
@@ -111,7 +119,7 @@ func TestSoakStarvedSkipRule(t *testing.T) {
 
 // TestCheckCatchesDrift corrupts, one at a time, each structure the cascade
 // relies on — a free bit, an unrouted-list key, the list's membership and its
-// order — and requires Check to report it.
+// order, and the wake index — and requires Check to report it.
 func TestCheckCatchesDrift(t *testing.T) {
 	nl, err := netgen.Generate(netgen.Params{Name: "drift", Inputs: 5, Outputs: 4, Seq: 2, Comb: 40, Seed: 61})
 	if err != nil {
@@ -163,6 +171,15 @@ func TestCheckCatchesDrift(t *testing.T) {
 		{"out of order", func(c *Optimizer) {
 			c.unrouted[0], c.unrouted[1] = c.unrouted[1], c.unrouted[0]
 		}, "out of order"},
+		{"dropped watch", func(c *Optimizer) {
+			// A fresh generation retires every entry of the net.
+			c.watchGen++
+			c.netGen[c.unrouted[0]] = c.watchGen
+		}, "no live watch"},
+		{"routed net watched", func(c *Optimizer) {
+			c.hwatch[0] = append(c.hwatch[0], watch{0, 0, routed, c.netGen[routed]})
+		}, "matches no need"},
+		{"generation past the counter", func(c *Optimizer) { c.netGen[routed] = c.watchGen + 1 }, "past the counter"},
 	} {
 		cl := o.Clone()
 		c.corrupt(cl)

@@ -67,16 +67,7 @@ func Read(rd io.Reader, a *arch.Arch, nl *netlist.Netlist) (*layout.Placement, [
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 
-	p := &layout.Placement{A: a, NL: nl}
-	p.Loc = make([]layout.Loc, nl.NumCells())
-	p.Pm = make([]uint8, nl.NumCells())
-	p.Slot = make([][]int32, a.Rows)
-	for r := range p.Slot {
-		p.Slot[r] = make([]int32, a.Cols)
-		for c := range p.Slot[r] {
-			p.Slot[r][c] = -1
-		}
-	}
+	p := layout.New(a, nl)
 	placed := make([]bool, nl.NumCells())
 	routes := make([]fabric.NetRoute, nl.NumNets())
 	seenNet := make([]bool, nl.NumNets())

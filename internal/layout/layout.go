@@ -28,7 +28,11 @@ type Placement struct {
 	Loc  []Loc     // per cell
 	Pm   []uint8   // per cell: pinmap variant index
 
-	pinmapCache map[int][]arch.Pinmap // palette keyed by input count
+	// pinmaps is the pinmap palette, arch.NumPinmaps variants for each input
+	// count the netlist uses: variant v of cell id is pinmaps[pmBase[id]+v].
+	// New fills both once; clones share them.
+	pinmaps []arch.Pinmap
+	pmBase  []int32
 
 	// Incremental bounding-box cache: boxCache[id] holds the net's current
 	// channel/column span when boxOK[id] is set. Entries are invalidated at
@@ -40,20 +44,33 @@ type Placement struct {
 	boxOK    []bool
 }
 
-// NewRandom places all cells into random distinct slots with pinmap variant 0.
-func NewRandom(a *arch.Arch, nl *netlist.Netlist, rng *rand.Rand) (*Placement, error) {
-	n := nl.NumCells()
-	if n > a.Slots() {
-		return nil, fmt.Errorf("layout: %d cells exceed %d slots", n, a.Slots())
-	}
+// New returns a placement with every slot empty, for the caller to place
+// every cell in: every cell's Loc is (0, 0) and its pinmap variant 0 until
+// then. It fills the pinmap palette and sizes the bounding-box cache. The
+// palette holds only the input counts that occur, so its size is linear in
+// the netlist's pins whatever the widest cell.
+func New(a *arch.Arch, nl *netlist.Netlist) *Placement {
 	p := &Placement{
-		A:           a,
-		NL:          nl,
-		Loc:         make([]Loc, n),
-		Pm:          make([]uint8, n),
-		pinmapCache: make(map[int][]arch.Pinmap),
-		boxCache:    make([]NetBox, nl.NumNets()),
-		boxOK:       make([]bool, nl.NumNets()),
+		A:        a,
+		NL:       nl,
+		Loc:      make([]Loc, nl.NumCells()),
+		Pm:       make([]uint8, nl.NumCells()),
+		pmBase:   make([]int32, nl.NumCells()),
+		boxCache: make([]NetBox, nl.NumNets()),
+		boxOK:    make([]bool, nl.NumNets()),
+	}
+	base := make(map[int]int32) // input count -> its palette offset
+	for i := range nl.Cells {
+		k := len(nl.Cells[i].In)
+		b, ok := base[k]
+		if !ok {
+			b = int32(len(p.pinmaps))
+			base[k] = b
+			for v := 0; v < arch.NumPinmaps; v++ {
+				p.pinmaps = append(p.pinmaps, arch.PinmapFor(k, v))
+			}
+		}
+		p.pmBase[i] = b
 	}
 	p.Slot = make([][]int32, a.Rows)
 	for r := range p.Slot {
@@ -62,6 +79,16 @@ func NewRandom(a *arch.Arch, nl *netlist.Netlist, rng *rand.Rand) (*Placement, e
 			p.Slot[r][c] = -1
 		}
 	}
+	return p
+}
+
+// NewRandom places all cells into random distinct slots with pinmap variant 0.
+func NewRandom(a *arch.Arch, nl *netlist.Netlist, rng *rand.Rand) (*Placement, error) {
+	n := nl.NumCells()
+	if n > a.Slots() {
+		return nil, fmt.Errorf("layout: %d cells exceed %d slots", n, a.Slots())
+	}
+	p := New(a, nl)
 	perm := rng.Perm(a.Slots())
 	for i := 0; i < n; i++ {
 		s := perm[i]
@@ -72,44 +99,24 @@ func NewRandom(a *arch.Arch, nl *netlist.Netlist, rng *rand.Rand) (*Placement, e
 	return p, nil
 }
 
-// Clone returns a deep copy sharing only the immutable arch and netlist.
-// The pinmap palette is prefilled for every input count in the netlist before
-// being shared, so clones used from different goroutines only ever read it.
+// Clone returns a deep copy sharing only the immutable arch, netlist and
+// pinmap palette with its offsets.
 func (p *Placement) Clone() *Placement {
-	p.prefillPinmaps()
 	q := &Placement{
-		A:           p.A,
-		NL:          p.NL,
-		Loc:         append([]Loc(nil), p.Loc...),
-		Pm:          append([]uint8(nil), p.Pm...),
-		pinmapCache: p.pinmapCache, // complete and read-only after prefill
-		boxCache:    append([]NetBox(nil), p.boxCache...),
-		boxOK:       append([]bool(nil), p.boxOK...),
+		A:        p.A,
+		NL:       p.NL,
+		Loc:      append([]Loc(nil), p.Loc...),
+		Pm:       append([]uint8(nil), p.Pm...),
+		pinmaps:  p.pinmaps,
+		pmBase:   p.pmBase,
+		boxCache: append([]NetBox(nil), p.boxCache...),
+		boxOK:    append([]bool(nil), p.boxOK...),
 	}
 	q.Slot = make([][]int32, len(p.Slot))
 	for r := range p.Slot {
 		q.Slot[r] = append([]int32(nil), p.Slot[r]...)
 	}
 	return q
-}
-
-// prefillPinmaps builds the lazily-populated pinmap palette for every input
-// count present in the netlist, after which the cache is never written again.
-func (p *Placement) prefillPinmaps() {
-	if p.pinmapCache == nil {
-		p.pinmapCache = make(map[int][]arch.Pinmap)
-	}
-	for id := range p.NL.Cells {
-		k := len(p.NL.Cells[id].In)
-		if _, ok := p.pinmapCache[k]; ok {
-			continue
-		}
-		pal := make([]arch.Pinmap, arch.NumPinmaps)
-		for v := range pal {
-			pal[v] = arch.PinmapFor(k, v)
-		}
-		p.pinmapCache[k] = pal
-	}
 }
 
 // CellAt returns the cell occupying slot (row, col), or -1.
@@ -141,9 +148,6 @@ func (p *Placement) SetPinmap(cell int32, v uint8) {
 // invalidateCellBoxes drops the cached bounding box of every net attached to
 // the cell.
 func (p *Placement) invalidateCellBoxes(cell int32) {
-	if p.boxOK == nil {
-		return
-	}
 	c := &p.NL.Cells[cell]
 	if c.Out >= 0 {
 		p.boxOK[c.Out] = false
@@ -157,19 +161,7 @@ func (p *Placement) invalidateCellBoxes(cell int32) {
 
 // Pinmap returns the cell's current pinmap.
 func (p *Placement) Pinmap(cell int32) arch.Pinmap {
-	if p.pinmapCache == nil {
-		p.pinmapCache = make(map[int][]arch.Pinmap)
-	}
-	k := len(p.NL.Cells[cell].In)
-	pal, ok := p.pinmapCache[k]
-	if !ok {
-		pal = make([]arch.Pinmap, arch.NumPinmaps)
-		for v := range pal {
-			pal[v] = arch.PinmapFor(k, v)
-		}
-		p.pinmapCache[k] = pal
-	}
-	return pal[p.Pm[cell]%arch.NumPinmaps]
+	return p.pinmaps[p.pmBase[cell]+int32(p.Pm[cell]%arch.NumPinmaps)]
 }
 
 // PinPos returns the channel and column a pin currently taps.
@@ -191,14 +183,12 @@ type NetBox struct {
 // optimizer's unrouted list), the global router's trunk-column selection, and
 // the timing estimator.
 func (p *Placement) NetBox(netID int32) NetBox {
-	if p.boxOK != nil && p.boxOK[netID] {
+	if p.boxOK[netID] {
 		return p.boxCache[netID]
 	}
 	box := p.computeNetBox(netID)
-	if p.boxOK != nil {
-		p.boxCache[netID] = box
-		p.boxOK[netID] = true
-	}
+	p.boxCache[netID] = box
+	p.boxOK[netID] = true
 	return box
 }
 
@@ -238,9 +228,6 @@ func (p *Placement) EstLength(netID int32) float64 {
 // from-scratch recomputation. Tests call it after move bursts; a mismatch
 // means an invalidation path was missed.
 func (p *Placement) ValidateNetBoxes() error {
-	if p.boxOK == nil {
-		return nil
-	}
 	for id := range p.NL.Nets {
 		if !p.boxOK[id] {
 			continue

@@ -2,6 +2,8 @@ package layout
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -29,6 +31,44 @@ func TestNewRandomLegal(t *testing.T) {
 		}
 		if err := p.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestNewPaletteLinear builds a placement for a netlist with one cell of
+// 4,095 inputs. The pinmap palette must hold only the input counts that
+// occur: one for every count up to the widest would take about 34 MB and 16k
+// allocations here, growing as the square of the width. Every cell's Pinmap
+// must still be its input count's palette entry.
+func TestNewPaletteLinear(t *testing.T) {
+	const width = 4095
+	ins := make([]string, width)
+	for i := range ins {
+		ins[i] = "a"
+	}
+	b := netlist.NewBuilder("wide")
+	b.Input("pi", "a")
+	b.Comb("g", 3000, "x", ins...)
+	b.Output("po", "x")
+	nl := b.MustBuild()
+	a := arch.MustNew(arch.Default(2, 4, 6))
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := New(a, nl)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 256<<10 {
+		t.Errorf("New allocated %d bytes for a %d-input cell, want at most %d", n, width, 256<<10)
+	}
+	if n := after.Mallocs - before.Mallocs; n > 100 {
+		t.Errorf("New made %d allocations for a %d-input cell, want at most 100", n, width)
+	}
+	for id := range nl.Cells {
+		for v := 0; v < 2*arch.NumPinmaps; v++ {
+			p.Pm[id] = uint8(v)
+			if got, want := p.Pinmap(int32(id)), arch.PinmapFor(len(nl.Cells[id].In), v); !slices.Equal(got, want) {
+				t.Fatalf("cell %d variant %d: pinmap %v, want %v", id, v, got, want)
+			}
 		}
 	}
 }
