@@ -240,16 +240,9 @@ func parsePortfolioMatrix(arg string) (portfolio.Matrix, error) {
 	} else {
 		m.Preset = arg
 	}
-	if m.Preset != "" {
-		if m.Axes() {
-			return m, fmt.Errorf("-portfolio matrix gives both a preset %q and explicit axes", m.Preset)
-		}
-		resolved, ok := exper.PortfolioMatrix(m.Preset)
-		if !ok {
-			return m, fmt.Errorf("-portfolio: unknown preset %q (have %v, or give an inline JSON matrix)",
-				m.Preset, exper.PortfolioPresets())
-		}
-		m = resolved
+	m, err := exper.ResolvePortfolio(m)
+	if err != nil {
+		return m, fmt.Errorf("-portfolio: %w", err)
 	}
 	return m, nil
 }

@@ -84,6 +84,11 @@ const DefaultTracks = 38
 // era's A1010-class geometry) at roughly 55% slot utilization, wider rows for
 // the Figure-7-class design.
 func ArchFor(nl *netlist.Netlist, tracks int) (*arch.Arch, error) {
+	return arch.New(archParams(nl, tracks))
+}
+
+// archParams is ArchFor's geometry, which every experiment's array shares.
+func archParams(nl *netlist.Netlist, tracks int) arch.Params {
 	rows := 8
 	if nl.NumCells() > 350 {
 		rows = 12
@@ -92,7 +97,7 @@ func ArchFor(nl *netlist.Netlist, tracks int) (*arch.Arch, error) {
 	if cols < 8 {
 		cols = 8
 	}
-	return arch.New(arch.Default(rows, cols, tracks))
+	return arch.Default(rows, cols, tracks)
 }
 
 // constrainedArchFor builds a deliberately tight instance for the dynamics
@@ -100,15 +105,7 @@ func ArchFor(nl *netlist.Netlist, tracks int) (*arch.Arch, error) {
 // vertical tracks — enough to route, but with real global- and
 // detailed-routing contention along the way.
 func constrainedArchFor(nl *netlist.Netlist) (*arch.Arch, error) {
-	rows := 8
-	if nl.NumCells() > 350 {
-		rows = 12
-	}
-	cols := (nl.NumCells()*18/10 + rows - 1) / rows
-	if cols < 8 {
-		cols = 8
-	}
-	p := arch.Default(rows, cols, 24)
+	p := archParams(nl, 24)
 	p.VTracks = 3
 	return arch.New(p)
 }
@@ -167,11 +164,6 @@ func RunSim(a *arch.Arch, nl *netlist.Netlist, e Effort, seed int64, wirabilityO
 	}
 	o, res := o.RunParallel()
 	return o, res, time.Since(start), nil
-}
-
-// runSim is the historical internal spelling of RunSim.
-func runSim(a *arch.Arch, nl *netlist.Netlist, e Effort, seed int64, wirabilityOnly bool) (*core.Optimizer, core.Result, time.Duration, error) {
-	return RunSim(a, nl, e, seed, wirabilityOnly)
 }
 
 // Table1Row is one line of the paper's Table 1 plus the supporting detail we
@@ -238,7 +230,7 @@ func table1Row(name string, e Effort, seed int64) (Table1Row, error) {
 	if err != nil {
 		return row, err
 	}
-	o, cres, cdur, err := runSim(aSim, nl, e, seed, false)
+	o, cres, cdur, err := RunSim(aSim, nl, e, seed, false)
 	if err != nil {
 		return row, err
 	}
@@ -304,7 +296,7 @@ func table2Row(name string, e Effort, seed int64) (Table2Row, error) {
 		return Table2Row{}, err
 	}
 	simMin, err := minTracks(nl, e, func(a *arch.Arch, s int64) (bool, error) {
-		_, res, _, err := runSim(a, nl, e, s, true)
+		_, res, _, err := RunSim(a, nl, e, s, true)
 		if err != nil {
 			return false, err
 		}
@@ -393,7 +385,7 @@ func Figure6(design string, e Effort, seed int64) ([]core.DynamicsSample, error)
 	if err != nil {
 		return nil, err
 	}
-	_, res, _, err := runSim(a, nl, e, seed, false)
+	_, res, _, err := RunSim(a, nl, e, seed, false)
 	if err != nil {
 		return nil, err
 	}
@@ -428,7 +420,7 @@ func Figure7(e Effort, seed int64) (Figure7Result, error) {
 	if err != nil {
 		return Figure7Result{}, err
 	}
-	o, res, dur, err := runSim(a, nl, e, seed, false)
+	o, res, dur, err := RunSim(a, nl, e, seed, false)
 	if err != nil {
 		return Figure7Result{}, err
 	}
@@ -457,6 +449,6 @@ func RuntimeRatio(design string, e Effort, seed int64) (seqDur, simDur time.Dura
 	if err != nil {
 		return 0, 0, err
 	}
-	_, _, simDur, err = runSim(a, nl, e, seed, false)
+	_, _, simDur, err = RunSim(a, nl, e, seed, false)
 	return seqDur, simDur, err
 }

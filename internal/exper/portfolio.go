@@ -1,17 +1,29 @@
 package exper
 
-import "repro/internal/portfolio"
+import (
+	"fmt"
 
-// PortfolioMatrix resolves a named server-side portfolio matrix. Presets are
-// concrete matrices — the daemon and the CLI expand them identically, so a
-// preset sweep is reproducible on either side.
-func PortfolioMatrix(name string) (portfolio.Matrix, bool) {
-	switch name {
+	"repro/internal/portfolio"
+)
+
+// ResolvePortfolio replaces a matrix's preset name with the concrete matrix
+// it stands for; a matrix without a preset comes back as given. A preset
+// plus explicit axes, and an unknown preset, are errors. The daemon and the
+// CLI both resolve through here, so a preset sweep expands identically on
+// either side.
+func ResolvePortfolio(m portfolio.Matrix) (portfolio.Matrix, error) {
+	if m.Preset == "" {
+		return m, nil
+	}
+	if m.Axes() {
+		return m, fmt.Errorf("matrix gives both a preset %q and explicit axes", m.Preset)
+	}
+	switch m.Preset {
 	case "seeds4":
 		// Pure seed diversity at the submitted effort.
-		return portfolio.Matrix{Seeds: []int64{1, 2, 3, 4}}, true
+		return portfolio.Matrix{Seeds: []int64{1, 2, 3, 4}}, nil
 	case "seeds8":
-		return portfolio.Matrix{Seeds: []int64{1, 2, 3, 4, 5, 6, 7, 8}}, true
+		return portfolio.Matrix{Seeds: []int64{1, 2, 3, 4, 5, 6, 7, 8}}, nil
 	case "paper8":
 		// The EXPERIMENTS.md portfolio-of-8: 2 seeds × 2 effort points
 		// (FastEffort- and PaperEffort-class core knobs) × 2 router backends.
@@ -22,12 +34,7 @@ func PortfolioMatrix(name string) (portfolio.Matrix, bool) {
 				{Name: "deep", MovesPerCell: 12, MaxTemps: 180},
 			},
 			Backends: []string{"ordered", "lagrange"},
-		}, true
+		}, nil
 	}
-	return portfolio.Matrix{}, false
-}
-
-// PortfolioPresets lists the preset names PortfolioMatrix resolves.
-func PortfolioPresets() []string {
-	return []string{"paper8", "seeds4", "seeds8"}
+	return m, fmt.Errorf("unknown matrix preset %q (have [paper8 seeds4 seeds8])", m.Preset)
 }

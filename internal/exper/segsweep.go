@@ -46,15 +46,7 @@ func SegmentationSweep(design string, tracks int, e Effort, seed int64) ([]SegSw
 	}
 	rows := make([]SegSweepRow, 0, 3)
 	for _, sch := range SegSchemes() {
-		archRows := 8
-		if nl.NumCells() > 350 {
-			archRows = 12
-		}
-		cols := (nl.NumCells()*18/10 + archRows - 1) / archRows
-		if cols < 8 {
-			cols = 8
-		}
-		p := arch.Default(archRows, cols, tracks)
+		p := archParams(nl, tracks)
 		p.SegPattern = sch.Pattern
 		a, err := arch.New(p)
 		if err != nil {

@@ -7,7 +7,7 @@ import (
 
 // SchedulerConfig sizes and tunes a Scheduler.
 type SchedulerConfig struct {
-	// Capacity bounds the number of queued items; TryEnqueue beyond it
+	// Capacity bounds the number of queued items; TryEnqueueAll beyond it
 	// reports false (the caller's backpressure path). <= 0 means unbounded.
 	Capacity int
 	// AgingStep is the wait per one-class promotion: an item queued for
@@ -74,23 +74,12 @@ func NewScheduler[T any](cfg SchedulerConfig) *Scheduler[T] {
 	return s
 }
 
-// TryEnqueue adds an item at the tail of its (class, client) queue. It
-// reports false when the scheduler is at capacity or closed — never blocks.
-func (s *Scheduler[T]) TryEnqueue(v T, pri Priority, client string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || (s.cfg.Capacity > 0 && s.size >= s.cfg.Capacity) {
-		return false
-	}
-	s.pushLocked(pri, entry[T]{v: v, client: client, base: pri, enqueued: s.cfg.Clock()}, false)
-	return true
-}
-
 // TryEnqueueAll atomically adds a group of items at the tail of their
 // (class, client) queues, pris[i] being item i's class: either every item is
-// admitted, or — if the batch would exceed capacity or the scheduler is
-// closed — none is. This is the batch/portfolio admission path;
-// all-or-nothing under one lock means a concurrent submitter can never
+// admitted, or — if the group would exceed capacity or the scheduler is
+// closed — none is. It never blocks. This is the one admission path: a
+// single job is a group of one, and so is each job recovery re-enqueues.
+// All-or-nothing under one lock means a concurrent submitter can never
 // interleave into the middle of a group and strand half of it past the
 // capacity check.
 func (s *Scheduler[T]) TryEnqueueAll(vs []T, pris []Priority, client string) bool {

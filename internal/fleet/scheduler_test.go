@@ -14,6 +14,11 @@ func newTestClock() *testClock {
 func (c *testClock) Now() time.Time          { return c.now }
 func (c *testClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
 
+// enqueue admits one item as a group of one.
+func enqueue(s *Scheduler[string], v string, pri Priority, client string) bool {
+	return s.TryEnqueueAll([]string{v}, []Priority{pri}, client)
+}
+
 func drain(t *testing.T, s *Scheduler[string], n int) []string {
 	t.Helper()
 	var out []string
@@ -77,7 +82,7 @@ func TestParsePriority(t *testing.T) {
 func TestSchedulerSingleClientFIFO(t *testing.T) {
 	s := NewScheduler[string](SchedulerConfig{})
 	for _, v := range []string{"a", "b", "c", "d", "e"} {
-		if !s.TryEnqueue(v, PriorityNormal, "cli") {
+		if !enqueue(s, v, PriorityNormal, "cli") {
 			t.Fatalf("enqueue %q rejected", v)
 		}
 	}
@@ -88,12 +93,12 @@ func TestSchedulerSingleClientFIFO(t *testing.T) {
 // arrival order; FIFO within a class.
 func TestSchedulerPriorityOrdering(t *testing.T) {
 	s := NewScheduler[string](SchedulerConfig{Clock: newTestClock().Now})
-	s.TryEnqueue("low1", PriorityLow, "cli")
-	s.TryEnqueue("norm1", PriorityNormal, "cli")
-	s.TryEnqueue("high1", PriorityHigh, "cli")
-	s.TryEnqueue("low2", PriorityLow, "cli")
-	s.TryEnqueue("high2", PriorityHigh, "cli")
-	s.TryEnqueue("norm2", PriorityNormal, "cli")
+	enqueue(s, "low1", PriorityLow, "cli")
+	enqueue(s, "norm1", PriorityNormal, "cli")
+	enqueue(s, "high1", PriorityHigh, "cli")
+	enqueue(s, "low2", PriorityLow, "cli")
+	enqueue(s, "high2", PriorityHigh, "cli")
+	enqueue(s, "norm2", PriorityNormal, "cli")
 	wantOrder(t, drain(t, s, 6),
 		[]string{"high1", "high2", "norm1", "norm2", "low1", "low2"})
 }
@@ -103,12 +108,12 @@ func TestSchedulerPriorityOrdering(t *testing.T) {
 func TestSchedulerAgingPromotion(t *testing.T) {
 	clk := newTestClock()
 	s := NewScheduler[string](SchedulerConfig{AgingStep: time.Second, Clock: clk.Now})
-	s.TryEnqueue("victim", PriorityLow, "slow")
+	enqueue(s, "victim", PriorityLow, "slow")
 
 	served := -1
 	for round := 1; round <= 6; round++ {
 		clk.Advance(time.Second)
-		s.TryEnqueue("storm", PriorityHigh, "fast")
+		enqueue(s, "storm", PriorityHigh, "fast")
 		if v, ok := s.TryDequeue(); !ok {
 			t.Fatalf("round %d: queue empty", round)
 		} else if v == "victim" {
@@ -130,9 +135,9 @@ func TestSchedulerAgingPromotion(t *testing.T) {
 func TestSchedulerAgingDisabled(t *testing.T) {
 	clk := newTestClock()
 	s := NewScheduler[string](SchedulerConfig{AgingStep: -1, Clock: clk.Now})
-	s.TryEnqueue("low", PriorityLow, "cli")
+	enqueue(s, "low", PriorityLow, "cli")
 	clk.Advance(24 * time.Hour)
-	s.TryEnqueue("high", PriorityHigh, "cli")
+	enqueue(s, "high", PriorityHigh, "cli")
 	wantOrder(t, drain(t, s, 2), []string{"high", "low"})
 }
 
@@ -142,22 +147,22 @@ func TestSchedulerFairness(t *testing.T) {
 	s := NewScheduler[string](SchedulerConfig{Clock: newTestClock().Now})
 	for _, cli := range []string{"a", "b", "c"} {
 		for i := 0; i < 3; i++ {
-			s.TryEnqueue(cli, PriorityNormal, cli)
+			enqueue(s, cli, PriorityNormal, cli)
 		}
 	}
 	wantOrder(t, drain(t, s, 9),
 		[]string{"a", "b", "c", "a", "b", "c", "a", "b", "c"})
 }
 
-// TestSchedulerCapacity: TryEnqueue bounds the queue; EnqueueFront (the
+// TestSchedulerCapacity: TryEnqueueAll bounds the queue; EnqueueFront (the
 // lease-expiry path) deliberately does not, and its item is served next.
 func TestSchedulerCapacity(t *testing.T) {
 	clk := newTestClock()
 	s := NewScheduler[string](SchedulerConfig{Capacity: 2, Clock: clk.Now})
-	if !s.TryEnqueue("a", PriorityNormal, "cli") || !s.TryEnqueue("b", PriorityNormal, "cli") {
+	if !enqueue(s, "a", PriorityNormal, "cli") || !enqueue(s, "b", PriorityNormal, "cli") {
 		t.Fatal("enqueue under capacity rejected")
 	}
-	if s.TryEnqueue("c", PriorityNormal, "cli") {
+	if enqueue(s, "c", PriorityNormal, "cli") {
 		t.Fatal("enqueue beyond capacity accepted")
 	}
 	s.EnqueueFront("retry", PriorityNormal, "cli", clk.Now())
@@ -172,8 +177,8 @@ func TestSchedulerCapacity(t *testing.T) {
 func TestSchedulerEnqueueFrontCrossClient(t *testing.T) {
 	clk := newTestClock()
 	s := NewScheduler[string](SchedulerConfig{Clock: clk.Now})
-	s.TryEnqueue("other1", PriorityNormal, "other")
-	s.TryEnqueue("other2", PriorityNormal, "other")
+	enqueue(s, "other1", PriorityNormal, "other")
+	enqueue(s, "other2", PriorityNormal, "other")
 	s.EnqueueFront("retry", PriorityNormal, "victim", clk.Now())
 	if v, ok := s.TryDequeue(); !ok || v != "retry" {
 		t.Fatalf("first dequeue after EnqueueFront = %q, want retry", v)
@@ -188,7 +193,7 @@ func TestSchedulerWakeChan(t *testing.T) {
 	if _, ok := s.TryDequeue(); ok {
 		t.Fatal("empty scheduler dequeued an item")
 	}
-	s.TryEnqueue("x", PriorityHigh, "cli")
+	enqueue(s, "x", PriorityHigh, "cli")
 	select {
 	case <-wake:
 	default:
@@ -205,7 +210,7 @@ func TestSchedulerWakeChan(t *testing.T) {
 	default:
 		t.Fatal("WakeChan did not fire on Close")
 	}
-	if s.TryEnqueue("y", PriorityNormal, "cli") {
+	if enqueue(s, "y", PriorityNormal, "cli") {
 		t.Fatal("enqueue accepted after Close")
 	}
 }
@@ -213,10 +218,10 @@ func TestSchedulerWakeChan(t *testing.T) {
 // TestSchedulerDepths: the observability snapshot counts by class and client.
 func TestSchedulerDepths(t *testing.T) {
 	s := NewScheduler[string](SchedulerConfig{Clock: newTestClock().Now})
-	s.TryEnqueue("1", PriorityHigh, "a")
-	s.TryEnqueue("2", PriorityNormal, "a")
-	s.TryEnqueue("3", PriorityNormal, "b")
-	s.TryEnqueue("4", PriorityLow, "b")
+	enqueue(s, "1", PriorityHigh, "a")
+	enqueue(s, "2", PriorityNormal, "a")
+	enqueue(s, "3", PriorityNormal, "b")
+	enqueue(s, "4", PriorityLow, "b")
 	d := s.Depths()
 	if d.Total != 4 {
 		t.Fatalf("Total = %d, want 4", d.Total)

@@ -64,7 +64,7 @@ func (e Effort) label() string {
 // base config's seed", the zero Effort means "the base config's effort", and
 // the empty backend means "the base config's route backend".
 type Matrix struct {
-	// Preset names a server-side matrix (see exper.PortfolioMatrix). When
+	// Preset names a server-side matrix (see exper.ResolvePortfolio). When
 	// set, no explicit axis may be given; the caller resolves the name to a
 	// concrete Matrix before Expand.
 	Preset string `json:"preset,omitempty"`

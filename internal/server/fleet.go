@@ -363,9 +363,6 @@ type FleetStats struct {
 	LeaseExpiries     int64 `json:"lease_expiries"`
 	Reenqueues        int64 `json:"reenqueues"`
 	RemoteCompletions int64 `json:"remote_completions"`
-	// Queue composition under the scheduler's discipline.
-	QueueByClass  map[string]int `json:"queue_by_class"`
-	QueueByClient map[string]int `json:"queue_by_client"`
 }
 
 // fleetStats snapshots the fleet section of /statsz. Liveness uses a window
@@ -374,7 +371,6 @@ type FleetStats struct {
 func (s *Server) fleetStats() FleetStats {
 	registered, live, draining := s.registry.Counts(2 * s.leases.TTL())
 	lc := s.leases.Counters()
-	d := s.sched.Depths()
 	return FleetStats{
 		WorkersRegistered: registered,
 		WorkersLive:       live,
@@ -385,7 +381,5 @@ func (s *Server) fleetStats() FleetStats {
 		LeaseExpiries:     lc.Expired,
 		Reenqueues:        atomic.LoadInt64(&s.reenqueues),
 		RemoteCompletions: atomic.LoadInt64(&s.remoteDone),
-		QueueByClass:      d.ByClass,
-		QueueByClient:     d.ByClient,
 	}
 }

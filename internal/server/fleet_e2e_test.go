@@ -187,8 +187,8 @@ func TestFleetEndToEnd(t *testing.T) {
 	if stats.Workers != 0 {
 		t.Errorf("coordinator-only Workers = %d, want 0", stats.Workers)
 	}
-	if f.QueueByClass == nil || f.QueueByClient == nil {
-		t.Errorf("fleet queue maps missing: %+v", f)
+	if stats.Scheduler.ByClass == nil || stats.Scheduler.ByClient == nil {
+		t.Errorf("scheduler queue maps missing: %+v", stats.Scheduler)
 	}
 
 	// Drain via the API: the worker finishes nothing (idle) and exits.

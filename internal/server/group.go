@@ -8,36 +8,30 @@
 //	GET    /v1/{batches,portfolios}/{id}/events aggregated member SSE stream
 //	GET    /v1/portfolios/{id}/layout           the champion layout, once final
 //
-// A group is bookkeeping over ordinary jobs: every member is a regular /v1/jobs
-// job (individually addressable, scheduled through the same priority classes
-// and fleet leases, journaled in the same WAL), attributed to the submitting
-// client for fairness and quota purposes. One POST costs one rate-limit token
-// regardless of member count; admission is all-or-nothing (members enqueue
-// atomically or the whole group is rejected with 429). Members sharing a cache
-// key dedup: within a group only the first occurrence gets a job, and a member
-// whose key is already cached is born done without a run. The group's own WAL
-// record maps group → member jobs, so a restart rebuilds the scoreboard from
-// the recovered member records.
+// A group is bookkeeping over ordinary jobs: its members are admitted by the
+// same admit path as a single POST /v1/jobs (one rate-limit token per POST,
+// cache dedup, inflight quota, journal, all-or-nothing enqueue), so every
+// member is a regular /v1/jobs job attributed to the submitting client.
+// Members sharing a cache key dedup: within a group only the first
+// occurrence gets a job, and a member whose key is already cached is born
+// done without a run. The group's own WAL record maps group → member jobs,
+// so a restart rebuilds the scoreboard from the recovered member records.
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/exper"
-	"repro/internal/fleet"
 	"repro/internal/portfolio"
 	"repro/internal/store"
 )
 
-// Group kinds. The kind fixes the ID namespace ("b%d"/"p%d") and the URL
+// Group kinds. The kind fixes the ID prefix (its first letter) and the URL
 // collection name.
 const (
 	groupBatch     = "batch"
@@ -104,16 +98,9 @@ func parsePortfolioRequest(body []byte) ([]memberSpec, error) {
 	if err := decodeStrict(body, &req); err != nil {
 		return nil, err
 	}
-	matrix := req.Matrix
-	if matrix.Preset != "" {
-		if matrix.Axes() {
-			return nil, fmt.Errorf("matrix gives both a preset %q and explicit axes", matrix.Preset)
-		}
-		resolved, ok := exper.PortfolioMatrix(matrix.Preset)
-		if !ok {
-			return nil, fmt.Errorf("unknown matrix preset %q (have %v)", matrix.Preset, exper.PortfolioPresets())
-		}
-		matrix = resolved
+	matrix, err := exper.ResolvePortfolio(req.Matrix)
+	if err != nil {
+		return nil, err
 	}
 	members, err := matrix.Expand()
 	if err != nil {
@@ -149,20 +136,6 @@ func parsePortfolioRequest(body []byte) ([]memberSpec, error) {
 		specs = append(specs, memberSpec{spec: spec, desc: m.Desc()})
 	}
 	return specs, nil
-}
-
-// decodeStrict is the service's request decoding discipline: unknown fields
-// and trailing data are errors.
-func decodeStrict(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid request JSON: %w", err)
-	}
-	if dec.More() {
-		return fmt.Errorf("invalid request JSON: trailing data after object")
-	}
-	return nil
 }
 
 // group is one batch or portfolio: ordered members over ordinary jobs, plus
@@ -333,133 +306,33 @@ func (s *Server) handlePortfolioSubmit(w http.ResponseWriter, r *http.Request) {
 	s.handleGroupSubmit(w, r, groupPortfolio, parsePortfolioRequest)
 }
 
-// handleGroupSubmit is the shared group admission path: one rate-limit token
-// per POST, per-member cache dedup, all-or-nothing enqueue, then the group
-// WAL record.
+// handleGroupSubmit admits the members like any job, then binds them into
+// a group: its ID, its WAL record, its event forwarders. A rejected request
+// never reaches here, so it uses up no group ID.
 func (s *Server) handleGroupSubmit(w http.ResponseWriter, r *http.Request,
 	kind string, parse func([]byte) ([]memberSpec, error)) {
-	client := clientKey(r)
-	// One POST is one token: a group counts once against the client's bucket
-	// no matter how many members it expands to. The members still count
-	// individually against the inflight quota below — the bucket limits
-	// request rate, the quota limits concurrent work.
-	if wait, ok := s.limiter.allow(client, time.Now()); !ok {
-		atomic.AddInt64(&s.rateLimited, 1)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(wait)))
-		httpError(w, http.StatusTooManyRequests,
-			"rate limit exceeded for client %q; retry later", client)
+	a := s.admit(w, r, parse)
+	if a == nil {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		httpError(w, http.StatusRequestEntityTooLarge, "request body: %v", err)
-		return
-	}
-	specs, err := parse(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	atomic.AddInt64(&s.submitted, int64(len(specs)))
-
-	g := &group{ID: s.newGroupID(kind), kind: kind, client: client,
-		created: time.Now(), hub: newEventHub()}
-	keyFirst := make(map[string]int, len(specs))
-	var fresh, cached []*Job
-	var pris []fleet.Priority
-	for i, ms := range specs {
-		m := &groupMember{Index: i, Desc: ms.desc, Key: ms.spec.key, DupOf: -1}
-		if fi, ok := keyFirst[ms.spec.key]; ok {
-			// Intra-group duplicate: share the first occurrence's job.
-			m.DupOf = fi
-			m.Dedup = g.members[fi].Dedup
-			m.job = g.members[fi].job
-			atomic.AddInt64(&s.dedupHits, 1)
-		} else {
-			keyFirst[ms.spec.key] = i
-			if res, ok := s.cache.get(ms.spec.key); ok {
-				atomic.AddInt64(&s.dedupHits, 1)
-				j := newCachedJob(s.newJobID(), ms.spec, res)
-				j.client = client
-				m.job, m.Dedup = j, true
-				cached = append(cached, j)
-			} else {
-				j := newJob(s.newJobID(), ms.spec)
-				j.client = client
-				m.job = j
-				fresh = append(fresh, j)
-				pris = append(pris, ms.spec.pri)
-			}
-		}
-		g.members = append(g.members, m)
-	}
-
-	// The inflight quota gates real work only, but it gates all of it at
-	// once: a group that would push the client over is rejected whole.
-	if s.cfg.MaxInflight > 0 && s.inflight(client)+len(fresh) > s.cfg.MaxInflight {
-		atomic.AddInt64(&s.rateLimited, 1)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests,
-			"client %q: %d new jobs would exceed the %d-job inflight quota; retry later",
-			client, len(fresh), s.cfg.MaxInflight)
-		return
-	}
-
-	// Journal every member submission before anything is enqueued, exactly
-	// like single-job admission: once the client holds a 202, the whole
-	// group's work is durable.
-	if s.store != nil {
-		for n, j := range fresh {
-			data, _ := json.Marshal(journalSubmission{Client: client, Req: j.spec.req})
-			if err := s.store.Journal(store.Record{
-				Kind: store.KindSubmitted, Job: j.ID, Key: j.Key, Data: data,
-			}); err != nil {
-				atomic.AddInt64(&s.walErrors, 1)
-				// Neutralize what was already journaled so recovery cannot
-				// resurrect half a group.
-				for _, p := range fresh[:n] {
-					s.journal(store.Record{Kind: store.KindCanceled, Job: p.ID,
-						Key: p.Key, Data: []byte("group admission aborted")})
-				}
-				httpError(w, http.StatusInternalServerError, "journal submission: %v", err)
-				return
-			}
-		}
-	}
-	for _, j := range cached {
-		s.register(j)
-	}
-	for _, j := range fresh {
-		s.register(j)
-	}
-	if len(fresh) > 0 && !s.sched.TryEnqueueAll(fresh, pris, client) {
-		for _, j := range fresh {
-			s.unregister(j.ID)
-			s.journal(store.Record{Kind: store.KindCanceled, Job: j.ID, Key: j.Key,
-				Data: []byte("queue full")})
-		}
-		for _, j := range cached {
-			s.unregister(j.ID)
-		}
-		atomic.AddInt64(&s.rejected, 1)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests,
-			"queue cannot admit %d jobs atomically (capacity %d); retry later",
-			len(fresh), s.cfg.QueueDepth)
-		return
-	}
+	g := &group{kind: kind, client: a.client, created: time.Now(),
+		hub: newEventHub(), members: a.members}
+	s.mu.Lock()
+	g.ID = s.ids.next(kind[0])
+	s.groups.add(g.ID, g)
+	s.mu.Unlock()
 	// The group record goes in after the member submissions: a crash between
 	// the two leaves plain jobs that still run to completion — only the
 	// grouping is lost, never the work.
 	s.journalGroupRecord(g)
-	s.registerGroup(g)
 	atomic.AddInt64(&s.groupsMade, 1)
+	atomic.AddInt64(&s.dedupHits, int64(len(g.members)-a.queued))
 	s.startGroupForwarders(g)
 	status := http.StatusAccepted
-	if len(fresh) == 0 {
+	if a.queued == 0 {
 		status = http.StatusOK // every member served from cache
 	}
-	s.respondGroup(w, g, status)
+	respondAt(w, status, g.path(), g.Status())
 }
 
 // journalGroupRecord appends the group's WAL record.
@@ -501,10 +374,9 @@ func (s *Server) rebuildGroup(id string, jg journalGroup) *group {
 			if j, ok := s.lookup(jm.Job); ok {
 				m.job = j
 			} else if res, ok := s.cache.get(jm.Key); ok {
-				j := newRecoveredJob(jm.Job, journalCompletion{Stats: res.Stats}, jm.Key)
+				j := newRecoveredJob(journalCompletion{Stats: res.Stats}, jm.Key)
 				j.client = jg.Client
-				s.register(j)
-				s.bumpJobID(jm.Job)
+				s.reinstate(jm.Job, j)
 				m.job, m.Dedup = j, true
 			}
 		}
@@ -579,7 +451,7 @@ func (s *Server) finishGroup(g *group) {
 func (s *Server) groupFromRequest(w http.ResponseWriter, r *http.Request, kind string) (*group, bool) {
 	id := r.PathValue("id")
 	s.mu.Lock()
-	g, ok := s.groups[id]
+	g, ok := s.groups.byID[id]
 	s.mu.Unlock()
 	if !ok || g.kind != kind {
 		httpError(w, http.StatusNotFound, "unknown %s %q", kind, id)
@@ -617,11 +489,9 @@ func (s *Server) handleGroupCancel(kind string) http.HandlerFunc {
 				continue
 			}
 			seen[m.job.ID] = true
-			if m.job.requestCancel() && m.job.State() == StateCanceled {
-				s.journal(store.Record{Kind: store.KindCanceled, Job: m.job.ID, Key: m.job.Key})
-			}
+			s.cancel(m.job)
 		}
-		s.respondGroup(w, g, http.StatusOK)
+		respondAt(w, http.StatusOK, g.path(), g.Status())
 	}
 }
 
@@ -658,71 +528,6 @@ func (s *Server) handlePortfolioLayout(w http.ResponseWriter, r *http.Request) {
 	s.serveLayout(w, g.members[*st.Champion].job)
 }
 
-func (s *Server) respondGroup(w http.ResponseWriter, g *group, status int) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Location", g.path())
-	w.WriteHeader(status)
-	writeJSON(w, g.Status())
-}
-
-// registerGroup stores a group, evicting the oldest terminal groups beyond
-// the retention cap.
-func (s *Server) registerGroup(g *group) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.groups) >= s.cfg.MaxGroups {
-		evicted := false
-		for i, id := range s.groupOrder {
-			if old, ok := s.groups[id]; ok && old.terminal() {
-				delete(s.groups, id)
-				s.groupOrder = append(s.groupOrder[:i], s.groupOrder[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break
-		}
-	}
-	s.groups[g.ID] = g
-	s.groupOrder = append(s.groupOrder, g.ID)
-}
-
-// newGroupID allocates the next ID in the kind's namespace.
-func (s *Server) newGroupID(kind string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if kind == groupBatch {
-		s.nextBatch++
-		return fmt.Sprintf("b%d", s.nextBatch)
-	}
-	s.nextPort++
-	return fmt.Sprintf("p%d", s.nextPort)
-}
-
-// bumpGroupID advances the matching counter past a recovered group's suffix.
-func (s *Server) bumpGroupID(id string) {
-	if len(id) < 2 {
-		return
-	}
-	n, err := strconv.ParseInt(id[1:], 10, 64)
-	if err != nil {
-		return
-	}
-	s.mu.Lock()
-	switch id[0] {
-	case 'b':
-		if n > s.nextBatch {
-			s.nextBatch = n
-		}
-	case 'p':
-		if n > s.nextPort {
-			s.nextPort = n
-		}
-	}
-	s.mu.Unlock()
-}
-
 // PortfolioStats is the portfolio section of /statsz.
 type PortfolioStats struct {
 	ActiveBatches    int              `json:"active_batches"`
@@ -740,8 +545,8 @@ func (s *Server) portfolioStats() PortfolioStats {
 		MembersByState: make(map[JobState]int),
 	}
 	s.mu.Lock()
-	groups := make([]*group, 0, len(s.groups))
-	for _, g := range s.groups {
+	groups := make([]*group, 0, len(s.groups.byID))
+	for _, g := range s.groups.byID {
 		groups = append(groups, g)
 	}
 	s.mu.Unlock()

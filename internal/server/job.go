@@ -128,16 +128,25 @@ type jobSpec struct {
 
 // parseJobRequest decodes, validates and canonicalizes one submission body.
 func parseJobRequest(body []byte) (*jobSpec, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
 	var req JobRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("invalid request JSON: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("invalid request JSON: trailing data after object")
+	if err := decodeStrict(body, &req); err != nil {
+		return nil, err
 	}
 	return buildSpec(req)
+}
+
+// decodeStrict is the service's request decoding discipline: unknown fields
+// and trailing data are errors.
+func decodeStrict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("invalid request JSON: %w", err)
+	}
+	if dec.More() {
+		return fmt.Errorf("invalid request JSON: trailing data after object")
+	}
+	return nil
 }
 
 // buildSpec validates the request and resolves it to a canonical spec.
@@ -374,60 +383,50 @@ type Job struct {
 	cached    bool
 }
 
-func newJob(id string, spec *jobSpec) *Job {
+// newJob builds a submitted job. A nil res queues it for a run; a cache
+// hit passes the cached result, and the job is born done with no run behind
+// it. The ID is assigned when the job is registered.
+func newJob(spec *jobSpec, client string, res *JobResult) *Job {
 	j := &Job{
-		ID:      id,
 		Key:     spec.key,
 		spec:    spec,
 		hub:     newEventHub(),
 		created: time.Now(),
+		client:  client,
 		pri:     spec.pri,
 		state:   StateQueued,
 	}
-	j.hub.state(StateQueued)
-	return j
-}
-
-// newCachedJob materializes a cache hit: a job that is born done, carrying the
-// cached result, with no optimizer run behind it.
-func newCachedJob(id string, spec *jobSpec, res *JobResult) *Job {
-	j := &Job{
-		ID:      id,
-		Key:     spec.key,
-		spec:    spec,
-		hub:     newEventHub(),
-		created: time.Now(),
-		pri:     spec.pri,
-		state:   StateDone,
-		result:  res,
-		cached:  true,
+	if res != nil {
+		j.bornDone(res)
+	} else {
+		j.hub.state(StateQueued)
 	}
-	j.finished = j.created
-	j.hub.state(StateDone)
-	j.hub.finish()
 	return j
 }
 
 // newRecoveredJob re-advertises a job that finished in a previous process
 // life: born done, carrying the journaled stats, with its layout left on
 // disk until someone asks for it (handleLayout reads through the cache).
-func newRecoveredJob(id string, done journalCompletion, key string) *Job {
+func newRecoveredJob(done journalCompletion, key string) *Job {
 	j := &Job{
-		ID:      id,
 		Key:     key,
 		hub:     newEventHub(),
 		created: time.Now(),
 		design:  done.Design,
 		cells:   done.Cells,
 		nets:    done.Nets,
-		state:   StateDone,
-		result:  &JobResult{Stats: done.Stats}, // Layout nil: lives on disk
-		cached:  true,
 	}
+	j.bornDone(&JobResult{Stats: done.Stats}) // Layout nil: lives on disk
+	return j
+}
+
+// bornDone makes a new, unpublished job done with res: a cache hit or a
+// result from an earlier process life.
+func (j *Job) bornDone(res *JobResult) {
+	j.state, j.result, j.cached = StateDone, res, true
 	j.finished = j.created
 	j.hub.state(StateDone)
 	j.hub.finish()
-	return j
 }
 
 // beginRunning moves queued → running; it returns false when the job was

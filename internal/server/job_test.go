@@ -220,7 +220,7 @@ func TestJobStateMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j := newJob("j1", spec)
+	j := newJob(spec, "", nil)
 	if j.State() != StateQueued {
 		t.Fatalf("fresh job state %s", j.State())
 	}
@@ -243,7 +243,7 @@ func TestJobStateMachine(t *testing.T) {
 	}
 
 	// Queued job cancels immediately; the worker then skips it.
-	q := newJob("j2", spec)
+	q := newJob(spec, "", nil)
 	if !q.requestCancel() {
 		t.Error("cancel of a queued job reported no effect")
 	}
@@ -256,7 +256,7 @@ func TestJobStateMachine(t *testing.T) {
 
 	// Running job: cancel flags it for the worker's next heartbeat, and the
 	// worker's completion finishes it.
-	r := newJob("j3", spec)
+	r := newJob(spec, "", nil)
 	r.beginRunning()
 	if !r.requestCancel() {
 		t.Error("cancel of a running job reported no effect")
@@ -279,7 +279,7 @@ func TestStatusJSONShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := newJob("j9", spec)
+	j := newJob(spec, "", nil)
 	b, err := json.Marshal(j.Snapshot())
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,13 @@
 // HTTP-level admission-control tests: the per-client token bucket and the
-// max-inflight quota on POST /v1/jobs, both answering 429 with Retry-After
-// like the queue's backpressure path.
+// max-inflight quota on the submission POSTs, both answering 429 with
+// Retry-After like the queue's backpressure path.
 package server_test
 
 import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -101,5 +102,74 @@ func TestInflightQuotaHTTP(t *testing.T) {
 	waitState(t, base, id, server.StateCanceled, 5*time.Second)
 	if resp := submitAs(t, base, "tenant-a", longJob(14)); resp.StatusCode != http.StatusAccepted {
 		t.Errorf("submit after quota freed: %d, want 202", resp.StatusCode)
+	}
+}
+
+// TestInflightQuotaConcurrent races 16 submissions from one client against a
+// one-job inflight quota: at most one may be admitted. The quota check and
+// the registration of the new jobs share one lock hold, so no submission
+// can pass the check before another's job is counted, whether the request
+// is a single job or a batch, and whether or not a WAL fsync sits between
+// registration and enqueue.
+func TestInflightQuotaConcurrent(t *testing.T) {
+	for _, tc := range []struct {
+		name, path string
+		store      bool
+	}{
+		{"jobs-memory", "/v1/jobs", false},
+		{"jobs-store", "/v1/jobs", true},
+		{"batches-store", "/v1/batches", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := server.Config{Workers: -1, QueueDepth: 32, MaxInflight: 1}
+			if tc.store {
+				st := openStore(t, t.TempDir())
+				t.Cleanup(func() { st.Close() })
+				cfg.Store = st
+			}
+			_, base := newTestService(t, cfg)
+			const n = 16
+			codes := make(chan int, n)
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				body := tinySeed(i + 1)
+				if tc.path == "/v1/batches" {
+					body = `{"jobs":[` + body + `]}`
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					req, err := http.NewRequest(http.MethodPost, base+tc.path, strings.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					req.Header.Set("X-Client-ID", "tenant-a")
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					codes <- resp.StatusCode
+				}()
+			}
+			wg.Wait()
+			close(codes)
+			accepted := 0
+			for code := range codes {
+				switch code {
+				case http.StatusAccepted:
+					accepted++
+				case http.StatusTooManyRequests:
+				default:
+					t.Errorf("submission answered %d, want 202 or 429", code)
+				}
+			}
+			if accepted > 1 {
+				t.Errorf("%d submissions admitted under a one-job inflight quota", accepted)
+			}
+		})
 	}
 }

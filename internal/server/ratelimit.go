@@ -1,9 +1,9 @@
-// Per-client admission control on POST /v1/jobs: a token-bucket rate limit
-// plus a max-inflight-jobs quota, both keyed by the client identity (the
-// X-Client-ID header when present, else the remote address host). Violations
-// answer 429 with Retry-After, exactly like the queue's backpressure path —
-// the service sheds load at the edge instead of letting one client starve
-// the worker pool.
+// Per-client admission control on every submission POST (admit in
+// server.go): a token-bucket rate limit plus a max-inflight-jobs quota, both
+// keyed by the client identity (the X-Client-ID header when present, else
+// the remote address host). Violations answer 429 with Retry-After, exactly
+// like the queue's backpressure path — the service sheds load at the edge
+// instead of letting one client starve the worker pool.
 package server
 
 import (

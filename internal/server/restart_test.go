@@ -7,6 +7,7 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -250,6 +251,47 @@ func TestRejectedSubmissionNotResurrected(t *testing.T) {
 	defer st2.Close()
 	if rec := st2.Recovery(); len(rec.Pending) != 2 {
 		t.Errorf("Pending = %+v, want only the two accepted jobs", rec.Pending)
+	}
+}
+
+// TestAdmissionUnwindsOnJournalFailure closes the store under a running
+// server, so every journal append fails. A single job and a two-job batch
+// must each answer 500 and leave nothing behind: no job in the table, an
+// empty queue, one counted WAL error per request (admission stops at the
+// first failed append), and no pending submission after a restart.
+func TestAdmissionUnwindsOnJournalFailure(t *testing.T) {
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	_, base := newTestService(t, server.Config{Workers: -1, QueueDepth: 8, Store: st1})
+	st1.Close()
+
+	if _, resp := submitJob(t, base, tinySeed(1)); resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("job with a failing journal = %d, want 500", resp.StatusCode)
+	}
+	batch := fmt.Sprintf(`{"jobs":[%s,%s]}`, tinySeed(2), tinySeed(3))
+	if _, resp := postGroup(t, base, "/v1/batches", batch, ""); resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("batch with a failing journal = %d, want 500", resp.StatusCode)
+	}
+	stats := statsOf(t, base)
+	for state, n := range stats.Jobs {
+		if n != 0 {
+			t.Errorf("%d %s jobs left in the table after unwinding", n, state)
+		}
+	}
+	if stats.QueueDepth != 0 {
+		t.Errorf("queue depth = %d after unwinding, want 0", stats.QueueDepth)
+	}
+	if stats.WALErrors != 2 {
+		t.Errorf("wal_errors = %d, want 2", stats.WALErrors)
+	}
+	if stats.Portfolio.GroupsCreated != 0 {
+		t.Errorf("groups_created = %d, want 0", stats.Portfolio.GroupsCreated)
+	}
+
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	if rec := st2.Recovery(); len(rec.Pending) != 0 {
+		t.Errorf("recovered Pending = %+v, want none", rec.Pending)
 	}
 }
 

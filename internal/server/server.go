@@ -32,8 +32,8 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,8 +71,9 @@ type Config struct {
 	// today's pre-persistence behavior.
 	Store *store.Store
 
-	// RatePerSec arms a per-client token-bucket rate limit on POST /v1/jobs
-	// (0 disables). RateBurst is the bucket capacity (default 1 when armed).
+	// RatePerSec arms a per-client token-bucket rate limit on the submission
+	// POSTs, one token each (0 disables). RateBurst is the bucket capacity
+	// (default 1 when armed).
 	RatePerSec float64
 	RateBurst  int
 	// MaxInflight caps one client's live (queued or running) jobs
@@ -131,14 +132,10 @@ type Server struct {
 	leases   *fleet.LeaseManager
 	workers  []*fleet.Worker
 
-	mu         sync.Mutex
-	jobs       map[string]*Job
-	jobOrder   []string // insertion order, for retention eviction
-	nextID     int64
-	groups     map[string]*group
-	groupOrder []string
-	nextBatch  int64
-	nextPort   int64
+	mu     sync.Mutex
+	jobs   *records[*Job]
+	groups *records[*group]
+	ids    idAlloc
 
 	// Counters (atomic; reported by /statsz).
 	submitted   int64
@@ -173,8 +170,9 @@ func New(cfg Config) *Server {
 		store:    cfg.Store,
 		registry: fleet.NewRegistry(nil),
 		leases:   fleet.NewLeaseManager(cfg.LeaseTTL, nil),
-		jobs:     make(map[string]*Job),
-		groups:   make(map[string]*group),
+		jobs:     newRecords(cfg.MaxJobs, func(j *Job) bool { return j.State().Terminal() }),
+		groups:   newRecords(cfg.MaxGroups, (*group).terminal),
+		ids:      make(idAlloc),
 	}
 	if cfg.RatePerSec > 0 {
 		s.limiter = newRateLimiter(cfg.RatePerSec, cfg.RateBurst)
@@ -219,8 +217,7 @@ func (s *Server) recover() {
 		if err := json.Unmarshal(d.Data, &done); err != nil {
 			continue // journaled by a future/past schema; the blob is still servable via resubmission
 		}
-		s.register(newRecoveredJob(d.Job, done, d.Key))
-		s.bumpJobID(d.Job)
+		s.reinstate(d.Job, newRecoveredJob(done, d.Key))
 		keep = append(keep, d)
 	}
 	var enqueue []*Job
@@ -233,10 +230,8 @@ func (s *Server) recover() {
 		if err != nil {
 			continue // validation rules tightened since the journal was written
 		}
-		j := newJob(p.Job, spec)
-		j.client = sub.Client
-		s.register(j)
-		s.bumpJobID(p.Job)
+		j := newJob(spec, sub.Client, nil)
+		s.reinstate(p.Job, j)
 		enqueue = append(enqueue, j)
 		keep = append(keep, p)
 	}
@@ -252,8 +247,10 @@ func (s *Server) recover() {
 		if g == nil {
 			continue
 		}
-		s.registerGroup(g)
-		s.bumpGroupID(gr.Job)
+		s.mu.Lock()
+		s.groups.add(g.ID, g)
+		s.ids.bump(g.ID)
+		s.mu.Unlock()
 		s.startGroupForwarders(g)
 		keep = append(keep, gr)
 	}
@@ -263,7 +260,7 @@ func (s *Server) recover() {
 		atomic.AddInt64(&s.walErrors, 1)
 	}
 	for _, j := range enqueue {
-		if !s.sched.TryEnqueue(j, j.pri, j.client) {
+		if !s.sched.TryEnqueueAll([]*Job{j}, []fleet.Priority{j.pri}, j.client) {
 			// More interrupted work than queue slots: fail the overflow
 			// loudly rather than block startup.
 			j.finishTerminal(StateFailed, nil, "job queue full during crash recovery")
@@ -273,19 +270,14 @@ func (s *Server) recover() {
 	}
 }
 
-// bumpJobID advances the ID counter past a recovered job's numeric suffix so
-// fresh submissions never collide with re-instated ones.
-func (s *Server) bumpJobID(id string) {
-	numeric := strings.TrimPrefix(id, "j")
-	n, err := strconv.ParseInt(numeric, 10, 64)
-	if err != nil {
-		return
-	}
+// reinstate adds a recovered job under its journaled ID and moves the ID
+// allocator past it, so fresh submissions never collide with it.
+func (s *Server) reinstate(id string, j *Job) {
+	j.ID = id
 	s.mu.Lock()
-	if n > s.nextID {
-		s.nextID = n
-	}
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	s.jobs.add(id, j)
+	s.ids.bump(id)
 }
 
 // journal appends one lifecycle record; a nil store makes it free. Append
@@ -319,7 +311,7 @@ func (s *Server) Close() {
 		w.Kill()
 	}
 	s.mu.Lock()
-	for _, j := range s.jobs {
+	for _, j := range s.jobs.byID {
 		if j.interrupt() {
 			s.journal(store.Record{Kind: store.KindCanceled, Job: j.ID, Key: j.Key})
 		}
@@ -328,38 +320,57 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// register stores a new job, evicting the oldest terminal records beyond the
-// retention cap.
-func (s *Server) register(j *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.jobs) >= s.cfg.MaxJobs {
-		evicted := false
-		for i, id := range s.jobOrder {
-			if old, ok := s.jobs[id]; ok && old.State().Terminal() {
-				delete(s.jobs, id)
-				s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break // everything live; let the map grow rather than drop state
-		}
-	}
-	s.jobs[j.ID] = j
-	s.jobOrder = append(s.jobOrder, j.ID)
+// records is an insertion-ordered table of jobs or groups under a
+// retention cap: adding to a full table first evicts its oldest terminal
+// records, and when every record is live it grows rather than drop state.
+// Server.mu guards it.
+type records[T any] struct {
+	max      int
+	terminal func(T) bool
+	byID     map[string]T
+	order    []string // insertion order, for eviction
 }
 
-func (s *Server) unregister(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.jobs, id)
-	for i, jid := range s.jobOrder {
-		if jid == id {
-			s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
+func newRecords[T any](max int, terminal func(T) bool) *records[T] {
+	return &records[T]{max: max, terminal: terminal, byID: make(map[string]T)}
+}
+
+func (t *records[T]) add(id string, v T) {
+	for len(t.byID) >= t.max {
+		i := slices.IndexFunc(t.order, func(old string) bool { return t.terminal(t.byID[old]) })
+		if i < 0 {
 			break
 		}
+		delete(t.byID, t.order[i])
+		t.order = slices.Delete(t.order, i, i+1)
+	}
+	t.byID[id] = v
+	t.order = append(t.order, id)
+}
+
+func (t *records[T]) remove(id string) {
+	delete(t.byID, id)
+	if i := slices.Index(t.order, id); i >= 0 {
+		t.order = slices.Delete(t.order, i, i+1)
+	}
+}
+
+// idAlloc numbers records per ID prefix: 'j' for jobs, 'b' for batches and
+// 'p' for portfolios. Server.mu guards it.
+type idAlloc map[byte]int64
+
+func (a idAlloc) next(prefix byte) string {
+	a[prefix]++
+	return fmt.Sprintf("%c%d", prefix, a[prefix])
+}
+
+// bump moves the counter of a recovered ID's prefix past its number.
+func (a idAlloc) bump(id string) {
+	if id == "" {
+		return
+	}
+	if n, err := strconv.ParseInt(id[1:], 10, 64); err == nil && n > a[id[0]] {
+		a[id[0]] = n
 	}
 }
 
@@ -367,15 +378,8 @@ func (s *Server) unregister(id string) {
 func (s *Server) lookup(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	j, ok := s.jobs.byID[id]
 	return j, ok
-}
-
-func (s *Server) newJobID() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextID++
-	return fmt.Sprintf("j%d", s.nextID)
 }
 
 // httpError writes a JSON error body with the given status.
@@ -385,87 +389,136 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// handleSubmit implements POST /v1/jobs: admission control (per-client rate
-// limit and inflight quota), decode and validate, serve cache hits
-// instantly, otherwise journal and enqueue with backpressure.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// admission is an admitted request: its client, one member per job it asked
+// for, and how many new jobs it queued to run.
+type admission struct {
+	client  string
+	members []*groupMember
+	queued  int
+}
+
+// admit is the one admission path of POST /v1/jobs, /v1/batches and
+// /v1/portfolios; a single job is a one-member request. In order, it
+// spends one rate-limit token, parses the body into members, dedups each
+// member against earlier ones by cache key and looks it up in the result
+// cache (a hit becomes a job born done, with no run), checks the inflight
+// quota and registers every job under one s.mu hold, journals each new
+// job's submission, and enqueues all new jobs or none. A failure answers the
+// request and unwinds: the jobs leave the table and each journaled
+// submission gets a canceled record. admit returns nil once it has answered.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request,
+	parse func([]byte) ([]memberSpec, error)) *admission {
 	client := clientKey(r)
+	// One POST is one token, however many members it expands to: the bucket
+	// limits request rate, the quota limits concurrent work.
 	if wait, ok := s.limiter.allow(client, time.Now()); !ok {
 		atomic.AddInt64(&s.rateLimited, 1)
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(wait)))
 		httpError(w, http.StatusTooManyRequests,
 			"rate limit exceeded for client %q; retry later", client)
-		return
+		return nil
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		httpError(w, http.StatusRequestEntityTooLarge, "request body: %v", err)
-		return
+		return nil
 	}
-	spec, err := parseJobRequest(body)
+	specs, err := parse(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil
 	}
-	atomic.AddInt64(&s.submitted, 1)
+	atomic.AddInt64(&s.submitted, int64(len(specs)))
 
-	if res, ok := s.cache.get(spec.key); ok {
-		atomic.AddInt64(&s.cacheHits, 1)
-		j := newCachedJob(s.newJobID(), spec, res)
-		j.client = client
-		s.register(j)
-		s.respondJob(w, j, http.StatusOK)
-		return
+	// A member whose key an earlier member has shares that member's job; a
+	// cache hit is a new job born done; the rest are new jobs to run (fresh).
+	a := &admission{client: client}
+	var jobs, fresh []*Job
+	var pris []fleet.Priority
+	first := make(map[string]int, len(specs))
+	for i, ms := range specs {
+		m := &groupMember{Index: i, Desc: ms.desc, Key: ms.spec.key, DupOf: -1}
+		if fi, ok := first[m.Key]; ok {
+			m.DupOf, m.Dedup, m.job = fi, a.members[fi].Dedup, a.members[fi].job
+		} else {
+			first[m.Key] = i
+			res, hit := s.cache.get(m.Key)
+			m.job, m.Dedup = newJob(ms.spec, client, res), hit
+			jobs = append(jobs, m.job)
+			if !hit {
+				fresh = append(fresh, m.job)
+				pris = append(pris, ms.spec.pri)
+			}
+		}
+		a.members = append(a.members, m)
 	}
 
-	// The inflight quota gates real work only: cache hits above cost no
-	// worker time and are always admitted.
-	if s.cfg.MaxInflight > 0 && s.inflight(client) >= s.cfg.MaxInflight {
+	// The quota gates real work only, as a whole request, and in the same
+	// lock hold that counts the new jobs: no concurrent request can pass the
+	// check before these jobs are visible to it.
+	s.mu.Lock()
+	if q := s.cfg.MaxInflight; q > 0 && len(fresh) > 0 && s.inflightLocked(client)+len(fresh) > q {
+		s.mu.Unlock()
 		atomic.AddInt64(&s.rateLimited, 1)
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests,
-			"client %q has %d jobs in flight (max %d); retry later",
-			client, s.cfg.MaxInflight, s.cfg.MaxInflight)
-		return
+			"client %q: %d new jobs would exceed the %d-job inflight quota; retry later",
+			client, len(fresh), q)
+		return nil
 	}
+	for _, j := range jobs {
+		j.ID = s.ids.next('j')
+		s.jobs.add(j.ID, j)
+	}
+	s.mu.Unlock()
 
-	j := newJob(s.newJobID(), spec)
-	j.client = client
-	s.register(j)
-	// Journal before enqueue: once the client holds a 202, the submission is
-	// durable — a crash between here and completion re-enqueues it.
+	// Journal before enqueue: once the client holds a 202, the work is
+	// durable, and a crash before completion re-enqueues it.
 	if s.store != nil {
-		data, _ := json.Marshal(journalSubmission{Client: client, Req: spec.req})
-		if err := s.store.Journal(store.Record{
-			Kind: store.KindSubmitted, Job: j.ID, Key: j.Key, Data: data,
-		}); err != nil {
-			atomic.AddInt64(&s.walErrors, 1)
-			s.unregister(j.ID)
-			httpError(w, http.StatusInternalServerError, "journal submission: %v", err)
-			return
+		for n, j := range fresh {
+			data, _ := json.Marshal(journalSubmission{Client: client, Req: j.spec.req})
+			if err := s.store.Journal(store.Record{
+				Kind: store.KindSubmitted, Job: j.ID, Key: j.Key, Data: data,
+			}); err != nil {
+				atomic.AddInt64(&s.walErrors, 1)
+				s.unwind(jobs, fresh[:n], "admission aborted")
+				httpError(w, http.StatusInternalServerError, "journal submission: %v", err)
+				return nil
+			}
 		}
 	}
-	if s.sched.TryEnqueue(j, j.pri, client) {
-		s.respondJob(w, j, http.StatusAccepted)
-		return
+	if len(fresh) > 0 && !s.sched.TryEnqueueAll(fresh, pris, client) {
+		s.unwind(jobs, fresh, "queue full")
+		atomic.AddInt64(&s.rejected, 1)
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusTooManyRequests,
+			"queue cannot admit %d jobs atomically (capacity %d); retry later",
+			len(fresh), s.cfg.QueueDepth)
+		return nil
 	}
-	s.unregister(j.ID)
-	// Neutralize the submitted record: a rejected job must not be
-	// resurrected by the next recovery.
-	s.journal(store.Record{Kind: store.KindCanceled, Job: j.ID, Key: j.Key,
-		Data: []byte("queue full")})
-	atomic.AddInt64(&s.rejected, 1)
-	w.Header().Set("Retry-After", "1")
-	httpError(w, http.StatusTooManyRequests,
-		"queue full (%d jobs); retry later", s.cfg.QueueDepth)
+	a.queued = len(fresh)
+	return a
 }
 
-// inflight counts one client's live (non-terminal) jobs.
-func (s *Server) inflight(client string) int {
+// unwind reverses a failed admission: its jobs leave the table, and each
+// journaled submission gets a canceled record, so recovery cannot resurrect
+// it.
+func (s *Server) unwind(jobs, journaled []*Job, why string) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	for _, j := range jobs {
+		s.jobs.remove(j.ID)
+	}
+	s.mu.Unlock()
+	for _, j := range journaled {
+		s.journal(store.Record{Kind: store.KindCanceled, Job: j.ID, Key: j.Key, Data: []byte(why)})
+	}
+}
+
+// inflightLocked counts one client's live (non-terminal) jobs. Callers hold
+// s.mu.
+func (s *Server) inflightLocked(client string) int {
 	n := 0
-	for _, j := range s.jobs {
+	for _, j := range s.jobs.byID {
 		if j.client == client && !j.State().Terminal() {
 			n++
 		}
@@ -473,11 +526,34 @@ func (s *Server) inflight(client string) int {
 	return n
 }
 
-func (s *Server) respondJob(w http.ResponseWriter, j *Job, status int) {
+// handleSubmit implements POST /v1/jobs: a one-member admission, answered
+// 200 when the result was cached and 202 when the job was queued.
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	a := s.admit(w, r, func(body []byte) ([]memberSpec, error) {
+		spec, err := parseJobRequest(body)
+		if err != nil {
+			return nil, err
+		}
+		return []memberSpec{{spec: spec, desc: spec.designName()}}, nil
+	})
+	if a == nil {
+		return
+	}
+	j, status := a.members[0].job, http.StatusAccepted
+	if a.queued == 0 {
+		atomic.AddInt64(&s.cacheHits, 1)
+		status = http.StatusOK
+	}
+	respondAt(w, status, "/v1/jobs/"+j.ID, j.Snapshot())
+}
+
+// respondAt answers a request that created or changed the resource at
+// location.
+func respondAt(w http.ResponseWriter, status int, location string, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Location", "/v1/jobs/"+j.ID)
+	w.Header().Set("Location", location)
 	w.WriteHeader(status)
-	writeJSON(w, j.Snapshot())
+	writeJSON(w, v)
 }
 
 // handleStatus implements GET /v1/jobs/{id}.
@@ -534,13 +610,19 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	if j.requestCancel() && j.State() == StateCanceled {
-		// Queued jobs cancel synchronously here (a running job's terminal
-		// record is journaled by its worker at the stop boundary).
-		s.journal(store.Record{Kind: store.KindCanceled, Job: j.ID, Key: j.Key})
-	}
+	s.cancel(j)
 	w.Header().Set("Content-Type", "application/json")
 	writeJSON(w, j.Snapshot())
+}
+
+// cancel asks a job to stop and journals the cancellation if the job went
+// terminal here: a queued job cancels synchronously, while a running job's
+// terminal record is journaled by its worker's completion at the stop
+// boundary.
+func (s *Server) cancel(j *Job) {
+	if j.requestCancel() && j.State() == StateCanceled {
+		s.journal(store.Record{Kind: store.KindCanceled, Job: j.ID, Key: j.Key})
+	}
 }
 
 // handleEvents implements GET /v1/jobs/{id}/events: the job's full event
@@ -665,7 +747,7 @@ func (s *Server) StatsSnapshot() Stats {
 		st.Store = &ss
 	}
 	s.mu.Lock()
-	for _, j := range s.jobs {
+	for _, j := range s.jobs.byID {
 		st.Jobs[j.State()]++
 	}
 	s.mu.Unlock()
@@ -677,6 +759,3 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	writeJSON(w, s.StatsSnapshot())
 }
-
-// QueueCap reports the configured queue capacity (for operators and tests).
-func (s *Server) QueueCap() int { return s.cfg.QueueDepth }
