@@ -12,9 +12,6 @@
 //	bench -crit-weight 1 -compare BENCH_cur.json -timing-gate
 //	                                              # timing-quality gate: geomean critical
 //	                                              # path must improve at <=5% wall cost
-//	bench -route-backend lagrange -compare BENCH_cur.json -route-gate
-//	                                              # route-scaling gate: quality-neutral
-//	                                              # routing at no higher route wall time
 //	bench -trace run.jsonl                        # also dump the event stream
 package main
 
@@ -44,14 +41,9 @@ func main() {
 		compare    = flag.String("compare", "", "baseline BENCH_*.json to gate against; exit 1 on regression")
 		wallTol    = flag.Float64("wall-tol", 0.25, "allowed relative wall-time regression for -compare")
 
-		critWeight  = flag.Float64("crit-weight", 0, "criticality-weighted net-delay cost term (0 = off)")
-		critBias    = flag.Float64("crit-bias", 0, "fraction of moves drawn from near-critical cells (0 = default when -crit-weight is set)")
-		critDamping = flag.Float64("crit-damping", 0, "exponential damping of per-net criticalities (0 = default when -crit-weight is set)")
-		timingGate  = flag.Bool("timing-gate", false, "-compare in timing-quality mode: require geomean critical-path improvement over the baseline at <=5% total wall cost (same-machine baseline)")
-
+		critWeight   = flag.Float64("crit-weight", 0, "criticality-weighted net-delay cost term (0 = off)")
+		timingGate   = flag.Bool("timing-gate", false, "-compare in timing-quality mode: require geomean critical-path improvement over the baseline at <=5% total wall cost (same-machine baseline)")
 		routeBackend = flag.String("route-backend", "", `detailed-router backend: "ordered" (default), "negotiated" or "lagrange"`)
-		routeIters   = flag.Int("route-iters", 0, "iteration cap for the negotiated/lagrange backends (0 = backend default)")
-		routeGate    = flag.Bool("route-gate", false, "-compare in route-scaling mode: the selected backend must be quality-neutral on routing at no higher total route wall time than the baseline (same-machine baseline)")
 	)
 	flag.Parse()
 
@@ -78,9 +70,7 @@ func main() {
 		effortName: *effortFlag, seed: *seed, designCSV: *designs,
 		tracks: *tracks, chains: *chains,
 		out: *out, tracePath: *tracePath, compare: *compare, wallTol: *wallTol,
-		critWeight: *critWeight, critBias: *critBias, critDamping: *critDamping,
-		timingGate:   *timingGate,
-		routeBackend: *routeBackend, routeIters: *routeIters, routeGate: *routeGate,
+		critWeight: *critWeight, timingGate: *timingGate, routeBackend: *routeBackend,
 	}
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
@@ -90,29 +80,21 @@ func main() {
 
 // runOpts carries the parsed CLI configuration.
 type runOpts struct {
-	effortName  string
-	seed        int64
-	designCSV   string
-	tracks      int
-	chains      int
-	out         string
-	tracePath   string
-	compare     string
-	wallTol     float64
-	critWeight  float64
-	critBias    float64
-	critDamping float64
-	timingGate  bool
-
+	effortName   string
+	seed         int64
+	designCSV    string
+	tracks       int
+	chains       int
+	out          string
+	tracePath    string
+	compare      string
+	wallTol      float64
+	critWeight   float64
+	timingGate   bool
 	routeBackend string
-	routeIters   int
-	routeGate    bool
 }
 
 func run(o runOpts) error {
-	if o.timingGate && o.routeGate {
-		return fmt.Errorf("-timing-gate and -route-gate select different -compare modes; give at most one")
-	}
 	effortName, seed, designCSV := o.effortName, o.seed, o.designCSV
 	tracks, chains := o.tracks, o.chains
 	out, tracePath, compare, wallTol := o.out, o.tracePath, o.compare, o.wallTol
@@ -127,8 +109,6 @@ func run(o runOpts) error {
 	}
 	e.Chains = chains
 	e.CritWeight = o.critWeight
-	e.CritBias = o.critBias
-	e.CritDamping = o.critDamping
 	backend, err := droute.ParseBackend(o.routeBackend)
 	if err != nil {
 		return err
@@ -136,7 +116,6 @@ func run(o runOpts) error {
 	if backend != droute.BackendOrdered {
 		e.RouteBackend = string(backend)
 	}
-	e.RouteIters = o.routeIters
 
 	var trace *metrics.Trace
 	if tracePath != "" {
@@ -150,21 +129,18 @@ func run(o runOpts) error {
 	}
 
 	rep := &exper.BenchReport{
-		Schema:      exper.BenchSchema,
-		Generated:   time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		Effort:      e.Name,
-		Seed:        seed,
-		Tracks:      tracks,
-		Chains:      chains,
-		CritWeight:  e.CritWeight,
-		CritBias:    e.CritBias,
-		CritDamping: e.CritDamping,
+		Schema:     exper.BenchSchema,
+		Generated:  time.Now().UTC().Format(time.RFC3339),
+		GoVersion:  runtime.Version(),
+		Effort:     e.Name,
+		Seed:       seed,
+		Tracks:     tracks,
+		Chains:     chains,
+		CritWeight: e.CritWeight,
 
 		// The report records the backend only when non-default, mirroring
 		// the JSON omitempty contract so old baselines stay comparable.
 		RouteBackend: e.RouteBackend,
-		RouteIters:   e.RouteIters,
 	}
 	for _, name := range strings.Split(designCSV, ",") {
 		name = strings.TrimSpace(name)
@@ -222,9 +198,6 @@ func run(o runOpts) error {
 		opt.WallTol = wallTol
 		if o.timingGate {
 			opt = exper.TimingQualityCompareOptions()
-		}
-		if o.routeGate {
-			opt = exper.RouteGateCompareOptions()
 		}
 		regs, err := exper.CompareBenchReports(base, rep, opt)
 		if err != nil {

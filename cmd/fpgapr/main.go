@@ -47,12 +47,9 @@ type options struct {
 	chains      int
 
 	critWeight   float64
-	critBias     float64
-	critDamping  float64
 	timingDriven bool // sequential flow: criticality-weighted second placement pass
 
 	routeBackend string // detailed-router backend (ordered, negotiated, lagrange)
-	routeIters   int
 
 	portfolio string // best-of-N sweep: preset name or inline JSON matrix
 
@@ -74,11 +71,8 @@ func main() {
 	flag.IntVar(&o.maxFanin, "maxfanin", 0, "technology-map the netlist to this module fanin first (0 = netlist must already be legal)")
 	flag.IntVar(&o.chains, "chains", 1, "simultaneous flow: parallel annealing chains (1 = serial engine)")
 	flag.Float64Var(&o.critWeight, "crit-weight", 0, "simultaneous flow: weight of the criticality-weighted net-delay cost term (0 = off)")
-	flag.Float64Var(&o.critBias, "crit-bias", 0, "simultaneous flow: fraction of moves drawn from near-critical cells (0 = default when -crit-weight is set)")
-	flag.Float64Var(&o.critDamping, "crit-damping", 0, "simultaneous flow: exponential damping of per-net criticalities (0 = default when -crit-weight is set)")
 	flag.BoolVar(&o.timingDriven, "timing-driven", false, "sequential flow: run a criticality-weighted second placement pass")
 	flag.StringVar(&o.routeBackend, "route-backend", "", `detailed-router backend: "ordered" (default), "negotiated" or "lagrange"`)
-	flag.IntVar(&o.routeIters, "route-iters", 0, "iteration cap for the negotiated/lagrange route backends (0 = backend default)")
 	flag.StringVar(&o.portfolio, "portfolio", "", `simultaneous flow: best-of-N sweep over a matrix preset (paper8, seeds4, seeds8) or an inline JSON matrix like {"seeds":[1,2,3]}`)
 	flag.BoolVar(&o.stats, "stats", false, "print optimizer metrics (phase timers, move/router/STA counters) after the run")
 	flag.StringVar(&o.pprofP, "pprof", "", "write <prefix>.cpu.pprof and <prefix>.heap.pprof profiles of the run")
@@ -171,10 +165,7 @@ func run(o options) error {
 			DisableTiming: o.wirability,
 			Chains:        o.chains,
 			CritWeight:    o.critWeight,
-			CritBias:      o.critBias,
-			CritDamping:   o.critDamping,
 			RouteBackend:  droute.Backend(o.routeBackend),
-			RouteIters:    o.routeIters,
 			Metrics:       collectorOrNil(sum),
 		})
 	case "seq":
@@ -182,7 +173,6 @@ func run(o options) error {
 		cfg.Place.MovesPerCell = o.effort
 		cfg.Place.MaxTemps = o.maxTemps
 		cfg.RouteBackend = droute.Backend(o.routeBackend)
-		cfg.RouteIters = o.routeIters
 		if o.timingDriven {
 			cfg.TimingDriven = true
 			cfg.CritWeight = o.critWeight
@@ -272,10 +262,7 @@ func runPortfolio(o options, a *repro.Arch, nl *repro.Netlist, sum *metrics.Summ
 			DisableTiming: o.wirability,
 			Chains:        o.chains,
 			CritWeight:    o.critWeight,
-			CritBias:      o.critBias,
-			CritDamping:   o.critDamping,
 			RouteBackend:  droute.Backend(o.routeBackend),
-			RouteIters:    o.routeIters,
 			Metrics:       collectorOrNil(sum),
 		}
 		if m.Seed != 0 {

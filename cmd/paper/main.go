@@ -41,11 +41,8 @@ func main() {
 		design      = flag.String("design", "s1", "design for -figure6 and -runtime")
 		chains      = flag.Int("chains", 1, "parallel annealing chains for the simultaneous flow (1 = serial)")
 		critWeight  = flag.Float64("crit-weight", 0, "criticality-weighted net-delay cost term for the simultaneous flow (0 = off)")
-		critBias    = flag.Float64("crit-bias", 0, "fraction of moves drawn from near-critical cells (0 = default when -crit-weight is set)")
-		critDamping = flag.Float64("crit-damping", 0, "exponential damping of per-net criticalities (0 = default when -crit-weight is set)")
 
 		routeBackend = flag.String("route-backend", "", `detailed-router backend for both flows: "ordered" (default), "negotiated" or "lagrange"`)
-		routeIters   = flag.Int("route-iters", 0, "iteration cap for the negotiated/lagrange route backends (0 = backend default)")
 		stats        = flag.Bool("stats", false, "print optimizer metrics (phase timers, move/router/STA counters) after the run")
 		pprofP       = flag.String("pprof", "", "write <prefix>.cpu.pprof and <prefix>.heap.pprof profiles of the run")
 	)
@@ -65,14 +62,11 @@ func main() {
 	}
 	e.Chains = *chains
 	e.CritWeight = *critWeight
-	e.CritBias = *critBias
-	e.CritDamping = *critDamping
 	if _, err := droute.ParseBackend(*routeBackend); err != nil {
 		fmt.Fprintln(os.Stderr, "paper:", err)
 		os.Exit(2)
 	}
 	e.RouteBackend = *routeBackend
-	e.RouteIters = *routeIters
 	if e.Chains > 1 {
 		fmt.Printf("effort: %s (%d parallel chains)\n\n", e.Name, e.Chains)
 	} else {

@@ -27,13 +27,9 @@ type Problem interface {
 // Config tunes the engine. Zero values select the documented defaults.
 type Config struct {
 	Seed         int64
-	MovesPerTemp int     // moves attempted per temperature (size to the problem)
-	InitAccept   float64 // target acceptance probability at T0 (default 0.93)
-	Lambda       float64 // cooling aggressiveness λ in T' = T·exp(-λT/σ) (default 0.7)
-	MinDecrement float64 // lower bound on the per-temperature cooling factor (default 0.5)
-	MaxTemps     int     // hard cap on temperature steps (default 400)
-	FrozenTemps  int     // stop after this many stagnant, cold temperatures (default 4)
-	AcceptFloor  float64 // acceptance ratio below which a temperature counts as cold (default 0.02)
+	MovesPerTemp int // moves attempted per temperature (size to the problem)
+	MaxTemps     int // hard cap on temperature steps (default 400)
+	FrozenTemps  int // stop after this many stagnant, cold temperatures (default 4)
 
 	// Cancel, when non-nil, requests early termination: the chain polls it at
 	// temperature boundaries only (never inside the move loop) and stops
@@ -45,6 +41,16 @@ type Config struct {
 	// without the hook.
 	Cancel <-chan struct{}
 }
+
+// The cooling schedule's constants. Keep each a separate operand where it is
+// used: Go folds constant sub-expressions exactly, so two of them meeting in
+// one expression would round once where run-time arithmetic rounds twice.
+const (
+	initAccept   = 0.93 // target acceptance probability at T0
+	lambda       = 0.7  // cooling aggressiveness λ in T' = T·exp(-λT/σ)
+	minDecrement = 0.5  // lower bound on the per-temperature cooling factor
+	acceptFloor  = 0.02 // acceptance ratio below which a temperature counts as cold
+)
 
 // cancelled reports whether the cancel channel (possibly nil) has fired.
 func cancelled(ch <-chan struct{}) bool {
@@ -63,23 +69,11 @@ func (c *Config) setDefaults() {
 	if c.MovesPerTemp <= 0 {
 		c.MovesPerTemp = 1000
 	}
-	if c.InitAccept <= 0 || c.InitAccept >= 1 {
-		c.InitAccept = 0.93
-	}
-	if c.Lambda <= 0 {
-		c.Lambda = 0.7
-	}
-	if c.MinDecrement <= 0 || c.MinDecrement >= 1 {
-		c.MinDecrement = 0.5
-	}
 	if c.MaxTemps <= 0 {
 		c.MaxTemps = 400
 	}
 	if c.FrozenTemps <= 0 {
 		c.FrozenTemps = 4
-	}
-	if c.AcceptFloor <= 0 {
-		c.AcceptFloor = 0.02
 	}
 }
 
@@ -229,7 +223,7 @@ func (c *Chain) Step() bool {
 	// A temperature is stagnant when it neither improved the best nor
 	// shows real cost movement: acceptance collapsed, or all accepted
 	// moves were zero-delta plateau wandering.
-	if !improved && (ratio < c.cfg.AcceptFloor || st.std() == 0) {
+	if !improved && (ratio < acceptFloor || st.std() == 0) {
 		c.frozen++
 		if c.frozen >= c.cfg.FrozenTemps {
 			c.done = true
@@ -239,9 +233,9 @@ func (c *Chain) Step() bool {
 		c.frozen = 0
 	}
 	// Huang et al. adaptive decrement, bounded to avoid quenching.
-	dec := math.Exp(-c.cfg.Lambda * c.temp / math.Max(st.std(), 1e-9))
-	if dec < c.cfg.MinDecrement {
-		dec = c.cfg.MinDecrement
+	dec := math.Exp(-lambda * c.temp / math.Max(st.std(), 1e-9))
+	if dec < minDecrement {
+		dec = minDecrement
 	}
 	if dec > 0.995 {
 		dec = 0.995
@@ -267,7 +261,7 @@ func (c *Chain) warmup(start time.Time) {
 	if sigma <= 0 {
 		sigma = math.Max(1, math.Abs(c.p.Cost())*0.05)
 	}
-	c.temp = sigma / -math.Log(c.cfg.InitAccept)
+	c.temp = sigma / -math.Log(initAccept)
 	c.best = c.p.Cost()
 	c.res = Result{TotalMoves: c.cfg.MovesPerTemp, Accepted: c.cfg.MovesPerTemp}
 	if c.onTemp != nil {

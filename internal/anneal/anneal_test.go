@@ -141,8 +141,7 @@ func TestStopsWhenFrozen(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	var c Config
 	c.setDefaults()
-	if c.MovesPerTemp <= 0 || c.InitAccept <= 0 || c.InitAccept >= 1 || c.Lambda <= 0 ||
-		c.MaxTemps <= 0 || c.FrozenTemps <= 0 || c.AcceptFloor <= 0 || c.MinDecrement <= 0 {
+	if c.MovesPerTemp <= 0 || c.MaxTemps <= 0 || c.FrozenTemps <= 0 {
 		t.Errorf("defaults not applied: %+v", c)
 	}
 }

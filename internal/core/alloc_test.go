@@ -30,7 +30,7 @@ func TestMoveAllocFree(t *testing.T) {
 	}{
 		{"timing-on", Config{Seed: 3}},
 		{"wirability-only", Config{Seed: 3, DisableTiming: true}},
-		{"crit-on", Config{Seed: 3, CritWeight: 1, CritBias: 0.4}},
+		{"crit-on", Config{Seed: 3, CritWeight: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o, err := New(a, nl, tc.cfg)

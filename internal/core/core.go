@@ -40,34 +40,26 @@ import (
 // Config tunes the simultaneous optimizer.
 type Config struct {
 	Seed         int64
-	MovesPerCell int     // moves per temperature = MovesPerCell × #cells (default 12)
-	PinmapProb   float64 // fraction of moves that reassign a pinmap (default 0.15)
-	MaxTemps     int     // temperature cap (default 300)
+	MovesPerCell int // moves per temperature = MovesPerCell × #cells (default 12)
+	MaxTemps     int // temperature cap (default 300)
 
-	// Relative emphasis of the cost components; the absolute weights are
-	// renormalized adaptively each temperature (paper §3.2). DisableTiming
-	// yields a pure wirability optimization (used by the Table-2 sweep).
-	RouteGamma    float64 // default 1.0
-	TimingGamma   float64 // default 1.0
+	// DisableTiming drops the timing term, yielding a pure wirability
+	// optimization (used by the Table-2 sweep). The cost weights themselves
+	// are not settings: they are renormalized adaptively each temperature
+	// (paper §3.2).
 	DisableTiming bool
 
-	DrouteCost   droute.Cost // zero value selects droute.DefaultCost
-	RepairPasses int         // zero-temperature routability repair passes (default 6)
+	RepairPasses int // zero-temperature routability repair passes (default 6)
 
 	// RouteBackend selects the algorithm of the initial constructive full
 	// routing pass: the paper's ordered single-pass router (empty or
 	// droute.BackendOrdered — the default, bit-identical to the
 	// pre-extension engine), the negotiated-congestion router
 	// (droute.BackendNegotiated), or the Lagrangian-relaxation net-parallel
-	// router (droute.BackendLagrange). The in-loop incremental rerouting is
-	// backend-independent. Every backend is deterministic for a fixed Seed
-	// regardless of GOMAXPROCS.
+	// router (droute.BackendLagrange), each at its own iteration cap. The
+	// in-loop incremental rerouting is backend-independent. Every backend is
+	// deterministic for a fixed Seed regardless of GOMAXPROCS.
 	RouteBackend droute.Backend
-
-	// RouteIters overrides the iteration cap of the negotiated and lagrange
-	// route backends (0 = the backend's default). Ignored when the ordered
-	// backend is selected.
-	RouteIters int
 
 	// DisablePinmapMoves removes pinmap reassignment from the move set
 	// (ablation: quantifies what the paper's "Cell Pin Assignments" state
@@ -86,29 +78,14 @@ type Config struct {
 	// cost with its own adaptively renormalized weight, so moves that slow
 	// many near-critical paths are penalized even while the single worst path
 	// is unchanged. Per-net criticalities are extracted from the incremental
-	// STA once per temperature and exponentially damped (see CritDamping);
-	// the per-move cost of the term is a handful of float ops. CritWeight
-	// scales the term's share of the normalization relative to TimingGamma.
-	// 0 (the default) disables the machinery entirely: no extra state, no
-	// extra RNG draws, bit-identical fixed-seed results for every
-	// pre-existing configuration.
+	// STA once per temperature and exponentially damped (critDamping); a
+	// critBias share of swap moves draws its cell from nets at or above
+	// critThreshold. The per-move cost of the term is a handful of float ops.
+	// CritWeight scales the term's share of the normalization relative to
+	// the timing term. 0 (the default) disables the machinery entirely: no
+	// extra state, no extra RNG draws, bit-identical fixed-seed results for
+	// every pre-existing configuration.
 	CritWeight float64
-
-	// CritDamping is the history weight of the per-temperature criticality
-	// update: crit ← damping·crit + (1-damping)·instantaneous (default 0.6;
-	// negative selects 0, i.e. undamped tracking). Only meaningful with
-	// CritWeight > 0.
-	CritDamping float64
-
-	// CritBias is the fraction of swap moves whose moved cell is drawn from
-	// a near-critical net instead of uniformly, focusing the annealer's
-	// attention where timing is won (default 0.25 with CritWeight on;
-	// negative disables biasing while keeping the cost term).
-	CritBias float64
-
-	// CritThreshold is the damped criticality at or above which a net counts
-	// as near-critical for move biasing (default 0.75).
-	CritThreshold float64
 
 	// RangeLimit enables TimberWolf-style adaptive move-range windows (the
 	// "technical improvements ... for increased speed" direction of the
@@ -148,27 +125,24 @@ type Config struct {
 	Cancel <-chan struct{}
 }
 
+// The engine's fixed constants. Keep each a separate operand where it is
+// used: Go folds constant sub-expressions exactly, so two of them meeting in
+// one expression would round once where run-time arithmetic rounds twice.
+const (
+	pinmapProb    = 0.15 // fraction of moves that reassign a pinmap
+	routeGamma    = 1.0  // emphasis of the routing terms before renormalization
+	timingGamma   = 1.0  // emphasis of the timing terms before renormalization
+	critDamping   = 0.6  // crit ← damping·crit + (1-damping)·instantaneous
+	critBias      = 0.25 // share of swap moves drawn from near-critical cells
+	critThreshold = 0.75 // damped criticality at which a net is near-critical
+)
+
 func (c *Config) setDefaults() {
 	if c.MovesPerCell <= 0 {
 		c.MovesPerCell = 12
 	}
-	if c.PinmapProb <= 0 {
-		c.PinmapProb = 0.15
-	}
 	if c.MaxTemps <= 0 {
 		c.MaxTemps = 300
-	}
-	if c.RouteGamma <= 0 {
-		c.RouteGamma = 1.0
-	}
-	if c.TimingGamma <= 0 {
-		c.TimingGamma = 1.0
-	}
-	if c.DisableTiming {
-		c.TimingGamma = 0
-	}
-	if c.DrouteCost == (droute.Cost{}) {
-		c.DrouteCost = droute.DefaultCost()
 	}
 	if c.RepairPasses <= 0 {
 		c.RepairPasses = 6
@@ -179,31 +153,8 @@ func (c *Config) setDefaults() {
 	if c.DCFraction < 0 {
 		c.DCFraction = 0
 	}
-	if c.DisablePinmapMoves {
-		c.PinmapProb = 0
-	}
 	if c.CritWeight < 0 {
 		c.CritWeight = 0
-	}
-	if c.CritWeight > 0 {
-		if c.CritDamping == 0 {
-			c.CritDamping = 0.6
-		}
-		if c.CritDamping < 0 {
-			c.CritDamping = 0
-		}
-		if c.CritBias == 0 {
-			c.CritBias = 0.25
-		}
-		if c.CritBias < 0 {
-			c.CritBias = 0
-		}
-		if c.CritThreshold <= 0 {
-			c.CritThreshold = 0.75
-		}
-		if c.CritThreshold > 1 {
-			c.CritThreshold = 1
-		}
 	}
 }
 
@@ -392,20 +343,14 @@ func New(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Optimizer, error) {
 	drouteDone := metrics.StartPhase(cfg.Metrics, metrics.PhaseDetailRoute)
 	switch backend {
 	case droute.BackendNegotiated:
-		o.initRouteFailed = droute.RouteAllNegotiated(o.F, o.Rts, cfg.DrouteCost, droute.NegotiateConfig{
-			MaxIters: cfg.RouteIters,
-			Seed:     cfg.Seed,
-		})
+		o.initRouteFailed = droute.RouteAllNegotiated(o.F, o.Rts, droute.DefaultCost(), droute.NegotiateConfig{Seed: cfg.Seed})
 	case droute.BackendLagrange:
-		o.initRouteFailed = droute.RouteAllLagrange(o.F, o.Rts, cfg.DrouteCost, droute.LagrangeConfig{
-			MaxIters: cfg.RouteIters,
-			Seed:     cfg.Seed,
-		})
+		o.initRouteFailed = droute.RouteAllLagrange(o.F, o.Rts, droute.DefaultCost(), droute.LagrangeConfig{Seed: cfg.Seed})
 	default:
 		// A single ordered pass consuming no RNG draws beyond placement's:
 		// the annealer works off the remaining debt move by move, exactly as
 		// in the pre-backend engine.
-		o.initRouteFailed = droute.RouteAllDetailed(o.F, o.Rts, cfg.DrouteCost, 1, rng)
+		o.initRouteFailed = droute.RouteAllDetailed(o.F, o.Rts, droute.DefaultCost(), 1, rng)
 	}
 	drouteDone()
 	o.recountGD()
@@ -441,7 +386,7 @@ func New(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Optimizer, error) {
 		an.Commit()
 	}
 	if o.critOn() {
-		o.crit = timing.NewCriticality(an, cfg.CritDamping)
+		o.crit = timing.NewCriticality(an, critDamping)
 		o.netMaxD = make([]float64, nl.NumNets())
 		o.critCells = make([]int32, 0, nl.NumCells())
 		o.critStamp = make([]uint32, nl.NumCells())
@@ -483,7 +428,7 @@ func (o *Optimizer) rebuildCritState() {
 		}
 		o.netMaxD[id] = m
 		o.critSum += crit[id] * m
-		if crit[id] >= o.cfg.CritThreshold {
+		if crit[id] >= critThreshold {
 			net := &o.NL.Nets[id]
 			mark(net.Driver.Cell)
 			for _, s := range net.Sinks {
@@ -496,7 +441,7 @@ func (o *Optimizer) rebuildCritState() {
 // timingOn reports whether the timing term participates in the optimization.
 // When it does not (the pure-wirability mode of the Table-2 sweep), delay
 // evaluation and propagation are skipped entirely.
-func (o *Optimizer) timingOn() bool { return o.cfg.TimingGamma > 0 }
+func (o *Optimizer) timingOn() bool { return !o.cfg.DisableTiming }
 
 // RefreshTiming fills the timing view from the current routes regardless of
 // mode; wirability-only callers use it to obtain a final WCD report.
@@ -560,8 +505,8 @@ func (o *Optimizer) refreshWeights() {
 	if dRef < 0.04*n {
 		dRef = 0.04 * n
 	}
-	o.wg = o.cfg.RouteGamma / gRef
-	o.wd = o.cfg.RouteGamma / dRef
+	o.wg = routeGamma / gRef
+	o.wd = routeGamma / dRef
 	if !o.timingOn() {
 		o.wt = 0
 		return
@@ -570,7 +515,7 @@ func (o *Optimizer) refreshWeights() {
 	if t <= 0 {
 		t = 1
 	}
-	o.wt = o.cfg.TimingGamma / t
+	o.wt = timingGamma / t
 	if !o.critOn() {
 		o.wcr = 0
 		return
@@ -579,7 +524,7 @@ func (o *Optimizer) refreshWeights() {
 	if cs <= 0 {
 		cs = 1
 	}
-	o.wcr = o.cfg.CritWeight * o.cfg.TimingGamma / cs
+	o.wcr = o.cfg.CritWeight * timingGamma / cs
 }
 
 // Cost implements anneal.Problem. The D term carries a fractional

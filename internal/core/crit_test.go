@@ -18,7 +18,7 @@ func TestCritRunDeterministicAndConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := arch.MustNew(arch.Default(5, 12, 14))
-	cfg := Config{Seed: 9, MovesPerCell: 3, MaxTemps: 25, CritWeight: 1, CritBias: 0.3}
+	cfg := Config{Seed: 9, MovesPerCell: 3, MaxTemps: 25, CritWeight: 1}
 	run := func() (Result, *Optimizer) {
 		o, err := New(a, nl, cfg)
 		if err != nil {
@@ -56,7 +56,7 @@ func TestCritParallelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		o, err := New(a, nl, Config{
 			Seed: 9, MovesPerCell: 3, MaxTemps: 25,
 			Chains: 3, SyncTemps: 4,
-			CritWeight: 1, CritBias: 0.3,
+			CritWeight: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -72,20 +72,5 @@ func TestCritParallelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	if r1.WCD != r2.WCD || r1.FinalCost != r2.FinalCost || r1.Champion != r2.Champion {
 		t.Errorf("crit-on parallel run scheduling-dependent: (WCD=%.17g cost=%.17g champ=%d) vs (WCD=%.17g cost=%.17g champ=%d)",
 			r1.WCD, r1.FinalCost, r1.Champion, r2.WCD, r2.FinalCost, r2.Champion)
-	}
-}
-
-// TestCritDefaultsApplied: setting CritWeight alone fills in the dependent
-// knobs; leaving it zero keeps every crit field inert.
-func TestCritDefaultsApplied(t *testing.T) {
-	c := Config{CritWeight: 2}
-	c.setDefaults()
-	if c.CritDamping != 0.6 || c.CritBias != 0.25 || c.CritThreshold != 0.75 {
-		t.Errorf("crit defaults not applied: damping=%v bias=%v threshold=%v", c.CritDamping, c.CritBias, c.CritThreshold)
-	}
-	z := Config{}
-	z.setDefaults()
-	if z.CritWeight != 0 || z.CritDamping != 0 || z.CritBias != 0 || z.CritThreshold != 0 {
-		t.Errorf("crit-off config gained crit defaults: %+v", z)
 	}
 }

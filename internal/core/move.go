@@ -26,16 +26,17 @@ type jEntry struct {
 // reroute, update timing, and return the cost delta. Accept or Reject must
 // follow.
 func (o *Optimizer) Propose(rng *rand.Rand) float64 {
-	if o.cfg.PinmapProb > 0 && rng.Float64() < o.cfg.PinmapProb {
+	if !o.cfg.DisablePinmapMoves && rng.Float64() < pinmapProb {
 		cell := int32(rng.Intn(o.NL.NumCells()))
 		nv := uint8((int(o.P.Pm[cell]) + 1 + rng.Intn(arch.NumPinmaps-1)) % arch.NumPinmaps)
 		return o.proposePinmap(cell, nv)
 	}
-	// Criticality-directed selection: with probability CritBias draw the swap
-	// source from the cells on near-critical nets instead of uniformly. The
-	// length guard precedes the Float64 draw so the RNG stream is untouched
-	// whenever the extension is off — fixed-seed runs stay bit-identical.
-	if o.cfg.CritBias > 0 && len(o.critCells) > 0 && rng.Float64() < o.cfg.CritBias {
+	// Criticality-directed selection: with probability critBias draw the swap
+	// source from the cells on near-critical nets instead of uniformly.
+	// critCells is empty whenever the extension is off, and the length guard
+	// precedes the Float64 draw, so the RNG stream is then untouched —
+	// fixed-seed runs stay bit-identical.
+	if len(o.critCells) > 0 && rng.Float64() < critBias {
 		cell := o.critCells[rng.Intn(len(o.critCells))]
 		la := o.P.Loc[cell]
 		return o.proposeSwap(la, o.pickPartner(rng, la))
@@ -313,7 +314,7 @@ func (o *Optimizer) routeNet(id int32) bool {
 	}
 	if !r.DetailDone() {
 		u0 := r.UnroutedChans()
-		missing := droute.RouteNet(o.F, id, r, o.cfg.DrouteCost)
+		missing := droute.RouteNet(o.F, id, r, droute.DefaultCost())
 		o.dc += missing - u0
 		if missing > 0 {
 			return false

@@ -53,10 +53,6 @@ type LagrangeConfig struct {
 	// MaxIters caps the price-update iterations (default 24). The loop exits
 	// early as soon as an iteration produces no over-subscribed segment.
 	MaxIters int
-	// Step is the initial sub-gradient step size (default 1.0); iteration t
-	// uses Step/√(t+1), the classic diminishing schedule that guarantees
-	// sub-gradient convergence.
-	Step float64
 	// Seed feeds the per-net tie-break RNGs and the ordered-router fallback.
 	Seed int64
 	// FallbackAttempts is the ordering-retry budget of the ordered-router
@@ -64,12 +60,14 @@ type LagrangeConfig struct {
 	FallbackAttempts int
 }
 
+// lagrangeStep is the initial sub-gradient step size; iteration t uses
+// lagrangeStep/√(t+1), the classic diminishing schedule that guarantees
+// sub-gradient convergence.
+const lagrangeStep = 1.0
+
 func (c *LagrangeConfig) setDefaults() {
 	if c.MaxIters <= 0 {
 		c.MaxIters = 24
-	}
-	if c.Step <= 0 {
-		c.Step = 1.0
 	}
 	if c.FallbackAttempts <= 0 {
 		c.FallbackAttempts = 8
@@ -97,8 +95,8 @@ type lagChannel struct {
 // schedule-independent. Second, occupancy is accumulated serially and the
 // iteration terminates the loop if no segment is over-subscribed. Third, a
 // projected sub-gradient step updates the prices: λ ← max(0, λ + αt·(occ−1))
-// with αt = Step/√(t+1), raising prices on contended segments and decaying
-// them on idle ones. Equal-cost track ties are broken by a per-net RNG split
+// with αt = lagrangeStep/√(t+1), raising prices on contended segments and
+// decaying them on idle ones. Equal-cost track ties are broken by a per-net RNG split
 // deterministically from (Seed, net, channel index), which decorrelates
 // symmetric nets (otherwise they would all migrate to the same alternative
 // track each iteration and oscillate) without making the outcome depend on
@@ -179,7 +177,7 @@ func RouteAllLagrange(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 			}
 		}
 		// Step 3: projected sub-gradient price update; exit when feasible.
-		step := cfg.Step / math.Sqrt(float64(iter+1))
+		step := lagrangeStep / math.Sqrt(float64(iter+1))
 		over := 0
 		for _, lc := range chans {
 			if lc == nil {

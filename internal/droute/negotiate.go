@@ -16,30 +16,25 @@ import (
 // paper (it is the direction detailed FPGA routing took) and is offered as
 // an opt-in alternative to the ordered single-pass router of [8][11].
 type NegotiateConfig struct {
-	MaxIters     int     // negotiation iterations (default 40)
-	PresentBase  float64 // first-iteration sharing penalty (default 0.5)
-	PresentGrow  float64 // multiplicative growth per iteration (default 1.6)
-	HistoryDelta float64 // history added to each over-subscribed segment per iteration (default 1.0)
-	Seed         int64   // seed for the ordered-router fallback on non-convergent instances
+	Seed int64 // seed for the ordered-router fallback on non-convergent instances
 
 	// FallbackAttempts is the ordering-retry budget of the ordered-router
 	// fallback on non-convergent instances (default 8).
 	FallbackAttempts int
 }
 
+// The negotiation schedule's constants. Keep each a separate operand where
+// it is used: Go folds constant sub-expressions exactly, so two of them
+// meeting in one expression would round once where run-time arithmetic
+// rounds twice.
+const (
+	negotiateIters = 40  // negotiation iterations
+	presentBase    = 0.5 // first-iteration sharing penalty
+	presentGrow    = 1.6 // multiplicative growth per iteration
+	historyDelta   = 1.0 // history added to each over-subscribed segment per iteration
+)
+
 func (c *NegotiateConfig) setDefaults() {
-	if c.MaxIters <= 0 {
-		c.MaxIters = 40
-	}
-	if c.PresentBase <= 0 {
-		c.PresentBase = 0.5
-	}
-	if c.PresentGrow <= 1 {
-		c.PresentGrow = 1.6
-	}
-	if c.HistoryDelta <= 0 {
-		c.HistoryDelta = 1.0
-	}
 	if c.FallbackAttempts <= 0 {
 		c.FallbackAttempts = 8
 	}
@@ -58,8 +53,8 @@ type negChoice struct{ track, segLo, segHi int }
 // RouteAllNegotiated detail-routes every unrouted channel need of the
 // globally routed nets using congestion negotiation, then commits the final
 // conflict-free assignments into f. Channel needs that still conflict after
-// MaxIters (the loser keeps Track == -1) or that fit no track at all are
-// counted in the returned failure total.
+// negotiateIters iterations (the loser keeps Track == -1) or that fit no
+// track at all are counted in the returned failure total.
 //
 // Horizontal segments never span channels, so the negotiation decomposes
 // exactly by channel: each channel's needs are negotiated independently (its
@@ -206,8 +201,8 @@ func negotiateChannel(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 		choices[i].track = -1
 	}
 
-	pres := cfg.PresentBase
-	for iter := 0; iter < cfg.MaxIters; iter++ {
+	pres := presentBase
+	for iter := 0; iter < negotiateIters; iter++ {
 		// Rip everything (occupancy only) and re-route in index order.
 		for t := range occ {
 			for s := range occ[t] {
@@ -258,13 +253,13 @@ func negotiateChannel(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 			for s := c.segLo; s <= c.segHi; s++ {
 				if occ[c.track][s] > 1 {
 					clean = false
-					hist[c.track][s] += cfg.HistoryDelta
+					hist[c.track][s] += historyDelta
 				}
 			}
 		}
 		if clean {
 			return
 		}
-		pres *= cfg.PresentGrow
+		pres *= presentGrow
 	}
 }

@@ -33,18 +33,15 @@ type BenchReport struct {
 	Chains    int        `json:"chains"`
 	Rows      []BenchRow `json:"benchmarks"`
 
-	// Criticality-weighted timing term settings the suite ran with (see
+	// Criticality-weighted timing term weight the suite ran with (see
 	// core.Config). Zero — and omitted from the JSON — for the default
 	// engine, so pre-extension reports decode and compare unchanged.
-	CritWeight  float64 `json:"crit_weight,omitempty"`
-	CritBias    float64 `json:"crit_bias,omitempty"`
-	CritDamping float64 `json:"crit_damping,omitempty"`
+	CritWeight float64 `json:"crit_weight,omitempty"`
 
 	// Detailed-router backend the suite ran with (see droute.Backend). Empty
 	// — and omitted from the JSON — for the default ordered router, so
 	// pre-extension reports decode and compare unchanged.
 	RouteBackend string `json:"route_backend,omitempty"`
-	RouteIters   int    `json:"route_iters,omitempty"`
 }
 
 // Quality is the deterministic quality record of one simultaneous run, the
@@ -100,10 +97,9 @@ type BenchRow struct {
 	LayoutHash string `json:"layout_hash,omitempty"`
 
 	// RouteFailed is the channel-need count the initial constructive routing
-	// pass left unrouted — deterministic for a fixed configuration, and the
-	// quality metric the route-scaling gate holds cross-backend runs to.
-	// Omitted (decoded as zero) in reports predating the field; the gates
-	// use RouteWallMS > 0 as the carries-route-fields sentinel.
+	// pass left unrouted — deterministic for a fixed configuration. Omitted
+	// (decoded as zero) in reports predating the field; the gate uses
+	// RouteWallMS > 0 as the carries-route-fields sentinel.
 	RouteFailed int `json:"route_failed,omitempty"`
 
 	// Machine-dependent fields; excluded from exact quality comparisons.
@@ -117,8 +113,8 @@ type BenchRow struct {
 	BytesPerMove    float64 `json:"bytes_per_move"`
 
 	// RouteWallMS is the wall clock of the constructive routing pass alone
-	// (global + detailed route phases), the series the route-scaling gate
-	// compares across backends. Omitted in reports predating the field.
+	// (global + detailed route phases). Omitted in reports predating the
+	// field.
 	RouteWallMS float64 `json:"route_wall_ms,omitempty"`
 }
 
@@ -245,22 +241,6 @@ type CompareOptions struct {
 	// WallCostTol is the allowed relative total wall-time increase in
 	// TimingQuality mode (0.05 = the timing win may cost at most 5% runtime).
 	WallCostTol float64
-
-	// RouteGate switches the gate to cross-backend route-scaling comparison:
-	// the current report (typically a lagrange-backend run) must be
-	// quality-neutral — no design routes any worse overall and no design's
-	// constructive pass fails more channel needs — at a total route wall
-	// time no higher than the baseline backend's (plus RouteWallSlackMS).
-	// Per-design layout-hash, critical-path, wall and alloc gates are
-	// skipped — different backends are *supposed* to produce different
-	// layouts — and the route backend/iters headers may differ, but
-	// Effort/Seed/Tracks/Chains must still match, and both reports must be
-	// from the same machine for the wall comparison to mean anything.
-	RouteGate bool
-	// RouteWallSlackMS is the absolute grace on the total route-wall
-	// comparison in RouteGate mode, keeping sub-millisecond route phases on
-	// small suites from flaking the gate.
-	RouteWallSlackMS float64
 }
 
 // DefaultCompareOptions returns the CI gate settings: fail on >25% wall-time
@@ -279,20 +259,12 @@ func TimingQualityCompareOptions() CompareOptions {
 	return CompareOptions{TimingQuality: true, WallCostTol: 0.05, WallSlackMS: 250}
 }
 
-// RouteGateCompareOptions returns the route-scaling gate settings: the
-// candidate backend must be quality-neutral on routing (per-design unrouted
-// counts and constructive-pass failures no worse) at a total route wall time
-// no higher than the baseline's plus 50 ms of noise grace.
-func RouteGateCompareOptions() CompareOptions {
-	return CompareOptions{RouteGate: true, RouteWallSlackMS: 50}
-}
-
 // CompareBenchReports checks cur against base and returns one message per
 // regression (empty = gate passes). Quality metrics (unrouted counts,
 // critical path) are deterministic for a fixed configuration, so any
 // worsening at all fails; wall time gets the configured tolerance. Comparing
 // reports from different configurations is itself an error — except the
-// criticality fields in TimingQuality mode, where differing is the point.
+// criticality weight in TimingQuality mode, where differing is the point.
 // Designs present in the baseline but missing from the current report are a
 // hard failure in every mode: suite shrinkage must never mask regressions.
 func CompareBenchReports(base, cur *BenchReport, opt CompareOptions) ([]string, error) {
@@ -300,15 +272,13 @@ func CompareBenchReports(base, cur *BenchReport, opt CompareOptions) ([]string, 
 		return nil, fmt.Errorf("bench compare: configuration mismatch (base %s/seed %d/tracks %d/chains %d, current %s/seed %d/tracks %d/chains %d)",
 			base.Effort, base.Seed, base.Tracks, base.Chains, cur.Effort, cur.Seed, cur.Tracks, cur.Chains)
 	}
-	if !opt.TimingQuality &&
-		(base.CritWeight != cur.CritWeight || base.CritBias != cur.CritBias || base.CritDamping != cur.CritDamping) {
-		return nil, fmt.Errorf("bench compare: criticality configuration mismatch (base %g/%g/%g, current %g/%g/%g)",
-			base.CritWeight, base.CritBias, base.CritDamping, cur.CritWeight, cur.CritBias, cur.CritDamping)
+	if !opt.TimingQuality && base.CritWeight != cur.CritWeight {
+		return nil, fmt.Errorf("bench compare: criticality weight mismatch (base %g, current %g)",
+			base.CritWeight, cur.CritWeight)
 	}
-	if !opt.RouteGate &&
-		(base.RouteBackend != cur.RouteBackend || base.RouteIters != cur.RouteIters) {
-		return nil, fmt.Errorf("bench compare: route backend configuration mismatch (base %q/iters %d, current %q/iters %d)",
-			base.RouteBackend, base.RouteIters, cur.RouteBackend, cur.RouteIters)
+	if base.RouteBackend != cur.RouteBackend {
+		return nil, fmt.Errorf("bench compare: route backend mismatch (base %q, current %q)",
+			base.RouteBackend, cur.RouteBackend)
 	}
 	baseRows := make(map[string]BenchRow, len(base.Rows))
 	for _, r := range base.Rows {
@@ -331,17 +301,6 @@ func CompareBenchReports(base, cur *BenchReport, opt CompareOptions) ([]string, 
 		if c.GUnrouted > b.GUnrouted {
 			regressions = append(regressions,
 				fmt.Sprintf("%s: globally unrouted nets %d -> %d", c.Design, b.GUnrouted, c.GUnrouted))
-		}
-		if opt.RouteGate {
-			// Cross-backend comparison: layouts are expected to differ, but
-			// the candidate backend must not leave more of any design's
-			// constructive pass unrouted. Armed only when the baseline
-			// carries the route fields.
-			if b.RouteWallMS > 0 && c.RouteFailed > b.RouteFailed {
-				regressions = append(regressions,
-					fmt.Sprintf("%s: constructive route failures %d -> %d", c.Design, b.RouteFailed, c.RouteFailed))
-			}
-			continue
 		}
 		if opt.TimingQuality {
 			// Cross-configuration comparison: results are expected to
@@ -392,38 +351,7 @@ func CompareBenchReports(base, cur *BenchReport, opt CompareOptions) ([]string, 
 	if opt.TimingQuality {
 		regressions = append(regressions, timingQualityGate(base, cur, baseRows, curRows, opt)...)
 	}
-	if opt.RouteGate {
-		regressions = append(regressions, routeScalingGate(base, curRows, opt)...)
-	}
 	return regressions, nil
-}
-
-// routeScalingGate is the RouteGate-mode aggregate check: over the designs
-// both reports share (and whose baseline rows carry route timings), the
-// current report's total constructive-route wall time must not exceed the
-// baseline's plus the slack. Reports without route fields fail closed — a
-// gate that silently compares nothing would pass any regression.
-func routeScalingGate(base *BenchReport, curRows map[string]BenchRow, opt CompareOptions) []string {
-	var wallBase, wallCur float64
-	n := 0
-	for _, b := range base.Rows {
-		c, ok := curRows[b.Design]
-		if !ok || b.RouteWallMS <= 0 {
-			continue
-		}
-		wallBase += b.RouteWallMS
-		wallCur += c.RouteWallMS
-		n++
-	}
-	if n == 0 {
-		return []string{"route-scaling gate: no comparable designs with route timings"}
-	}
-	if limit := wallBase + opt.RouteWallSlackMS; wallCur > limit {
-		return []string{fmt.Sprintf(
-			"route-scaling gate: total route wall time %.1f ms -> %.1f ms exceeds the baseline plus %.0f ms slack (limit %.1f ms)",
-			wallBase, wallCur, opt.RouteWallSlackMS, limit)}
-	}
-	return nil
 }
 
 // timingQualityGate is the TimingQuality-mode aggregate check: the current

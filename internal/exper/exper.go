@@ -40,20 +40,17 @@ type Effort struct {
 	// (cmd/paper -chains, cmd/bench -chains) override.
 	Chains int
 
-	// Criticality-weighted timing term for the simultaneous flow (see
-	// core.Config). All zero — the term off — in both constructors; callers
-	// opt in (cmd/bench -crit-weight, cmd/paper -crit-weight).
-	CritWeight  float64
-	CritBias    float64
-	CritDamping float64
+	// CritWeight is the criticality-weighted timing term for the
+	// simultaneous flow (see core.Config). Zero — the term off — in both
+	// constructors; callers opt in (cmd/bench -crit-weight, cmd/paper
+	// -crit-weight).
+	CritWeight float64
 
 	// RouteBackend selects the detailed-router backend for both flows
-	// ("", "ordered", "negotiated" or "lagrange"; see droute.Backend), with
-	// RouteIters overriding the iterative backends' iteration cap. Zero
-	// values — the ordered backend — in both constructors; callers opt in
+	// ("", "ordered", "negotiated" or "lagrange"; see droute.Backend). Empty
+	// — the ordered backend — in both constructors; callers opt in
 	// (cmd/bench / cmd/paper -route-backend).
 	RouteBackend string
-	RouteIters   int
 
 	// Metrics, when non-nil, is threaded into every flow the effort runs
 	// (core and seq). It must be safe for concurrent use: table rows run
@@ -134,7 +131,6 @@ func runSeq(a *arch.Arch, nl *netlist.Netlist, e Effort, seed int64) (*seq.Resul
 		},
 		RouteAttempts: e.RouteAttempts,
 		RouteBackend:  droute.Backend(e.RouteBackend),
-		RouteIters:    e.RouteIters,
 		Metrics:       e.Metrics,
 	})
 	return res, time.Since(start), err
@@ -153,10 +149,7 @@ func RunSim(a *arch.Arch, nl *netlist.Netlist, e Effort, seed int64, wirabilityO
 		DisableTiming: wirabilityOnly,
 		Chains:        e.Chains,
 		CritWeight:    e.CritWeight,
-		CritBias:      e.CritBias,
-		CritDamping:   e.CritDamping,
 		RouteBackend:  droute.Backend(e.RouteBackend),
-		RouteIters:    e.RouteIters,
 		Metrics:       e.Metrics,
 	})
 	if err != nil {

@@ -18,12 +18,9 @@ import (
 
 // Config tunes the baseline placer.
 type Config struct {
-	Seed             int64
-	MovesPerCell     int     // moves per temperature = MovesPerCell × #cells (default 12)
-	CongestionWeight float64 // weight of the congestion-overflow penalty (default 2.0)
-	CapacityFactor   float64 // usable fraction of per-bin track capacity (default 0.75)
-	BinWidth         int     // columns per congestion bin (default 4)
-	MaxTemps         int     // annealing temperature cap (default 250)
+	Seed         int64
+	MovesPerCell int // moves per temperature = MovesPerCell × #cells (default 12)
+	MaxTemps     int // annealing temperature cap (default 250)
 
 	// NetWeights, when non-nil, scales each net's wirelength contribution —
 	// the classic criticality-weighted timing-driven placement (paper §2.1:
@@ -32,18 +29,18 @@ type Config struct {
 	NetWeights []float64
 }
 
+// The congestion model's constants. Keep each a separate operand where it is
+// used: Go folds constant sub-expressions exactly, so two of them meeting in
+// one expression would round once where run-time arithmetic rounds twice.
+const (
+	congestionWeight = 2.0  // weight of the congestion-overflow penalty
+	capacityFactor   = 0.75 // usable fraction of per-bin track capacity
+	binWidth         = 4    // columns per congestion bin
+)
+
 func (c *Config) setDefaults() {
 	if c.MovesPerCell <= 0 {
 		c.MovesPerCell = 12
-	}
-	if c.CongestionWeight <= 0 {
-		c.CongestionWeight = 2.0
-	}
-	if c.CapacityFactor <= 0 || c.CapacityFactor > 1 {
-		c.CapacityFactor = 0.75
-	}
-	if c.BinWidth <= 0 {
-		c.BinWidth = 4
 	}
 	if c.MaxTemps <= 0 {
 		c.MaxTemps = 250
@@ -111,7 +108,7 @@ type problem struct {
 }
 
 func newProblem(p *layout.Placement, cfg Config) *problem {
-	nbins := (p.A.Cols + cfg.BinWidth - 1) / cfg.BinWidth
+	nbins := (p.A.Cols + binWidth - 1) / binWidth
 	pr := &problem{
 		p:       p,
 		cfg:     cfg,
@@ -119,7 +116,7 @@ func newProblem(p *layout.Placement, cfg Config) *problem {
 		loads:   make([]float64, p.A.Channels()*nbins),
 		contrib: make([]netContrib, p.NL.NumNets()),
 		netSeen: make([]uint32, p.NL.NumNets()),
-		cap:     cfg.CapacityFactor * float64(p.A.Tracks) * float64(cfg.BinWidth),
+		cap:     capacityFactor * float64(p.A.Tracks) * float64(binWidth),
 	}
 	for id := range pr.contrib {
 		c := pr.computeContrib(int32(id))
@@ -194,7 +191,7 @@ func (pr *problem) computeContrib(id int32) netContrib {
 	if pr.cfg.NetWeights != nil {
 		c.wl *= pr.cfg.NetWeights[id]
 	}
-	w := pr.cfg.BinWidth
+	const w = binWidth
 	for ch, v := range byCh {
 		for b := v.lo / w; b <= v.hi/w; b++ {
 			lo, hi := b*w, (b+1)*w-1
@@ -211,7 +208,7 @@ func (pr *problem) computeContrib(id int32) netContrib {
 }
 
 func (pr *problem) Cost() float64 {
-	return pr.wl + pr.cfg.CongestionWeight*pr.penalty
+	return pr.wl + congestionWeight*pr.penalty
 }
 
 func (pr *problem) Propose(rng *rand.Rand) float64 {

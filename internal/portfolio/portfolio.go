@@ -43,15 +43,26 @@ func (e Effort) zero() bool {
 	return e.Name == "" && e.MovesPerCell == 0 && e.MaxTemps == 0 && e.Chains == 0
 }
 
-// label is the effort's scoreboard spelling.
+// label is the effort's scoreboard spelling: its name, or the knobs it sets
+// ("mpc9/t120", "c4"), so two different unnamed points never share a label.
 func (e Effort) label() string {
 	if e.Name != "" {
 		return e.Name
 	}
-	if e.zero() {
+	var knobs []string
+	if e.MovesPerCell != 0 {
+		knobs = append(knobs, fmt.Sprintf("mpc%d", e.MovesPerCell))
+	}
+	if e.MaxTemps != 0 {
+		knobs = append(knobs, fmt.Sprintf("t%d", e.MaxTemps))
+	}
+	if e.Chains != 0 {
+		knobs = append(knobs, fmt.Sprintf("c%d", e.Chains))
+	}
+	if len(knobs) == 0 {
 		return "base"
 	}
-	return fmt.Sprintf("mpc%d/t%d", e.MovesPerCell, e.MaxTemps)
+	return strings.Join(knobs, "/")
 }
 
 // Matrix is the wire shape of a portfolio's member axes. Expansion is the

@@ -127,6 +127,10 @@ func TestMemberDesc(t *testing.T) {
 		{Member{Seed: 3, Backend: "lagrange"}, "seed=3 backend=lagrange"},
 		{Member{Effort: Effort{Name: "deep"}}, "effort=deep"},
 		{Member{Effort: Effort{MovesPerCell: 9, MaxTemps: 120}}, "effort=mpc9/t120"},
+		{Member{Effort: Effort{Chains: 2}}, "effort=c2"},
+		{Member{Effort: Effort{Chains: 4}}, "effort=c4"},
+		{Member{Effort: Effort{MaxTemps: 80}}, "effort=t80"},
+		{Member{Seed: 2, Effort: Effort{MovesPerCell: 6, Chains: 4}}, "seed=2 effort=mpc6/c4"},
 	}
 	for _, tc := range cases {
 		if got := tc.m.Desc(); got != tc.want {

@@ -25,8 +25,7 @@ import (
 type Config struct {
 	Seed          int64
 	Place         place.Config
-	RouteAttempts int         // detailed-routing ordering retries per channel (default 8)
-	DrouteCost    droute.Cost // zero value selects droute.DefaultCost
+	RouteAttempts int // detailed-routing ordering retries per channel (default 8)
 
 	// TimingDriven enables the classic two-pass criticality-weighted
 	// placement: place once, estimate net criticalities from the placement's
@@ -42,14 +41,10 @@ type Config struct {
 	// RouteBackend selects the full detailed-routing algorithm: the
 	// paper-era ordered router (empty or droute.BackendOrdered), the
 	// PathFinder-style negotiated router (droute.BackendNegotiated), or the
-	// Lagrangian-relaxation net-parallel router (droute.BackendLagrange).
-	// Every backend is deterministic for a fixed Seed regardless of
-	// GOMAXPROCS.
+	// Lagrangian-relaxation net-parallel router (droute.BackendLagrange),
+	// each at its own iteration cap. Every backend is deterministic for a
+	// fixed Seed regardless of GOMAXPROCS.
 	RouteBackend droute.Backend
-
-	// RouteIters overrides the iteration cap of the negotiated and lagrange
-	// backends (0 = the backend's default). Ignored by the ordered router.
-	RouteIters int
 
 	// Metrics, when non-nil, receives per-phase wall-clock records for the
 	// four sequential stages (place, global-route, detail-route, timing).
@@ -63,9 +58,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.CritWeight <= 0 {
 		c.CritWeight = 3
-	}
-	if c.DrouteCost == (droute.Cost{}) {
-		c.DrouteCost = droute.DefaultCost()
 	}
 	if c.Place.Seed == 0 {
 		c.Place.Seed = c.Seed
@@ -97,7 +89,7 @@ func Run(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if cfg.TimingDriven {
-		weights, werr := criticalityWeights(nl, p, cfg.CritWeight)
+		weights, werr := criticalityWeights(p, cfg.CritWeight)
 		if werr != nil {
 			return nil, werr
 		}
@@ -125,19 +117,17 @@ func Run(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Result, error) {
 	drouteDone := metrics.StartPhase(cfg.Metrics, metrics.PhaseDetailRoute)
 	switch backend {
 	case droute.BackendNegotiated:
-		dFailed = droute.RouteAllNegotiated(f, routes, cfg.DrouteCost, droute.NegotiateConfig{
-			MaxIters:         cfg.RouteIters,
+		dFailed = droute.RouteAllNegotiated(f, routes, droute.DefaultCost(), droute.NegotiateConfig{
 			Seed:             cfg.Seed,
 			FallbackAttempts: cfg.RouteAttempts,
 		})
 	case droute.BackendLagrange:
-		dFailed = droute.RouteAllLagrange(f, routes, cfg.DrouteCost, droute.LagrangeConfig{
-			MaxIters:         cfg.RouteIters,
+		dFailed = droute.RouteAllLagrange(f, routes, droute.DefaultCost(), droute.LagrangeConfig{
 			Seed:             cfg.Seed,
 			FallbackAttempts: cfg.RouteAttempts,
 		})
 	default:
-		dFailed = droute.RouteAllDetailed(f, routes, cfg.DrouteCost, cfg.RouteAttempts, rng)
+		dFailed = droute.RouteAllDetailed(f, routes, droute.DefaultCost(), cfg.RouteAttempts, rng)
 	}
 	drouteDone()
 
@@ -157,28 +147,11 @@ func Run(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Result, error) {
 	res.FullyRouted = res.UnroutedNets == 0
 
 	timingDone := metrics.StartPhase(cfg.Metrics, metrics.PhaseTiming)
-	an, err := timing.NewAnalyzer(nl)
+	an, err := timing.Analyze(p, routes)
 	if err != nil {
 		return nil, err
 	}
-	an.Begin()
-	for id := range routes {
-		if len(nl.Nets[id].Sinks) == 0 {
-			continue
-		}
-		var d []float64
-		if routes[id].DetailDone() {
-			d, err = timing.NetDelays(p, int32(id), &routes[id], 1.0)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			d = timing.EstimateDelays(p, int32(id))
-		}
-		an.SetNetDelays(int32(id), d)
-	}
-	res.WCD = an.Propagate()
-	an.Commit()
+	res.WCD = an.WCD()
 	res.CriticalCells = an.CriticalPath()
 	timingDone()
 	return res, nil
@@ -187,25 +160,16 @@ func Run(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Result, error) {
 // criticalityWeights derives per-net placement weights from estimated delays
 // on the first-pass placement (no routing exists yet, exactly the
 // information a sequential timing-driven placer has).
-func criticalityWeights(nl *netlist.Netlist, p *layout.Placement, critWeight float64) ([]float64, error) {
-	an, err := timing.NewAnalyzer(nl)
+func criticalityWeights(p *layout.Placement, critWeight float64) ([]float64, error) {
+	an, err := timing.Analyze(p, nil)
 	if err != nil {
 		return nil, err
 	}
-	an.Begin()
-	for id := range nl.Nets {
-		if len(nl.Nets[id].Sinks) == 0 {
-			continue
-		}
-		an.SetNetDelays(int32(id), timing.EstimateDelays(p, int32(id)))
-	}
-	an.Propagate()
-	an.Commit()
 	// One shot, no history to damp: the shared extractor with damping 0
 	// yields exactly the instantaneous criticalities.
 	ext := timing.NewCriticality(an, 0)
 	ext.Update()
-	weights := make([]float64, nl.NumNets())
+	weights := make([]float64, p.NL.NumNets())
 	for i, c := range ext.Values() {
 		weights[i] = 1 + critWeight*c
 	}

@@ -30,7 +30,6 @@ const (
 	maxChains       = 16
 	maxSyncTemps    = 256
 	maxCritWeight   = 100
-	maxRouteIters   = 512
 )
 
 // JobState is a job's position in the lifecycle state machine:
@@ -94,16 +93,13 @@ type JobConfig struct {
 	DisableTiming bool  `json:"disable_timing,omitempty"`
 
 	// Criticality-weighted timing term (see core.Config). Result-affecting:
-	// all three participate in the cache key whenever the term is on.
-	CritWeight  float64 `json:"crit_weight,omitempty"`
-	CritBias    float64 `json:"crit_bias,omitempty"`
-	CritDamping float64 `json:"crit_damping,omitempty"`
+	// it enters the cache key whenever the term is on.
+	CritWeight float64 `json:"crit_weight,omitempty"`
 
 	// Detailed-router backend of the constructive pass (see droute.Backend;
-	// "" = ordered). Result-affecting together with RouteIters: both enter
-	// the cache key whenever a non-default backend is selected.
+	// "" = ordered). Result-affecting: it enters the cache key whenever a
+	// non-default backend is selected.
 	RouteBackend string `json:"route_backend,omitempty"`
-	RouteIters   int    `json:"route_iters,omitempty"`
 }
 
 // critOn reports whether the request enables the criticality extension.
@@ -240,23 +236,8 @@ func (c *JobConfig) validate() error {
 	if c.CritWeight < 0 || c.CritWeight > maxCritWeight {
 		return fmt.Errorf("config.crit_weight %g out of range [0, %d]", c.CritWeight, maxCritWeight)
 	}
-	if c.CritBias < 0 || c.CritBias > 1 {
-		return fmt.Errorf("config.crit_bias %g out of range [0, 1]", c.CritBias)
-	}
-	if c.CritDamping < 0 || c.CritDamping >= 1 {
-		return fmt.Errorf("config.crit_damping %g out of range [0, 1)", c.CritDamping)
-	}
-	if !c.critOn() && (c.CritBias != 0 || c.CritDamping != 0) {
-		return fmt.Errorf("config.crit_bias/crit_damping require config.crit_weight > 0")
-	}
 	if _, err := droute.ParseBackend(c.RouteBackend); err != nil {
 		return fmt.Errorf("config.route_backend: unknown backend %q (want ordered, negotiated or lagrange)", c.RouteBackend)
-	}
-	if err := check("route_iters", c.RouteIters, maxRouteIters); err != nil {
-		return err
-	}
-	if !c.routeOn() && c.RouteIters != 0 {
-		return fmt.Errorf("config.route_iters requires a negotiated or lagrange config.route_backend")
 	}
 	return nil
 }
@@ -278,14 +259,18 @@ func (s *jobSpec) cacheKey() string {
 	// The criticality line is appended only when the term is on: crit-off
 	// requests produce layouts bit-identical to the pre-extension engine, so
 	// their keys — and any results already cached under them — stay valid.
+	// "bias=0 damp=0" (and "iters=0" below) spell the zero values of the
+	// retired crit_bias, crit_damping and route_iters fields. Every request
+	// still accepted left them at zero, so keeping the text keeps its key,
+	// and every result cached under it, unchanged.
 	if c.critOn() {
-		fmt.Fprintf(h, "crit=%g bias=%g damp=%g\n", c.CritWeight, c.CritBias, c.CritDamping)
+		fmt.Fprintf(h, "crit=%g bias=0 damp=0\n", c.CritWeight)
 	}
 	// Same contract for the route backend: the line is appended only when a
 	// non-default backend is selected, so ordered-backend requests keep their
 	// pre-extension keys and cached results.
 	if c.routeOn() {
-		fmt.Fprintf(h, "route=%s iters=%d\n", c.RouteBackend, c.RouteIters)
+		fmt.Fprintf(h, "route=%s iters=0\n", c.RouteBackend)
 	}
 	h.Write(s.canon)
 	return hex.EncodeToString(h.Sum(nil))
@@ -304,10 +289,7 @@ func (s *jobSpec) coreConfig() core.Config {
 		RangeLimit:    c.RangeLimit,
 		DisableTiming: c.DisableTiming,
 		CritWeight:    c.CritWeight,
-		CritBias:      c.CritBias,
-		CritDamping:   c.CritDamping,
 		RouteBackend:  droute.Backend(c.RouteBackend),
-		RouteIters:    c.RouteIters,
 	}
 }
 

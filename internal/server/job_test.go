@@ -50,9 +50,9 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		t.Error("tracks change did not change the cache key")
 	}
 
-	// Criticality knobs are result-affecting: enabling the term changes the
-	// key, and every sub-knob feeds it; leaving it off preserves the
-	// pre-extension key so existing cached results stay addressable.
+	// The criticality weight is result-affecting: enabling the term changes
+	// the key; leaving it off preserves the pre-extension key so existing
+	// cached results stay addressable.
 	crit, err := buildSpec(JobRequest{Design: "tiny", Config: JobConfig{CritWeight: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -60,22 +60,10 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	if crit.key == named.key {
 		t.Error("crit_weight did not change the cache key")
 	}
-	critBias, err := buildSpec(JobRequest{Design: "tiny", Config: JobConfig{CritWeight: 1, CritBias: 0.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	critDamp, err := buildSpec(JobRequest{Design: "tiny", Config: JobConfig{CritWeight: 1, CritDamping: 0.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if critBias.key == crit.key || critDamp.key == crit.key || critBias.key == critDamp.key {
-		t.Error("crit_bias/crit_damping did not feed the cache key")
-	}
 
-	// Route-backend knobs: selecting a non-default backend changes the key,
-	// its iteration cap feeds it, and the default (empty or explicit
-	// "ordered") preserves the pre-extension key so existing cached results
-	// stay addressable.
+	// Route backend: selecting a non-default backend changes the key, and
+	// the default (empty or explicit "ordered") preserves the pre-extension
+	// key so existing cached results stay addressable.
 	ordered, err := buildSpec(JobRequest{Design: "tiny", Config: JobConfig{RouteBackend: "ordered"}})
 	if err != nil {
 		t.Fatal(err)
@@ -90,19 +78,47 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	if lag.key == named.key {
 		t.Error("route_backend did not change the cache key")
 	}
-	lagIters, err := buildSpec(JobRequest{Design: "tiny", Config: JobConfig{RouteBackend: "lagrange", RouteIters: 12}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lagIters.key == lag.key {
-		t.Error("route_iters did not feed the cache key")
-	}
 	neg, err := buildSpec(JobRequest{Design: "tiny", Config: JobConfig{RouteBackend: "negotiated"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if neg.key == lag.key || neg.key == named.key {
 		t.Error("negotiated backend key not distinct")
+	}
+}
+
+// TestCacheKeyPinned pins the exact key bytes across versions: a changed
+// key orphans every result cached under the old one. The expected values
+// were computed before crit_bias, crit_damping and route_iters were
+// retired, so they also prove the retirement kept every accepted request's
+// key.
+func TestCacheKeyPinned(t *testing.T) {
+	for _, tc := range []struct{ body, key string }{
+		{`{"design":"tiny"}`,
+			"8cde3001828e555f2280ca5b248af964317f32de303a0335cef512b1afb10775"},
+		{`{"design":"tiny","tracks":30,"config":{"seed":7,"moves_per_cell":5,"max_temps":20,"chains":2,"sync_temps":4,"range_limit":true,"disable_timing":true}}`,
+			"9e2b16a2f5c512770583df47286947668051f7779a7896421c5f0f235f2f2d06"},
+		{`{"design":"tiny","config":{"crit_weight":1}}`,
+			"4ba101346f723c76075e28caca0e58cd39da5add821a4f5fb8b84361fa915c22"},
+		{`{"design":"tiny","config":{"seed":3,"crit_weight":0.5}}`,
+			"1dc79e0da96fcc44429a2eccf1cf8583ebc7ba408e97a875294941d0aaf5ac7f"},
+		{`{"design":"tiny","config":{"route_backend":"negotiated"}}`,
+			"9053d80ed00b5407190f7ceb7f44a38e7d274585f3c75ef3abfc99e236f7ae2b"},
+		{`{"design":"tiny","config":{"route_backend":"lagrange"}}`,
+			"d368f1ee06147047296ac522e119786fdb7e1359b022f25369d18b4acb1586b6"},
+		{`{"design":"tiny","config":{"route_backend":"ordered"}}`,
+			"8cde3001828e555f2280ca5b248af964317f32de303a0335cef512b1afb10775"},
+		{`{"design":"s1","priority":"high","config":{"seed":2,"crit_weight":2,"route_backend":"lagrange"}}`,
+			"3de91db108af61df1eff0aa8bf0b4cac54853d5c060518495707ea9f1c5f30bb"},
+	} {
+		spec, err := parseJobRequest([]byte(tc.body))
+		if err != nil {
+			t.Errorf("%s: %v", tc.body, err)
+			continue
+		}
+		if spec.key != tc.key {
+			t.Errorf("%s: key %s, want %s", tc.body, spec.key, tc.key)
+		}
 	}
 }
 
@@ -125,14 +141,12 @@ func TestParseJobRequestValidation(t *testing.T) {
 		{"unknown field", `{"design":"tiny","nope":true}`},
 		{"crit weight negative", `{"design":"tiny","config":{"crit_weight":-1}}`},
 		{"crit weight high", `{"design":"tiny","config":{"crit_weight":1000}}`},
-		{"crit bias high", `{"design":"tiny","config":{"crit_weight":1,"crit_bias":1.5}}`},
-		{"crit damping 1", `{"design":"tiny","config":{"crit_weight":1,"crit_damping":1}}`},
-		{"crit bias without weight", `{"design":"tiny","config":{"crit_bias":0.5}}`},
 		{"unknown route backend", `{"design":"tiny","config":{"route_backend":"pathfinder"}}`},
-		{"route iters without backend", `{"design":"tiny","config":{"route_iters":8}}`},
-		{"route iters high", `{"design":"tiny","config":{"route_backend":"lagrange","route_iters":9999}}`},
 		{"retired workers field", `{"design":"tiny","config":{"workers":2}}`},
 		{"retired route workers field", `{"design":"tiny","config":{"route_backend":"lagrange","route_workers":4}}`},
+		{"retired crit bias field", `{"design":"tiny","config":{"crit_weight":1,"crit_bias":0.25}}`},
+		{"retired crit damping field", `{"design":"tiny","config":{"crit_weight":1,"crit_damping":0.6}}`},
+		{"retired route iters field", `{"design":"tiny","config":{"route_backend":"lagrange","route_iters":12}}`},
 		{"trailing data", `{"design":"tiny"} {"x":1}`},
 		{"not an object", `42`},
 	} {
@@ -142,7 +156,7 @@ func TestParseJobRequestValidation(t *testing.T) {
 	}
 	for _, body := range []string{
 		`{"design":"tiny","tracks":24,"config":{"seed":9,"chains":2}}`,
-		`{"design":"tiny","config":{"route_backend":"lagrange","route_iters":12}}`,
+		`{"design":"tiny","config":{"route_backend":"lagrange"}}`,
 		`{"design":"tiny","config":{"route_backend":"negotiated"}}`,
 	} {
 		if _, err := parseJobRequest([]byte(body)); err != nil {

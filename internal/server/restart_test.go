@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -222,6 +223,35 @@ func TestRecoverRetiredWorkerFields(t *testing.T) {
 	code, gotLayout := getBody(t, ts.URL+"/v1/jobs/j7/layout")
 	if code != http.StatusOK || !bytes.Equal(gotLayout, wantLayout) {
 		t.Errorf("recovered layout: status %d, bytes equal %v", code, bytes.Equal(gotLayout, wantLayout))
+	}
+}
+
+// TestRecoverSkipsChangedKey: a pending submission whose request now hashes
+// to another key than the one journaled with it (journaled with a field that
+// was retired since, here crit_bias) is not re-run after a restart. It would
+// run another configuration under another key than the client was given.
+func TestRecoverSkipsChangedKey(t *testing.T) {
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	old := `{"req":{"design":"tiny","config":{"seed":3,"moves_per_cell":4,"max_temps":10,"crit_weight":1,"crit_bias":0.5}}}`
+	key := strings.Repeat("ab", 32)
+	if err := st1.Journal(store.Record{Kind: store.KindSubmitted, Job: "j7", Key: key, Data: []byte(old)}); err != nil {
+		t.Fatal(err)
+	}
+	st1.Close()
+
+	st2 := openStore(t, dir)
+	srv, ts := startService(server.Config{Workers: 1, QueueDepth: 4, Store: st2})
+	defer func() {
+		ts.Close()
+		srv.Close()
+		st2.Close()
+	}()
+	if code, _ := getBody(t, ts.URL+"/v1/jobs/j7"); code != http.StatusNotFound {
+		t.Errorf("GET recovered j7: status %d, want 404", code)
+	}
+	if st := statsOf(t, ts.URL); st.Runs != 0 {
+		t.Errorf("optimizer_runs = %d, want 0", st.Runs)
 	}
 }
 

@@ -230,6 +230,13 @@ func (s *Server) recover() {
 		if err != nil {
 			continue // validation rules tightened since the journal was written
 		}
+		if spec.key != p.Key {
+			// The request no longer means what it meant when journaled: the
+			// decode above drops retired fields. Re-running it would compute
+			// another configuration under another key than the one the
+			// client was given.
+			continue
+		}
 		j := newJob(spec, sub.Client, nil)
 		s.reinstate(p.Job, j)
 		enqueue = append(enqueue, j)

@@ -3,6 +3,7 @@ package timing
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -268,23 +269,11 @@ func TestVerifyAgreement(t *testing.T) {
 		t.Skip("routing incomplete")
 	}
 	// In-loop WCD: analyzer fed with the in-loop Elmore model.
-	an, err := NewAnalyzer(nl)
+	an, err := Analyze(p, routes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	an.Begin()
-	for id := range routes {
-		if len(nl.Nets[id].Sinks) == 0 {
-			continue
-		}
-		d, err := NetDelays(p, int32(id), &routes[id], 1.0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		an.SetNetDelays(int32(id), d)
-	}
-	inLoop := an.Propagate()
-	an.Commit()
+	inLoop := an.WCD()
 
 	res, err := Verify(p, routes, inLoop)
 	if err != nil {
@@ -295,5 +284,45 @@ func TestVerifyAgreement(t *testing.T) {
 	}
 	if res.Agreement < 0.85 || res.Agreement > 1.001 {
 		t.Errorf("agreement %.3f outside [0.85, 1.0] (paper: within 90%%)", res.Agreement)
+	}
+}
+
+// TestAnalyzeChoosesModelPerNet: Analyze fills a completely routed net with
+// its in-loop Elmore delays and every other net with the spatial estimate,
+// and with nil routes estimates every net.
+func TestAnalyzeChoosesModelPerNet(t *testing.T) {
+	nl, err := netgen.Generate(netgen.Params{Name: "t", Inputs: 4, Outputs: 3, Seq: 2, Comb: 30, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := arch.MustNew(arch.Default(5, 16, 30))
+	p, _, routes, failed := routeDesign(t, a, nl, 3)
+	if failed > 0 {
+		t.Fatalf("%d nets unrouted despite generous fabric", failed)
+	}
+	for id := range routes {
+		if id%3 == 0 {
+			routes[id] = fabric.NetRoute{} // leave every third net unrouted
+		}
+	}
+	for _, rts := range [][]fabric.NetRoute{routes, nil} {
+		an, err := Analyze(p, rts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := range nl.Nets {
+			if len(nl.Nets[id].Sinks) == 0 {
+				continue
+			}
+			want := EstimateDelays(p, int32(id))
+			if rts != nil && id%3 != 0 {
+				if want, err = NetDelays(p, int32(id), &rts[id], 1.0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := an.NetDelay(int32(id)); !slices.Equal(got, want) {
+				t.Errorf("routes nil %v, net %d: delays %v, want %v", rts == nil, id, got, want)
+			}
+		}
 	}
 }

@@ -20,6 +20,34 @@ type VerifyResult struct {
 	Agreement float64 // in-loop WCD divided by independent WCD
 }
 
+// Analyze builds a fresh timing view of a finished layout with the in-loop
+// model: Elmore delays for every completely routed net, the spatial estimate
+// for the rest (for every net when routes is nil, as before routing).
+func Analyze(p *layout.Placement, routes []fabric.NetRoute) (*Analyzer, error) {
+	t, err := NewAnalyzer(p.NL)
+	if err != nil {
+		return nil, err
+	}
+	t.Begin()
+	for id := range p.NL.Nets {
+		if len(p.NL.Nets[id].Sinks) == 0 {
+			continue
+		}
+		var d []float64
+		if routes != nil && routes[id].DetailDone() {
+			if d, err = NetDelays(p, int32(id), &routes[id], 1.0); err != nil {
+				return nil, err
+			}
+		} else {
+			d = EstimateDelays(p, int32(id))
+		}
+		t.SetNetDelays(int32(id), d)
+	}
+	t.Propagate()
+	t.Commit()
+	return t, nil
+}
+
 // Verify re-analyzes a finished layout with an independently parameterized
 // RC model (the RICE [12] stand-in) and compares against the in-loop
 // worst-case delay inLoopWCD. All nets must be completely routed.

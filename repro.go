@@ -240,7 +240,7 @@ type TimingPath struct {
 // CriticalPaths analyzes the layout and returns up to k paths, worst first,
 // one per distinct timing endpoint.
 func (l *Layout) CriticalPaths(k int) ([]TimingPath, error) {
-	an, err := l.analyzer()
+	an, err := timing.Analyze(l.Placement, l.Routes)
 	if err != nil {
 		return nil, err
 	}
@@ -259,39 +259,11 @@ func (l *Layout) CriticalPaths(k int) ([]TimingPath, error) {
 // NetCriticalities returns, per net, how timing-critical the net is in this
 // layout: 1 on the critical path, toward 0 for timing-irrelevant nets.
 func (l *Layout) NetCriticalities() ([]float64, error) {
-	an, err := l.analyzer()
+	an, err := timing.Analyze(l.Placement, l.Routes)
 	if err != nil {
 		return nil, err
 	}
 	return an.NetCriticality(an.WCD()), nil
-}
-
-// analyzer builds a timing view of the layout's current routes.
-func (l *Layout) analyzer() (*timing.Analyzer, error) {
-	an, err := timing.NewAnalyzer(l.Netlist)
-	if err != nil {
-		return nil, err
-	}
-	an.Begin()
-	for id := range l.Routes {
-		if len(l.Netlist.Nets[id].Sinks) == 0 {
-			continue
-		}
-		var d []float64
-		if l.Routes[id].DetailDone() {
-			d, err = timing.NetDelays(l.Placement, int32(id), &l.Routes[id], 1.0)
-			if err != nil {
-				an.Revert()
-				return nil, err
-			}
-		} else {
-			d = timing.EstimateDelays(l.Placement, int32(id))
-		}
-		an.SetNetDelays(int32(id), d)
-	}
-	an.Propagate()
-	an.Commit()
-	return an, nil
 }
 
 // Save serializes the layout (placement, pinmaps, every net's segment
@@ -315,7 +287,7 @@ func LoadLayout(a *Arch, nl *Netlist, r io.Reader) (*Layout, error) {
 		}
 	}
 	l.FullyRouted = l.Unrouted == 0
-	an, err := l.analyzer()
+	an, err := timing.Analyze(l.Placement, l.Routes)
 	if err != nil {
 		return nil, err
 	}
