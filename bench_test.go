@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/exper"
 	"repro/internal/fabric"
 	"repro/internal/groute"
+	"repro/internal/layio"
 	"repro/internal/layout"
 	"repro/internal/netgen"
 	"repro/internal/place"
@@ -254,6 +256,31 @@ func scaledBig529(b *testing.B, k int) (*Netlist, *Arch) {
 		b.Fatal(err)
 	}
 	return nl, a
+}
+
+// BenchmarkLayoutLoad measures reloading a saved big529 layout from memory
+// with layio.Read, which perfbench's big529 hit_p50_ms times through a file.
+// The layout comes from a short fixed-seed run at perfbench's big529 effort.
+func BenchmarkLayoutLoad(b *testing.B) {
+	nl, a := benchDesign(b, "big529")
+	o, err := core.New(a, nl, core.Config{Seed: 1, MovesPerCell: 1, MaxTemps: 10, RepairPasses: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	o.Run()
+	var buf bytes.Buffer
+	if err := layio.Write(&buf, o.P, o.Rts); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := layio.Read(bytes.NewReader(data), a, nl); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(data)), "layout-bytes")
 }
 
 // BenchmarkElmoreNetDelay measures the detailed RC-tree evaluation of one

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/fabric"
+	"repro/internal/groute"
 	"repro/internal/timing"
 )
 
@@ -51,39 +53,13 @@ func (o *Optimizer) Check() error {
 		return err
 	}
 
-	// Route geometry must match current pin positions.
+	// Route geometry must be what the global router derives from the current
+	// pin positions.
+	var scratch []fabric.ChanAssign
 	for id := range o.Rts {
-		r := &o.Rts[id]
-		net := &o.NL.Nets[id]
-		if !r.Global || len(net.Sinks) == 0 {
-			continue
-		}
-		covers := func(ch, col int) bool {
-			for i := range r.Chans {
-				ca := &r.Chans[i]
-				if ca.Ch == ch && ca.Lo <= col && col <= ca.Hi {
-					return true
-				}
-			}
-			return false
-		}
-		ch, col := o.P.PinPos(net.Driver)
-		if !covers(ch, col) {
-			return fmt.Errorf("core: net %d driver pin (%d,%d) outside route intervals", id, ch, col)
-		}
-		for _, s := range net.Sinks {
-			ch, col = o.P.PinPos(s)
-			if !covers(ch, col) {
-				return fmt.Errorf("core: net %d sink pin (%d,%d) outside route intervals", id, ch, col)
-			}
-		}
-		if r.HasTrunk {
-			for i := range r.Chans {
-				ca := &r.Chans[i]
-				if ca.Lo > r.TrunkCol || r.TrunkCol > ca.Hi {
-					return fmt.Errorf("core: net %d channel %d interval misses trunk column", id, ca.Ch)
-				}
-			}
+		var err error
+		if scratch, err = groute.CheckRoute(o.P, int32(id), &o.Rts[id], scratch); err != nil {
+			return fmt.Errorf("core: net %d: %w", id, err)
 		}
 	}
 

@@ -180,6 +180,20 @@ func TestCheckCatchesDrift(t *testing.T) {
 			c.hwatch[0] = append(c.hwatch[0], watch{0, 0, routed, c.netGen[routed]})
 		}, "matches no need"},
 		{"generation past the counter", func(c *Optimizer) { c.netGen[routed] = c.watchGen + 1 }, "past the counter"},
+		{"interval wider than its pins", func(c *Optimizer) {
+			// Still covered by its run and still holding every pin, so only
+			// the derivation from the pins tells.
+			for id := range c.Rts {
+				r := &c.Rts[id]
+				for i := range r.Chans {
+					if ca := &r.Chans[i]; ca.Routed() && c.A.Seg[ca.Track][ca.SegLo].Start < ca.Lo {
+						ca.Lo--
+						return
+					}
+				}
+			}
+			t.Fatal("no routed run reaches left of its interval")
+		}, "its pins need"},
 	} {
 		cl := o.Clone()
 		c.corrupt(cl)

@@ -327,6 +327,13 @@ func TestCheckConsistentCatches(t *testing.T) {
 				}
 			}
 			err := f.CheckConsistent(routes)
+			// CheckExclusive reports exactly the faults that need no
+			// fabric, with the same error; the others are ownership faults.
+			ex := CheckExclusive(a, routes)
+			exclusive := tc.want != "" && !strings.Contains(tc.want, "seg ch=") && !strings.Contains(tc.want, "seg col=")
+			if exclusive != (ex != nil) || ex != nil && (err == nil || ex.Error() != err.Error()) {
+				t.Fatalf("CheckExclusive = %v, CheckConsistent = %v", ex, err)
+			}
 			switch {
 			case tc.want == "" && err != nil:
 				t.Fatalf("consistent state rejected: %v", err)

@@ -1,6 +1,10 @@
 package fabric
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/arch"
+)
 
 // ChanAssign describes a net's presence in one channel: the column interval
 // it must cover there and, once detail-routed, the track and segment run
@@ -126,38 +130,43 @@ func (r *NetRoute) AntifuseCount() int {
 	return n
 }
 
-// CheckConsistent verifies that the ownership tables are exactly the union of
-// the given routes: every resource held by route i is owned by net i in the
-// fabric and vice versa. Used by tests, the optimizer's self-checks and every
-// layout reload (layio.Read), so its claim tables are dense arrays.
-func (f *Fabric) CheckConsistent(routes []NetRoute) error {
-	a := f.A
-	// Claim tables in the ownership tables' iteration order: claimant + 1,
-	// or 0 where no route claims the segment, so claim - 1 is the owner the
-	// fabric must hold (Free is -1). Channel ch, track t's horizontal
-	// segments start at claimH[ch*perCh+hOff[t]]; column c, vertical track
-	// t's at claimV[(c*a.VTracks+t)*a.NVSegs].
-	hOff := make([]int, a.Tracks+1)
+// claims are the dense claim tables of a set of routes: per horizontal and
+// vertical segment, claimant + 1, or 0 where no route claims the segment, so
+// claim - 1 is the owner a fabric holding exactly those routes has (Free is
+// -1). They follow the ownership tables' iteration order: channel ch, track
+// t's horizontal segments start at h[ch*perCh+hOff[t]]; column c, vertical
+// track t's at v[(c*a.VTracks+t)*a.NVSegs].
+type claims struct {
+	hOff  []int
+	perCh int
+	h, v  []int32
+}
+
+// claim fills the claim tables, failing on the first route that leaves the
+// architecture, holds a trunk without being global, routes a channel on a
+// run that does not cover its interval, or claims a segment already claimed.
+func claim(a *arch.Arch, routes []NetRoute) (claims, error) {
+	c := claims{hOff: make([]int, a.Tracks+1)}
 	for t := 0; t < a.Tracks; t++ {
-		hOff[t+1] = hOff[t] + len(a.Seg[t])
+		c.hOff[t+1] = c.hOff[t] + len(a.Seg[t])
 	}
-	perCh := hOff[a.Tracks]
-	claimH := make([]int32, a.Channels()*perCh)
-	claimV := make([]int32, a.Cols*a.VTracks*a.NVSegs)
+	c.perCh = c.hOff[a.Tracks]
+	c.h = make([]int32, a.Channels()*c.perCh)
+	c.v = make([]int32, a.Cols*a.VTracks*a.NVSegs)
 	for id := range routes {
 		r := &routes[id]
 		if r.HasTrunk {
 			if !r.Global {
-				return fmt.Errorf("fabric: net %d has trunk but not global", id)
+				return claims{}, fmt.Errorf("fabric: net %d has trunk but not global", id)
 			}
 			if r.TrunkCol < 0 || r.TrunkCol >= a.Cols || r.TrunkTrack < 0 || r.TrunkTrack >= a.VTracks ||
 				r.VLo < 0 || r.VHi < r.VLo || r.VHi >= a.NVSegs {
-				return fmt.Errorf("fabric: net %d trunk col=%d t=%d [%d,%d] out of range", id, r.TrunkCol, r.TrunkTrack, r.VLo, r.VHi)
+				return claims{}, fmt.Errorf("fabric: net %d trunk col=%d t=%d [%d,%d] out of range", id, r.TrunkCol, r.TrunkTrack, r.VLo, r.VHi)
 			}
-			row := claimV[(r.TrunkCol*a.VTracks+r.TrunkTrack)*a.NVSegs:]
+			row := c.v[(r.TrunkCol*a.VTracks+r.TrunkTrack)*a.NVSegs:]
 			for s := r.VLo; s <= r.VHi; s++ {
 				if prev := row[s]; prev != 0 {
-					return fmt.Errorf("fabric: nets %d and %d both claim vseg %v", prev-1, id, [3]int{r.TrunkCol, r.TrunkTrack, s})
+					return claims{}, fmt.Errorf("fabric: nets %d and %d both claim vseg %v", prev-1, id, [3]int{r.TrunkCol, r.TrunkTrack, s})
 				}
 				row[s] = int32(id) + 1
 			}
@@ -169,24 +178,47 @@ func (f *Fabric) CheckConsistent(routes []NetRoute) error {
 			}
 			if ca.Ch < 0 || ca.Ch >= a.Channels() || ca.Track >= a.Tracks ||
 				ca.SegLo < 0 || ca.SegHi < ca.SegLo || ca.SegHi >= len(a.Seg[ca.Track]) {
-				return fmt.Errorf("fabric: net %d channel %d track %d run [%d,%d] out of range", id, ca.Ch, ca.Track, ca.SegLo, ca.SegHi)
+				return claims{}, fmt.Errorf("fabric: net %d channel %d track %d run [%d,%d] out of range", id, ca.Ch, ca.Track, ca.SegLo, ca.SegHi)
 			}
 			segs := a.Seg[ca.Track]
 			if segs[ca.SegLo].Start > ca.Lo || segs[ca.SegHi].End <= ca.Hi {
-				return fmt.Errorf("fabric: net %d channel %d assignment does not cover [%d,%d]", id, ca.Ch, ca.Lo, ca.Hi)
+				return claims{}, fmt.Errorf("fabric: net %d channel %d assignment does not cover [%d,%d]", id, ca.Ch, ca.Lo, ca.Hi)
 			}
-			row := claimH[ca.Ch*perCh+hOff[ca.Track]:]
+			row := c.h[ca.Ch*c.perCh+c.hOff[ca.Track]:]
 			for s := ca.SegLo; s <= ca.SegHi; s++ {
 				if prev := row[s]; prev != 0 {
-					return fmt.Errorf("fabric: nets %d and %d both claim hseg %v", prev-1, id, [3]int{ca.Ch, ca.Track, s})
+					return claims{}, fmt.Errorf("fabric: nets %d and %d both claim hseg %v", prev-1, id, [3]int{ca.Ch, ca.Track, s})
 				}
 				row[s] = int32(id) + 1
 			}
 		}
 	}
+	return c, nil
+}
+
+// CheckExclusive verifies that the routes fit the architecture and that no
+// two of them, and no route twice, claim one segment: the conditions under
+// which a fresh fabric could install them all. It builds no fabric, so
+// layio.Read runs it on every reload. CheckConsistent starts from the same
+// tables.
+func CheckExclusive(a *arch.Arch, routes []NetRoute) error {
+	_, err := claim(a, routes)
+	return err
+}
+
+// CheckConsistent verifies that the ownership tables are exactly the union of
+// the given routes: every resource held by route i is owned by net i in the
+// fabric and vice versa. Used by tests and the optimizer's self-checks; its
+// claim tables are dense arrays.
+func (f *Fabric) CheckConsistent(routes []NetRoute) error {
+	a := f.A
+	c, err := claim(a, routes)
+	if err != nil {
+		return err
+	}
 	for ch := range f.h {
 		for t := range f.h[ch] {
-			row := claimH[ch*perCh+hOff[t]:]
+			row := c.h[ch*c.perCh+c.hOff[t]:]
 			for s, owner := range f.h[ch][t] {
 				if want := row[s] - 1; owner != want {
 					return fmt.Errorf("fabric: hseg ch=%d t=%d s=%d owner=%d want=%d", ch, t, s, owner, want)
@@ -194,12 +226,12 @@ func (f *Fabric) CheckConsistent(routes []NetRoute) error {
 			}
 		}
 	}
-	for c := range f.v {
-		for t := range f.v[c] {
-			row := claimV[(c*a.VTracks+t)*a.NVSegs:]
-			for s, owner := range f.v[c][t] {
+	for col := range f.v {
+		for t := range f.v[col] {
+			row := c.v[(col*a.VTracks+t)*a.NVSegs:]
+			for s, owner := range f.v[col][t] {
 				if want := row[s] - 1; owner != want {
-					return fmt.Errorf("fabric: vseg col=%d t=%d s=%d owner=%d want=%d", c, t, s, owner, want)
+					return fmt.Errorf("fabric: vseg col=%d t=%d s=%d owner=%d want=%d", col, t, s, owner, want)
 				}
 			}
 		}

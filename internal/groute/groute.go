@@ -8,6 +8,7 @@
 package groute
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/fabric"
@@ -105,6 +106,48 @@ func Route(f *fabric.Fabric, p *layout.Placement, id int32, r *fabric.NetRoute) 
 	}
 	f.Stats.GRouteFails++
 	return false
+}
+
+// CheckRoute reports whether r is exactly what Route derives for net id from
+// the current pins, whatever trunk column and track it took: a route that is
+// not global, or the global route of a sink-less net, holds nothing;
+// otherwise r has one entry per channel holding a pin, in ascending order,
+// each spanning that channel's pins, a trunk iff the pins span several
+// channels, covering exactly their vertical segment range, and every
+// interval reaches the trunk column. Resource ranges and exclusivity are
+// fabric.CheckExclusive's. scratch is reused for the derived needs and
+// returned for the next call.
+func CheckRoute(p *layout.Placement, id int32, r *fabric.NetRoute, scratch []fabric.ChanAssign) ([]fabric.ChanAssign, error) {
+	if !r.Global || len(p.NL.Nets[id].Sinks) == 0 {
+		if r.HasTrunk || len(r.Chans) > 0 {
+			return scratch, fmt.Errorf("route holds %d channel entries and trunk %v, want none (global %v, %d sinks)",
+				len(r.Chans), r.HasTrunk, r.Global, len(p.NL.Nets[id].Sinks))
+		}
+		return scratch, nil
+	}
+	need := appendNeeds(scratch[:0], p, id)
+	if len(r.Chans) != len(need) {
+		return need, fmt.Errorf("route has %d channel entries, its pins need %d", len(r.Chans), len(need))
+	}
+	multi := len(need) > 1
+	if r.HasTrunk != multi {
+		return need, fmt.Errorf("route has trunk %v, its pins span %d channels", r.HasTrunk, len(need))
+	}
+	if multi {
+		if vLo, vHi := p.A.VSegRange(need[0].Ch, need[len(need)-1].Ch); r.VLo != vLo || r.VHi != vHi {
+			return need, fmt.Errorf("trunk spans vsegs [%d,%d], its pins need [%d,%d]", r.VLo, r.VHi, vLo, vHi)
+		}
+	}
+	for i, want := range need {
+		if r.HasTrunk {
+			want.Lo, want.Hi = min(want.Lo, r.TrunkCol), max(want.Hi, r.TrunkCol)
+		}
+		if ca := &r.Chans[i]; ca.Ch != want.Ch || ca.Lo != want.Lo || ca.Hi != want.Hi {
+			return need, fmt.Errorf("channel entry %d is channel %d [%d,%d], its pins need channel %d [%d,%d]",
+				i, ca.Ch, ca.Lo, ca.Hi, want.Ch, want.Lo, want.Hi)
+		}
+	}
+	return need, nil
 }
 
 // nearestRun picks from fit, a set of (column, vtrack) pairs packed as

@@ -2,6 +2,7 @@ package groute
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -227,6 +228,13 @@ func TestRouteRipupProperty(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
+		var scratch []fabric.ChanAssign
+		for id := range routes {
+			if scratch, err = CheckRoute(p, int32(id), &routes[id], scratch); err != nil {
+				t.Logf("seed %d: net %d: %v", seed, id, err)
+				return false
+			}
+		}
 		for id := range routed {
 			RipUp(f, id, &routes[id])
 		}
@@ -234,6 +242,53 @@ func TestRouteRipupProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckRouteCatches requires every route Route derives to pass
+// CheckRoute, and each departure from that derivation to fail it.
+func TestCheckRouteCatches(t *testing.T) {
+	nl := chainNetlist(20)
+	_, f, p := setup(t, 6, 12, nl, 6)
+	routes := make([]fabric.NetRoute, nl.NumNets())
+	if failed := RouteAll(f, p, routes); len(failed) != 0 {
+		t.Fatalf("%d nets failed global routing on an empty fabric", len(failed))
+	}
+	var scratch []fabric.ChanAssign
+	single, multi := -1, -1
+	for id := range routes {
+		var err error
+		if scratch, err = CheckRoute(p, int32(id), &routes[id], scratch); err != nil {
+			t.Fatalf("net %d: derived route rejected: %v", id, err)
+		}
+		if routes[id].HasTrunk {
+			multi = id
+		} else if len(routes[id].Chans) > 0 {
+			single = id
+		}
+	}
+	if single < 0 || multi < 0 {
+		t.Fatal("want both a single-channel and a multi-channel net")
+	}
+	for _, tc := range []struct {
+		name    string
+		id      int
+		corrupt func(r *fabric.NetRoute)
+		want    string
+	}{
+		{"channel dropped", multi, func(r *fabric.NetRoute) { r.Chans = r.Chans[:len(r.Chans)-1] }, "channel entries"},
+		{"interval widened", single, func(r *fabric.NetRoute) { r.Chans[0].Hi++ }, "its pins need channel"},
+		{"trunk dropped", multi, func(r *fabric.NetRoute) { r.HasTrunk = false }, "route has trunk false"},
+		{"trunk added", single, func(r *fabric.NetRoute) { r.HasTrunk = true }, "route has trunk true"},
+		{"trunk short", multi, func(r *fabric.NetRoute) { r.VHi-- }, "trunk spans vsegs"},
+		{"not global yet holding", single, func(r *fabric.NetRoute) { r.Global = false }, "want none (global false"},
+	} {
+		r := routes[tc.id].Clone()
+		tc.corrupt(&r)
+		_, err := CheckRoute(p, int32(tc.id), &r, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/timing"
 )
 
 // FuzzLayoutLoad holds Read to its contract on arbitrary input against a
-// fixed netlist and architecture: it never panics, and whatever it accepts
-// is canonical after one write — reading the written bytes back succeeds and
-// writing again reproduces them byte for byte. Bytes are compared, not
-// exper.LayoutHash: Read does not restore every in-memory route field the
-// hash covers.
+// fixed netlist and architecture: it never panics; whatever it accepts, the
+// timing model can evaluate, with a positive delay at every sink of every
+// detail-routed net; and it is canonical after one write — reading the
+// written bytes back succeeds and writing again reproduces them byte for
+// byte. Bytes are compared, not exper.LayoutHash: Read does not restore
+// every in-memory route field the hash covers.
 func FuzzLayoutLoad(f *testing.F) {
 	a, nl, o := routedState(f)
 	var buf bytes.Buffer
@@ -26,11 +29,27 @@ func FuzzLayoutLoad(f *testing.F) {
 	f.Add([]byte("# comment\n\n" + strings.ReplaceAll(text, " ", "  ")))
 	f.Add([]byte(strings.Replace(text, " global", " unrouted", 3)))
 	f.Add([]byte(strings.Replace(text, " chan ", " chan 0 0 1 open chan ", 1)))
+	f.Add([]byte(dropLastChan(f, text)))
+	f.Add([]byte(shrinkInterval(f, text)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, routes, err := Read(bytes.NewReader(data), a, nl)
 		if err != nil {
 			return
+		}
+		an, err := timing.Analyze(p, routes)
+		if err != nil {
+			t.Fatalf("timing of an accepted layout: %v", err)
+		}
+		for id := range routes {
+			if !routes[id].DetailDone() {
+				continue
+			}
+			for i, d := range an.NetDelay(int32(id)) {
+				if !(d > 0) {
+					t.Fatalf("net %s sink %d: delay %v ps", nl.Nets[id].Name, i, d)
+				}
+			}
 		}
 		var once bytes.Buffer
 		if err := Write(&once, p, routes); err != nil {

@@ -8,9 +8,13 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/droute"
 	"repro/internal/fabric"
+	"repro/internal/layout"
 	"repro/internal/netgen"
 	"repro/internal/netlist"
+	"repro/internal/place"
+	"repro/internal/seq"
 )
 
 // routedState produces a real placed-and-routed design to serialize.
@@ -29,10 +33,13 @@ func routedState(t testing.TB) (*arch.Arch, *netlist.Netlist, *core.Optimizer) {
 	return a, nl, o
 }
 
-func TestWriteReadRoundTrip(t *testing.T) {
-	a, nl, o := routedState(t)
+// roundTrip requires Read(Write(p, routes)) to give back the placement and
+// routes, each route's channel entries capped at their length, and to write
+// the same bytes again. It returns the written layout.
+func roundTrip(t *testing.T, a *arch.Arch, nl *netlist.Netlist, p *layout.Placement, routes []fabric.NetRoute) string {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, o.P, o.Rts); err != nil {
+	if err := Write(&buf, p, routes); err != nil {
 		t.Fatal(err)
 	}
 	p2, routes2, err := Read(bytes.NewReader(buf.Bytes()), a, nl)
@@ -40,13 +47,16 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := range nl.Cells {
-		if p2.Loc[id] != o.P.Loc[id] || p2.Pm[id] != o.P.Pm[id] {
+		if p2.Loc[id] != p.Loc[id] || p2.Pm[id] != p.Pm[id] {
 			t.Fatalf("cell %d placement drifted", id)
 		}
 	}
 	for id := range routes2 {
-		if !routes2[id].Equal(&o.Rts[id]) {
+		if !routes2[id].Equal(&routes[id]) {
 			t.Fatalf("net %d route drifted", id)
+		}
+		if c := routes2[id].Chans; cap(c) != len(c) {
+			t.Fatalf("net %d: %d channel entries with room for %d", id, len(c), cap(c))
 		}
 	}
 	// Canonical: rewriting gives identical bytes.
@@ -56,6 +66,22 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("write(read(write(x))) != write(x)")
+	}
+	return buf.String()
+}
+
+func TestWriteReadRoundTrip(t *testing.T) {
+	a, nl, o := routedState(t)
+	roundTrip(t, a, nl, o.P, o.Rts)
+	for _, b := range []droute.Backend{droute.BackendOrdered, droute.BackendNegotiated, droute.BackendLagrange} {
+		t.Run(string(b), func(t *testing.T) {
+			res, err := seq.Run(a, nl, seq.Config{Seed: 3, RouteBackend: b,
+				Place: place.Config{Seed: 3, MovesPerCell: 5, MaxTemps: 40}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			roundTrip(t, a, nl, res.P, res.Routes)
+		})
 	}
 }
 
@@ -84,6 +110,12 @@ func TestReadRejectsCorruption(t *testing.T) {
 		{"no header", func(s string) string {
 			return strings.Replace(s, "layout lt", "# layout lt", 1)
 		}, "header"},
+		{"fields after unrouted", func(s string) string {
+			return strings.Replace(s, " global trunk ", " unrouted trunk ", 1)
+		}, "after unrouted"},
+		{"signed number", func(s string) string { return strings.Replace(s, " trunk ", " trunk +", 1) }, "bad number"},
+		{"channel dropped", func(s string) string { return dropLastChan(t, s) }, "its pins need"},
+		{"interval misses a pin", func(s string) string { return shrinkInterval(t, s) }, "its pins need"},
 	}
 	for _, m := range mutations {
 		_, _, err := Read(strings.NewReader(m.mut(base)), a, nl)
@@ -93,36 +125,80 @@ func TestReadRejectsCorruption(t *testing.T) {
 	}
 }
 
+// dropLastChan removes the last channel entry of the first net with a trunk:
+// its segments stay exclusive and in range, but a pin's channel is no longer
+// routed.
+func dropLastChan(t testing.TB, s string) string {
+	t.Helper()
+	i := strings.Index(s, " trunk ")
+	if i < 0 {
+		t.Fatal("no net has a trunk")
+	}
+	start := strings.LastIndex(s[:i], "\n") + 1
+	end := i + strings.Index(s[i:], "\n")
+	line := s[start:end]
+	return s[:start] + line[:strings.LastIndex(line, " chan ")] + s[end:]
+}
+
+// shrinkInterval narrows the interval of the first single-channel net that
+// spans several columns to its left end. Its segments still cover the new
+// interval, which misses the net's rightmost pin.
+func shrinkInterval(t testing.TB, s string) string {
+	t.Helper()
+	lines := strings.SplitAfter(s, "\n")
+	for i, ln := range lines {
+		// net NAME global chan CH LO HI TRACK SEGLO SEGHI
+		f := strings.Fields(ln)
+		if len(f) == 10 && f[0] == "net" && f[3] == "chan" && f[5] != f[6] {
+			f[6] = f[5]
+			lines[i] = strings.Join(f, " ") + "\n"
+			return strings.Join(lines, "")
+		}
+	}
+	t.Fatal("no single-channel net spans two columns")
+	return ""
+}
+
 func TestReadRejectsResourceConflict(t *testing.T) {
 	a, nl, o := routedState(t)
-	// Find two routed single-channel nets and force them onto the same
-	// track/segments by editing the serialized form.
-	var buf bytes.Buffer
-	if err := Write(&buf, o.P, o.Rts); err != nil {
-		t.Fatal(err)
+	// Move one of two detail-routed nets whose intervals overlap in a
+	// channel onto the other's track. Both routes stay what their pins
+	// derive, so only the double claim is wrong.
+	routes := make([]fabric.NetRoute, len(o.Rts))
+	for id := range o.Rts {
+		routes[id] = o.Rts[id].Clone()
 	}
-	lines := strings.Split(buf.String(), "\n")
-	first := ""
 	edited := false
-	for i, ln := range lines {
-		if !strings.HasPrefix(ln, "net ") || !strings.Contains(ln, " chan ") || strings.Contains(ln, "trunk") {
-			continue
+search:
+	for i := range routes {
+		for j := range routes {
+			if i == j || !routes[i].DetailDone() || !routes[j].DetailDone() {
+				continue
+			}
+			for _, ca := range routes[i].Chans {
+				for k := range routes[j].Chans {
+					cb := &routes[j].Chans[k]
+					if cb.Ch != ca.Ch || cb.Hi < ca.Lo || ca.Hi < cb.Lo {
+						continue
+					}
+					cb.Track = ca.Track
+					cb.SegLo, cb.SegHi = a.SegRange(ca.Track, cb.Lo, cb.Hi)
+					edited = true
+					break search
+				}
+			}
 		}
-		body := ln[strings.Index(ln, " chan "):]
-		if first == "" {
-			first = body
-			continue
-		}
-		lines[i] = ln[:strings.Index(ln, " chan ")] + first
-		edited = true
-		break
 	}
 	if !edited {
-		t.Skip("could not build conflict scenario")
+		t.Fatal("no two routed nets overlap in a channel")
 	}
-	_, _, err := Read(strings.NewReader(strings.Join(lines, "\n")), a, nl)
-	if err == nil {
-		t.Error("resource conflict accepted")
+	var buf bytes.Buffer
+	if err := Write(&buf, o.P, routes); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := Read(&buf, a, nl)
+	if err == nil || !strings.Contains(err.Error(), "both claim") {
+		t.Errorf("resource conflict: got %v, want a double claim", err)
 	}
 }
 
@@ -148,7 +224,9 @@ func TestReadPartialRoutesOK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := arch.MustNew(arch.Default(3, 10, 2))
+	ap := arch.Default(3, 10, 2)
+	ap.VTracks = 1 // too few for every multi-channel net: some stay unrouted
+	a := arch.MustNew(ap)
 	o, err := core.New(a, nl, core.Config{Seed: 3, MovesPerCell: 2, MaxTemps: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -159,11 +237,11 @@ func TestReadPartialRoutesOK(t *testing.T) {
 		o.Propose(rng)
 		o.Reject()
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, o.P, o.Rts); err != nil {
-		t.Fatal(err)
+	text := roundTrip(t, a, nl, o.P, o.Rts)
+	if !strings.Contains(text, " unrouted\n") || !strings.Contains(text, " open") {
+		t.Fatal("no unrouted net or open channel to load")
 	}
-	_, routes, err := Read(bytes.NewReader(buf.Bytes()), a, nl)
+	_, routes, err := Read(strings.NewReader(text), a, nl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,8 +124,13 @@ func TestEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d, want 202", resp.StatusCode)
 	}
-	if st.State != server.StateQueued || st.Cached {
-		t.Fatalf("fresh submit: state %s cached %v, want queued/false", st.State, st.Cached)
+	// An idle worker may lease the job, or even finish it, before the
+	// response snapshots it.
+	switch {
+	case st.Cached:
+		t.Fatalf("fresh submit answered from the cache")
+	case st.State != server.StateQueued && st.State != server.StateRunning && st.State != server.StateDone:
+		t.Fatalf("fresh submit: state %s, want queued, running or done", st.State)
 	}
 
 	// Stream events until the job completes; the stream must carry at least

@@ -273,8 +273,9 @@ func (l *Layout) Save(w io.Writer) error {
 }
 
 // LoadLayout reads a layout saved by Save, validating it against the
-// architecture and netlist (geometry, placement legality, resource
-// exclusivity), and re-deriving routedness and timing.
+// architecture and netlist (geometry, placement legality, every route being
+// the one its net's pins derive, resource exclusivity), and re-deriving
+// routedness and timing.
 func LoadLayout(a *Arch, nl *Netlist, r io.Reader) (*Layout, error) {
 	p, routes, err := layio.Read(r, a, nl)
 	if err != nil {
