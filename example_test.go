@@ -26,20 +26,6 @@ func Example() {
 	// Output: cells=30 routed=true
 }
 
-// ExamplePartitionNetlist splits a design across two FPGAs.
-func ExamplePartitionNetlist() {
-	nl, err := repro.GenerateBenchmark("tiny")
-	if err != nil {
-		log.Fatal(err)
-	}
-	pr, err := repro.PartitionNetlist(nl, 2, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("chips=%d\n", len(pr.Chips))
-	// Output: chips=2
-}
-
 // ExampleTechMap legalizes a wide gate to 4-input modules.
 func ExampleTechMap() {
 	nl, err := repro.GenerateNetlist(repro.BenchmarkParams{

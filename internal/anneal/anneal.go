@@ -156,14 +156,6 @@ func (c *Chain) Done() bool { return c.done }
 // Temps returns the number of completed temperature steps (excluding warmup).
 func (c *Chain) Temps() int { return c.step }
 
-// Wall returns the wall clock spent stepping this chain so far. It is
-// reporting-only and never influences the chain's trajectory.
-func (c *Chain) Wall() time.Duration { return c.wall }
-
-// Adoptions returns how many times the chain restarted from a champion's
-// state at a synchronization barrier.
-func (c *Chain) Adoptions() int { return c.adoptions }
-
 // Result reports the chain's run so far.
 func (c *Chain) Result() Result {
 	r := c.res
@@ -172,9 +164,6 @@ func (c *Chain) Result() Result {
 	r.Cancelled = c.stopped
 	return r
 }
-
-// Cancelled reports whether the chain was terminated by Config.Cancel.
-func (c *Chain) Cancelled() bool { return c.stopped }
 
 // Step advances the chain by one unit — the warmup walk on the first call,
 // one full temperature afterwards — and reports whether work was done. It

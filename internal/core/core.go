@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"time"
 
 	"repro/internal/anneal"
 	"repro/internal/arch"
@@ -192,12 +191,11 @@ type Result struct {
 	RouteFailed int
 
 	// Parallel-run report; zero values on the serial path.
-	Chains           int             // number of annealing chains (0 or 1 = serial)
-	Champion         int             // winning chain index
-	Restarts         int             // loser restarts performed at sync barriers
-	ChainCosts       []float64       // final annealing cost per chain
-	ChainWall        []time.Duration // wall clock spent stepping each chain (reporting only)
-	ChampionSwitches int             // barriers at which the champion index changed
+	Chains           int       // number of annealing chains (0 or 1 = serial)
+	Champion         int       // winning chain index
+	Restarts         int       // loser restarts performed at sync barriers
+	ChainCosts       []float64 // final annealing cost per chain
+	ChampionSwitches int       // barriers at which the champion index changed
 }
 
 // Optimizer is the simultaneous place-and-route engine. It implements
@@ -653,7 +651,6 @@ func (o *Optimizer) RunParallel() (*Optimizer, Result) {
 	res.Champion = pres.Champion
 	res.Restarts = pres.Restarts
 	res.ChampionSwitches = pres.ChampionSwitches
-	res.ChainWall = append([]time.Duration(nil), pres.Wall...)
 	res.ChainCosts = make([]float64, len(pres.PerChain))
 	for i := range pres.PerChain {
 		res.ChainCosts[i] = pres.PerChain[i].FinalCost
@@ -820,9 +817,6 @@ func (o *Optimizer) cellOnUnroutedNet(rng *rand.Rand) (int32, bool) {
 	}
 	return net.Sinks[k-1].Cell, true
 }
-
-// Dynamics returns the per-temperature activity trace of the last Run.
-func (o *Optimizer) Dynamics() []DynamicsSample { return o.dynamics }
 
 // before reports whether net a precedes net b in cascade order: decreasing
 // estimated length (the paper's U_G/U_D priority), then increasing id. It is

@@ -324,9 +324,6 @@ func (l *loader) finish() error {
 			return fmt.Errorf("layio: cell %q unplaced", l.nl.Cells[id].Name)
 		}
 	}
-	if err := l.p.Validate(); err != nil {
-		return err
-	}
 	var scratch []fabric.ChanAssign
 	for id := range l.routes {
 		var err error

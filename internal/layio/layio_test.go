@@ -106,6 +106,18 @@ func TestReadRejectsCorruption(t *testing.T) {
 			j := strings.Index(s[i:], "\n")
 			return s[:i] + s[i+j+1:]
 		}, "unplaced"},
+		{"placed twice", func(s string) string {
+			return editPlace(t, s, 1, func(f, first []string) { f[1] = first[1] })
+		}, "placed twice"},
+		{"slot occupied", func(s string) string {
+			return editPlace(t, s, 1, func(f, first []string) { f[2], f[3] = first[2], first[3] })
+		}, "already occupied"},
+		{"slot out of range", func(s string) string {
+			return editPlace(t, s, 0, func(f, _ []string) { f[2] = "99" })
+		}, "slot (99,"},
+		{"pinmap out of range", func(s string) string {
+			return editPlace(t, s, 0, func(f, _ []string) { f[4] = "99" })
+		}, "pinmap 99 out of range"},
 		{"garbage", func(s string) string { return s + "frobnicate 1 2\n" }, "unknown directive"},
 		{"no header", func(s string) string {
 			return strings.Replace(s, "layout lt", "# layout lt", 1)
@@ -123,6 +135,32 @@ func TestReadRejectsCorruption(t *testing.T) {
 			t.Errorf("%s: got %v, want contains %q", m.name, err, m.want)
 		}
 	}
+}
+
+// editPlace rewrites the k-th place line (place CELL ROW COL PINMAP) with
+// edit, which also sees the fields of the first place line.
+func editPlace(t testing.TB, s string, k int, edit func(f, first []string)) string {
+	t.Helper()
+	lines := strings.SplitAfter(s, "\n")
+	var first []string
+	n := 0
+	for i, ln := range lines {
+		f := strings.Fields(ln)
+		if len(f) != 5 || f[0] != "place" {
+			continue
+		}
+		if n == 0 {
+			first = append([]string(nil), f...)
+		}
+		if n == k {
+			edit(f, first)
+			lines[i] = strings.Join(f, " ") + "\n"
+			return strings.Join(lines, "")
+		}
+		n++
+	}
+	t.Fatalf("no place line %d", k)
+	return ""
 }
 
 // dropLastChan removes the last channel entry of the first net with a trunk:

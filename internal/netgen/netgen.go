@@ -24,12 +24,10 @@ type Params struct {
 	Seq     int
 	Comb    int
 
-	MaxFanin  int     // logic module fanin limit (default 4)
-	Depth     int     // target logic depth in comb levels (default 9)
-	Locality  float64 // probability a fanin comes from the immediately previous level (default 0.65)
-	CombDelay float64 // intrinsic delay of comb cells in ps (default 3000)
-	SeqDelay  float64 // clock-to-out of seq cells in ps (default 3500)
-	Seed      int64
+	MaxFanin int     // logic module fanin limit (default 4)
+	Depth    int     // target logic depth in comb levels (default 9)
+	Locality float64 // probability a fanin comes from the immediately previous level (default 0.65)
+	Seed     int64
 }
 
 func (p *Params) setDefaults() {
@@ -41,12 +39,6 @@ func (p *Params) setDefaults() {
 	}
 	if p.Locality <= 0 {
 		p.Locality = 0.65
-	}
-	if p.CombDelay <= 0 {
-		p.CombDelay = 3000
-	}
-	if p.SeqDelay <= 0 {
-		p.SeqDelay = 3500
 	}
 }
 
@@ -137,14 +129,14 @@ func Generate(p Params) (*netlist.Netlist, error) {
 			ins = append(ins, n)
 		}
 		out := fmt.Sprintf("c%d", i)
-		b.Comb(fmt.Sprintf("g%d", i), p.CombDelay, out, ins...)
+		b.Comb(fmt.Sprintf("g%d", i), netlist.CombDelay, out, ins...)
 		addNet(level, out)
 		combNets = append(combNets, out)
 	}
 	for i := 0; i < p.Seq; i++ {
 		d := combNets[rng.Intn(len(combNets))]
 		uses[d]++
-		b.Seq(fmt.Sprintf("ff%d", i), p.SeqDelay, fmt.Sprintf("q%d", i), d)
+		b.Seq(fmt.Sprintf("ff%d", i), netlist.SeqDelay, fmt.Sprintf("q%d", i), d)
 	}
 	// Primary outputs tap distinct late logic nets where possible.
 	taken := map[string]bool{}

@@ -7,25 +7,13 @@ import (
 	"strings"
 )
 
-// BlifOptions configures technology parameters applied while importing a
-// BLIF logic description (BLIF itself carries no delay information).
-type BlifOptions struct {
-	CombDelay float64 // intrinsic delay assigned to .names cells
-	SeqDelay  float64 // clock-to-out delay assigned to .latch cells
-}
-
-// DefaultBlifOptions returns era-plausible module delays.
-func DefaultBlifOptions() BlifOptions {
-	return BlifOptions{CombDelay: 3000, SeqDelay: 3500}
-}
-
 // ParseBlif reads a subset of Berkeley BLIF sufficient for the MCNC logic
 // benchmarks after technology mapping: .model/.inputs/.outputs/.names/.latch/
 // .end, with backslash line continuation. Truth-table rows under .names are
 // accepted and ignored (only connectivity matters to layout). Each .names
 // becomes a combinational cell, each .latch a sequential cell; pads are
-// synthesized for .inputs and .outputs.
-func ParseBlif(r io.Reader, opt BlifOptions) (*Netlist, error) {
+// synthesized for .inputs and .outputs. Cells get CombDelay and SeqDelay.
+func ParseBlif(r io.Reader) (*Netlist, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 
@@ -52,7 +40,7 @@ func ParseBlif(r io.Reader, opt BlifOptions) (*Netlist, error) {
 			b.AddCell("const_"+out, Input, 0, out)
 			return nil
 		}
-		b.Comb("g_"+out, opt.CombDelay, out, ins...)
+		b.Comb("g_"+out, CombDelay, out, ins...)
 		return nil
 	}
 	emitLatch := func(tokens []string) error {
@@ -61,7 +49,7 @@ func ParseBlif(r io.Reader, opt BlifOptions) (*Netlist, error) {
 		}
 		in, out := tokens[0], tokens[1]
 		// Optional <type> <control> [init-val] tokens are accepted and ignored.
-		b.Seq("ff_"+out, opt.SeqDelay, out, in)
+		b.Seq("ff_"+out, SeqDelay, out, in)
 		return nil
 	}
 

@@ -86,9 +86,9 @@ const sampleBlif = `
 `
 
 func TestParseBlif(t *testing.T) {
-	nl, err := ParseBlif(strings.NewReader(sampleBlif), DefaultBlifOptions())
+	nl, err := Parse(strings.NewReader(sampleBlif), "blif")
 	if err != nil {
-		t.Fatalf("ParseBlif: %v", err)
+		t.Fatalf("Parse: %v", err)
 	}
 	if nl.Name != "demo" {
 		t.Errorf("model name = %q", nl.Name)
@@ -109,6 +109,18 @@ func TestParseBlif(t *testing.T) {
 	if err := nl.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
+	checkModuleDelays(t, nl)
+}
+
+// checkModuleDelays asserts that the parser gave every combinational cell
+// CombDelay and every sequential cell SeqDelay.
+func checkModuleDelays(t *testing.T, nl *Netlist) {
+	t.Helper()
+	for _, c := range nl.Cells {
+		if (c.Type == Comb && c.Delay != CombDelay) || (c.Type == Seq && c.Delay != SeqDelay) {
+			t.Errorf("%s cell %s has delay %v", c.Type, c.Name, c.Delay)
+		}
+	}
 }
 
 func TestParseBlifConstNames(t *testing.T) {
@@ -122,7 +134,7 @@ func TestParseBlifConstNames(t *testing.T) {
 11 1
 .end
 `
-	nl, err := ParseBlif(strings.NewReader(in), DefaultBlifOptions())
+	nl, err := ParseBlif(strings.NewReader(in))
 	if err != nil {
 		t.Fatalf("ParseBlif: %v", err)
 	}
@@ -146,7 +158,7 @@ func TestParseBlifErrors(t *testing.T) {
 		{"empty names", ".model a\n.names\n", ".names with no signals"},
 	}
 	for _, tc := range cases {
-		_, err := ParseBlif(strings.NewReader(tc.in), DefaultBlifOptions())
+		_, err := ParseBlif(strings.NewReader(tc.in))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want contains %q", tc.name, err, tc.want)
 		}
@@ -156,13 +168,13 @@ func TestParseBlifErrors(t *testing.T) {
 func TestParseBlifTwoModelsAfterEndIgnored(t *testing.T) {
 	// Content after .end is ignored per common BLIF practice.
 	in := ".model a\n.inputs x\n.outputs y\n.names x y\n1 1\n.end\ngarbage here\n"
-	if _, err := ParseBlif(strings.NewReader(in), DefaultBlifOptions()); err != nil {
+	if _, err := ParseBlif(strings.NewReader(in)); err != nil {
 		t.Fatalf("post-.end content should be ignored: %v", err)
 	}
 }
 
 func TestBlifThenNetRoundTrip(t *testing.T) {
-	nl, err := ParseBlif(strings.NewReader(sampleBlif), DefaultBlifOptions())
+	nl, err := ParseBlif(strings.NewReader(sampleBlif))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func FuzzParseBlif(f *testing.F) {
 	f.Add(".names x y\n")
 	f.Add(".model m\n.inputs a \\\nb\n.outputs y\n.names a b y\n.end\n")
 	f.Fuzz(func(t *testing.T, in string) {
-		nl, err := ParseBlif(strings.NewReader(in), DefaultBlifOptions())
+		nl, err := ParseBlif(strings.NewReader(in))
 		if err != nil {
 			return
 		}
@@ -60,7 +60,7 @@ func FuzzParseXnf(f *testing.F) {
 	f.Add("LCANET, 4\nSYM, F, DFF\nPIN, Q, O, q\nPIN, D, I, d\nPIN, C, I, clk\nEND\nEXT, d, I\nEXT, q, O\nEOF\n")
 	f.Add("PIN, O, O, x\n")
 	f.Fuzz(func(t *testing.T, in string) {
-		nl, err := ParseXnf(strings.NewReader(in), DefaultXnfOptions())
+		nl, err := ParseXnf(strings.NewReader(in))
 		if err != nil {
 			return
 		}

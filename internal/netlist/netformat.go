@@ -17,6 +17,20 @@ import (
 // TYPE is input|output|comb|seq; "-" marks a cell without an output net.
 // Cells appear in definition order; nets are implicit.
 
+// Parse reads a netlist in the named format: "net" (the native format),
+// "blif" or "xnf".
+func Parse(r io.Reader, format string) (*Netlist, error) {
+	switch format {
+	case "net":
+		return ParseNet(r)
+	case "blif":
+		return ParseBlif(r)
+	case "xnf":
+		return ParseXnf(r)
+	}
+	return nil, fmt.Errorf("unknown netlist format %q (want net, blif or xnf)", format)
+}
+
 // ParseNet reads a netlist in the native .net format.
 func ParseNet(r io.Reader) (*Netlist, error) {
 	sc := bufio.NewScanner(r)

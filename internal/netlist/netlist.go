@@ -6,10 +6,7 @@
 // levelization.
 package netlist
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // CellType classifies a cell for placement and timing purposes.
 type CellType uint8
@@ -51,6 +48,14 @@ type PinRef struct {
 	Cell int32
 	Pin  int32
 }
+
+// Module delays in picoseconds: no netlist format carries delays, so these
+// era-plausible values are given to the cells the parsers, the benchmark
+// generator and the technology mapper create.
+const (
+	CombDelay = 3000 // intrinsic pin-to-pin delay of a combinational module
+	SeqDelay  = 3500 // clock-to-out delay of a sequential module
+)
 
 // Cell is a logic module instance. In[i] is the net feeding input pin i+1
 // (or -1 if unconnected); Out is the net driven by pin 0 (or -1).
@@ -338,15 +343,4 @@ func (nl *Netlist) ComputeStats() Stats {
 		}
 	}
 	return s
-}
-
-// SortedCellNames returns cell names in sorted order (for deterministic
-// output in writers and reports).
-func (nl *Netlist) SortedCellNames() []string {
-	names := make([]string, len(nl.Cells))
-	for i := range nl.Cells {
-		names[i] = nl.Cells[i].Name
-	}
-	sort.Strings(names)
-	return names
 }

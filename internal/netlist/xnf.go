@@ -7,17 +7,6 @@ import (
 	"strings"
 )
 
-// XnfOptions configures technology parameters applied while importing XNF.
-type XnfOptions struct {
-	CombDelay float64 // intrinsic delay of combinational symbols (default 3000)
-	SeqDelay  float64 // clock-to-out of DFF symbols (default 3500)
-}
-
-// DefaultXnfOptions returns era-plausible module delays.
-func DefaultXnfOptions() XnfOptions {
-	return XnfOptions{CombDelay: 3000, SeqDelay: 3500}
-}
-
 // ParseXnf reads a subset of the Xilinx Netlist Format (XNF), the other
 // widely used FPGA interchange format of the paper's era, sufficient for
 // structural netlists:
@@ -35,14 +24,8 @@ func DefaultXnfOptions() XnfOptions {
 // DFF/FD/FDR/FDC become sequential cells (only their D input is treated as a
 // data pin; C/CLK/R/CLR pins are control and ignored for layout); every
 // other symbol type becomes a combinational cell. EXT records synthesize
-// input/output pads.
-func ParseXnf(r io.Reader, opt XnfOptions) (*Netlist, error) {
-	if opt.CombDelay <= 0 {
-		opt.CombDelay = 3000
-	}
-	if opt.SeqDelay <= 0 {
-		opt.SeqDelay = 3500
-	}
+// input/output pads. Cells get CombDelay and SeqDelay.
+func ParseXnf(r io.Reader) (*Netlist, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 
@@ -72,9 +55,9 @@ func ParseXnf(r io.Reader, opt XnfOptions) (*Netlist, error) {
 			return fmt.Errorf("xnf: line %d: symbol %q has no input pins", cur.line, cur.name)
 		}
 		if seq {
-			b.Seq(cur.name, opt.SeqDelay, cur.out, cur.ins[0])
+			b.Seq(cur.name, SeqDelay, cur.out, cur.ins[0])
 		} else {
-			b.Comb(cur.name, opt.CombDelay, cur.out, cur.ins...)
+			b.Comb(cur.name, CombDelay, cur.out, cur.ins...)
 		}
 		cur = nil
 		return nil

@@ -31,9 +31,9 @@ EOF
 `
 
 func TestParseXnf(t *testing.T) {
-	nl, err := ParseXnf(strings.NewReader(sampleXnf), DefaultXnfOptions())
+	nl, err := Parse(strings.NewReader(sampleXnf), "xnf")
 	if err != nil {
-		t.Fatalf("ParseXnf: %v", err)
+		t.Fatalf("Parse: %v", err)
 	}
 	s := nl.ComputeStats()
 	if s.Inputs != 2 || s.Outputs != 1 || s.CombCells != 2 || s.SeqCells != 1 {
@@ -58,6 +58,7 @@ func TestParseXnf(t *testing.T) {
 	if len(nl.Cells[g2].In) != 2 {
 		t.Errorf("G2 fanin %d", len(nl.Cells[g2].In))
 	}
+	checkModuleDelays(t, nl)
 }
 
 func TestParseXnfErrors(t *testing.T) {
@@ -74,7 +75,7 @@ func TestParseXnfErrors(t *testing.T) {
 		{"short pin", "LCANET, 4\nSYM, G, AND2\nPIN, O\n", "PIN wants"},
 	}
 	for _, tc := range cases {
-		_, err := ParseXnf(strings.NewReader(tc.in), DefaultXnfOptions())
+		_, err := ParseXnf(strings.NewReader(tc.in))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want contains %q", tc.name, err, tc.want)
 		}
@@ -83,13 +84,13 @@ func TestParseXnfErrors(t *testing.T) {
 
 func TestParseXnfIgnoresAfterEOF(t *testing.T) {
 	in := sampleXnf + "\ngarbage that would fail\n"
-	if _, err := ParseXnf(strings.NewReader(in), DefaultXnfOptions()); err != nil {
+	if _, err := ParseXnf(strings.NewReader(in)); err != nil {
 		t.Fatalf("content after EOF should be ignored: %v", err)
 	}
 }
 
 func TestXnfToNetRoundTrip(t *testing.T) {
-	nl, err := ParseXnf(strings.NewReader(sampleXnf), DefaultXnfOptions())
+	nl, err := ParseXnf(strings.NewReader(sampleXnf))
 	if err != nil {
 		t.Fatal(err)
 	}

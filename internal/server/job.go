@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -167,17 +168,7 @@ func buildSpec(req JobRequest) (*jobSpec, error) {
 		if len(req.Netlist) > maxNetlistBytes {
 			return nil, fmt.Errorf("inline netlist too large: %d bytes (max %d)", len(req.Netlist), maxNetlistBytes)
 		}
-		r := strings.NewReader(req.Netlist)
-		switch req.Format {
-		case "", "net":
-			nl, err = netlist.ParseNet(r)
-		case "blif":
-			nl, err = netlist.ParseBlif(r, netlist.DefaultBlifOptions())
-		case "xnf":
-			nl, err = netlist.ParseXnf(r, netlist.DefaultXnfOptions())
-		default:
-			return nil, fmt.Errorf("unknown netlist format %q (want net, blif or xnf)", req.Format)
-		}
+		nl, err = netlist.Parse(strings.NewReader(req.Netlist), cmp.Or(req.Format, "net"))
 		if err != nil {
 			return nil, fmt.Errorf("netlist parse: %w", err)
 		}

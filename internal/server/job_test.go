@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/exper"
@@ -153,6 +154,10 @@ func TestParseJobRequestValidation(t *testing.T) {
 		if _, err := parseJobRequest([]byte(tc.body)); err == nil {
 			t.Errorf("%s: accepted %s", tc.name, tc.body)
 		}
+	}
+	const unknown = `unknown netlist format "edif" (want net, blif or xnf)`
+	if _, err := parseJobRequest([]byte(`{"netlist":"x","format":"edif"}`)); err == nil || !strings.Contains(err.Error(), unknown) {
+		t.Errorf("unknown format: error %v, want it to contain %s", err, unknown)
 	}
 	for _, body := range []string{
 		`{"design":"tiny","tracks":24,"config":{"seed":9,"chains":2}}`,

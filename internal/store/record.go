@@ -49,9 +49,6 @@ const (
 	KindGroup Kind = 6
 )
 
-// Terminal reports whether the kind ends a job's lifecycle.
-func (k Kind) Terminal() bool { return k >= KindDone && k <= KindCanceled }
-
 func (k Kind) String() string {
 	switch k {
 	case KindSubmitted:

@@ -24,22 +24,6 @@ import (
 	"repro/internal/netlist"
 )
 
-// Options configures mapping.
-type Options struct {
-	K         int     // module input limit (default 4)
-	NoAbsorb  bool    // disable absorption packing (ablation)
-	CombDelay float64 // delay for cells created by decomposition (default 3000)
-}
-
-func (o *Options) setDefaults() {
-	if o.K <= 1 {
-		o.K = 4
-	}
-	if o.CombDelay <= 0 {
-		o.CombDelay = 3000
-	}
-}
-
 // Stats reports a mapping run.
 type Stats struct {
 	CellsIn, CellsOut int
@@ -49,10 +33,13 @@ type Stats struct {
 	Absorbed          int // cells merged away by packing
 }
 
-// Map returns a new netlist in which every combinational cell has at most
-// opt.K inputs.
-func Map(nl *netlist.Netlist, opt Options) (*netlist.Netlist, Stats, error) {
-	opt.setDefaults()
+// Map returns a new netlist in which every combinational cell has at most k
+// inputs (4 when k is below 2). Cells created by decomposition get
+// netlist.CombDelay.
+func Map(nl *netlist.Netlist, k int) (*netlist.Netlist, Stats, error) {
+	if k <= 1 {
+		k = 4
+	}
 	var st Stats
 	st.CellsIn = nl.NumCells()
 	if lv, err := nl.Levels(); err == nil {
@@ -64,10 +51,8 @@ func Map(nl *netlist.Netlist, opt Options) (*netlist.Netlist, Stats, error) {
 	}
 
 	work := buildWork(nl)
-	decompose(work, opt, &st)
-	if !opt.NoAbsorb {
-		absorb(work, opt, &st)
-	}
+	decompose(work, k, &st)
+	absorb(work, k, &st)
 	out, err := work.emit(nl.Name)
 	if err != nil {
 		return nil, st, err
@@ -144,21 +129,21 @@ func (w *workNetlist) addCell(c *workCell) {
 	}
 }
 
-// decompose splits every comb cell with more than K inputs into a balanced
-// tree: groups of K inputs feed new intermediate cells until the root fits.
-func decompose(w *workNetlist, opt Options, st *Stats) {
+// decompose splits every comb cell with more than k inputs into a balanced
+// tree: groups of k inputs feed new intermediate cells until the root fits.
+func decompose(w *workNetlist, k int, st *Stats) {
 	n := len(w.cells) // only original cells; new ones are legal by construction
 	for i := 0; i < n; i++ {
 		c := w.cells[i]
-		if c.typ != netlist.Comb || len(c.inputs) <= opt.K {
+		if c.typ != netlist.Comb || len(c.inputs) <= k {
 			continue
 		}
 		st.Decomposed++
 		level := append([]string(nil), c.inputs...)
-		for len(level) > opt.K {
+		for len(level) > k {
 			var next []string
-			for j := 0; j < len(level); j += opt.K {
-				end := j + opt.K
+			for j := 0; j < len(level); j += k {
+				end := j + k
 				if end > len(level) {
 					end = len(level)
 				}
@@ -172,7 +157,7 @@ func decompose(w *workNetlist, opt Options, st *Stats) {
 				w.addCell(&workCell{
 					name:   fmt.Sprintf("%s_t%d", c.name, w.nextID),
 					typ:    netlist.Comb,
-					delay:  opt.CombDelay,
+					delay:  netlist.CombDelay,
 					out:    out,
 					inputs: append([]string(nil), group...),
 				})
@@ -196,8 +181,8 @@ func decompose(w *workNetlist, opt Options, st *Stats) {
 }
 
 // absorb merges single-fanout comb cells into their unique comb fanout when
-// the merged support fits K inputs. Iterates to a fixed point.
-func absorb(w *workNetlist, opt Options, st *Stats) {
+// the merged support fits k inputs. Iterates to a fixed point.
+func absorb(w *workNetlist, k int, st *Stats) {
 	// sinksOf maps a net to its consuming cells (recomputed per round; the
 	// netlists here are small).
 	for changed := true; changed; {
@@ -237,7 +222,7 @@ func absorb(w *workNetlist, opt Options, st *Stats) {
 					support[in] = true
 				}
 			}
-			if len(support) > opt.K {
+			if len(support) > k {
 				continue
 			}
 			// Absorb: host's input list becomes the merged support.

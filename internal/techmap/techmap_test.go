@@ -40,7 +40,7 @@ func maxFanin(nl *netlist.Netlist) int {
 func TestDecomposeWideGate(t *testing.T) {
 	for _, n := range []int{5, 9, 16, 33} {
 		nl := wideGate(t, n)
-		out, st, err := Map(nl, Options{K: 4})
+		out, st, err := Map(nl, 4)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -78,8 +78,9 @@ func TestLegalNetlistUntouched(t *testing.T) {
 	b.Comb("g1", 3000, "x", "a")
 	b.Comb("g2", 3000, "y", "x", "a")
 	b.Output("po", "y")
+	b.Output("px", "x") // a second fanout: g1 cannot be absorbed into g2
 	nl := b.MustBuild()
-	out, st, err := Map(nl, Options{K: 4, NoAbsorb: true})
+	out, st, err := Map(nl, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestAbsorbChain(t *testing.T) {
 	b.Comb("g2", 3000, "y", "m", "c")
 	b.Output("po", "y")
 	nl := b.MustBuild()
-	out, st, err := Map(nl, Options{K: 4})
+	out, st, err := Map(nl, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestAbsorbRespectsFanout(t *testing.T) {
 	b.Output("po1", "y")
 	b.Output("po2", "z")
 	nl := b.MustBuild()
-	out, _, err := Map(nl, Options{K: 4})
+	out, _, err := Map(nl, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestAbsorbRespectsK(t *testing.T) {
 	b.Comb("g2", 3000, "y", "m", "d", "e")
 	b.Output("po", "y")
 	nl := b.MustBuild()
-	out, st, err := Map(nl, Options{K: 4})
+	out, st, err := Map(nl, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestSeqAndPadsNeverTouched(t *testing.T) {
 	b.Comb("g2", 3000, "y", "q")
 	b.Output("po", "y")
 	nl := b.MustBuild()
-	out, _, err := Map(nl, Options{K: 4})
+	out, _, err := Map(nl, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestMapProperty(t *testing.T) {
 			return false
 		}
 		k := 2 + int(seed%3+3)%3 // K in {2,3,4}
-		out, _, err := Map(nl, Options{K: k})
+		out, _, err := Map(nl, k)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -236,7 +237,7 @@ func TestMapProperty(t *testing.T) {
 			return false
 		}
 		// Idempotent.
-		again, st2, err := Map(out, Options{K: k})
+		again, st2, err := Map(out, k)
 		if err != nil {
 			return false
 		}

@@ -63,9 +63,6 @@ func (c *Criticality) Value(net int32) float64 { return c.crit[net] }
 // extractor; callers must not mutate it and must not hold it across Update.
 func (c *Criticality) Values() []float64 { return c.crit }
 
-// Damping returns the configured history weight.
-func (c *Criticality) Damping() float64 { return c.damping }
-
 // Clone returns a deep copy of the extractor bound to the given analyzer
 // (which must be a clone of the original's — the parallel annealing engine
 // clones both together).

@@ -34,7 +34,6 @@ import (
 	"repro/internal/layout"
 	"repro/internal/netgen"
 	"repro/internal/netlist"
-	"repro/internal/partition"
 	"repro/internal/seq"
 	"repro/internal/techmap"
 	"repro/internal/timing"
@@ -45,8 +44,6 @@ import (
 type (
 	// Arch is a compiled row-based FPGA architecture.
 	Arch = arch.Arch
-	// ArchParams configures an architecture before compilation.
-	ArchParams = arch.Params
 	// Netlist is a technology-mapped design.
 	Netlist = netlist.Netlist
 	// Placement is a legal assignment of cells to module slots.
@@ -59,14 +56,9 @@ type (
 	SimResult = core.Result
 	// SeqConfig tunes the sequential baseline flow.
 	SeqConfig = seq.Config
-	// DynamicsSample is one temperature of the annealing dynamics trace.
-	DynamicsSample = core.DynamicsSample
 	// BenchmarkParams controls synthetic benchmark generation.
 	BenchmarkParams = netgen.Params
 )
-
-// NewArch compiles an architecture from parameters.
-func NewArch(p ArchParams) (*Arch, error) { return arch.New(p) }
 
 // DefaultArch returns a default-parameterized architecture of the given
 // geometry (mixed segmentation, era-plausible RC constants).
@@ -86,16 +78,7 @@ func LoadNetlist(path string) (*Netlist, error) {
 		return nil, err
 	}
 	defer f.Close()
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".net":
-		return netlist.ParseNet(f)
-	case ".blif":
-		return netlist.ParseBlif(f, netlist.DefaultBlifOptions())
-	case ".xnf":
-		return netlist.ParseXnf(f, netlist.DefaultXnfOptions())
-	default:
-		return nil, fmt.Errorf("repro: unknown netlist extension %q (want .net, .blif or .xnf)", filepath.Ext(path))
-	}
+	return netlist.Parse(f, strings.TrimPrefix(strings.ToLower(filepath.Ext(path)), "."))
 }
 
 // SaveNetlist writes a netlist in the native .net format.
@@ -120,36 +103,7 @@ type TechMapStats = techmap.Stats
 // single-fanout cells are absorbed into their fanout when the merged support
 // still fits (classic covering). Layouts consume the result.
 func TechMap(nl *Netlist, k int) (*Netlist, TechMapStats, error) {
-	return techmap.Map(nl, techmap.Options{K: k})
-}
-
-// PartitionResult reports a multi-chip partitioning.
-type PartitionResult struct {
-	Assign    []int      // per-cell partition id
-	CutNets   int        // nets crossing chips
-	PartSizes []int      // cells per chip
-	Chips     []*Netlist // independently valid per-chip netlists
-}
-
-// PartitionNetlist splits a design that is too large for one FPGA across
-// several chips (paper §2.2): Fiduccia-Mattheyses min-cut bipartitioning
-// with recursive bisection, then per-chip netlist extraction where cut
-// signals become I/O pads. parts must be a power of two.
-func PartitionNetlist(nl *Netlist, parts int, seed int64) (*PartitionResult, error) {
-	assign, stats, err := partition.Partition(nl, partition.Config{Parts: parts, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	chips, err := partition.Split(nl, assign, parts)
-	if err != nil {
-		return nil, err
-	}
-	return &PartitionResult{
-		Assign:    assign,
-		CutNets:   stats.CutNets,
-		PartSizes: stats.PartSizes,
-		Chips:     chips,
-	}, nil
+	return techmap.Map(nl, k)
 }
 
 // Layout is a finished physical design: every cell placed, every net's
@@ -205,16 +159,6 @@ func Sequential(a *Arch, nl *Netlist, cfg SeqConfig) (*Layout, error) {
 		Unrouted:    res.UnroutedNets,
 		WCD:         res.WCD,
 	}, nil
-}
-
-// Fmax returns the maximum clock frequency the layout supports in MHz
-// (1/WCD), the figure of merit behind the paper's "maximum achievable clock
-// speed" framing.
-func (l *Layout) Fmax() float64 {
-	if l.WCD <= 0 {
-		return 0
-	}
-	return 1e6 / l.WCD // ps -> MHz
 }
 
 // VerifyTiming re-analyzes the layout with the independent post-layout

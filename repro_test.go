@@ -28,16 +28,15 @@ func TestLoadSaveNetlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var buf bytes.Buffer
+	if err := SaveNetlist(&buf, nl); err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "tiny.net")
-	f, err := os.Create(path)
-	if err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveNetlist(f, nl); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	got, err := LoadNetlist(path)
 	if err != nil {
 		t.Fatal(err)
@@ -45,8 +44,13 @@ func TestLoadSaveNetlist(t *testing.T) {
 	if got.NumCells() != nl.NumCells() || got.NumNets() != nl.NumNets() {
 		t.Error("round trip changed design shape")
 	}
-	if _, err := LoadNetlist(filepath.Join(dir, "x.xyz")); err == nil {
-		t.Error("unknown extension accepted")
+	// The same bytes under an unknown extension must fail on the format.
+	path = filepath.Join(dir, "x.xyz")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadNetlist(path); err == nil || !strings.Contains(err.Error(), `unknown netlist format "xyz"`) {
+		t.Errorf("unknown extension: error %v, want it to name format \"xyz\"", err)
 	}
 }
 
