@@ -295,7 +295,7 @@ func BenchmarkElmoreNetDelay(b *testing.B) {
 	f := fabric.New(a)
 	routes := make([]fabric.NetRoute, nl.NumNets())
 	groute.RouteAll(f, p, routes)
-	droute.RouteAllDetailed(f, routes, droute.DefaultCost(), 2, rng)
+	droute.RouteAllDetailed(f, routes, 2, rng)
 	// Find a multi-channel routed net.
 	var target int32 = -1
 	for id := range routes {
@@ -356,7 +356,7 @@ func BenchmarkDetailedRouteChannel(b *testing.B) {
 	r := fabric.NetRoute{Global: true, Chans: []fabric.ChanAssign{{Ch: 3, Lo: 5, Hi: 25, Track: -1}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !droute.RouteChan(f, 1, &r, 0, droute.DefaultCost()) {
+		if !droute.RouteChan(f, 1, &r, 0) {
 			b.Fatal("route failed")
 		}
 		droute.UnrouteChan(f, 1, &r, 0)

@@ -95,6 +95,7 @@ func TestRunErrors(t *testing.T) {
 		{"no source", mod(func(o *options) { o.design = "" }), "need -netlist"},
 		{"bad flow", mod(func(o *options) { o.flow = "diagonal" }), "unknown -flow"},
 		{"bad design", mod(func(o *options) { o.design = "nonesuch" }), "unknown design"},
+		{"fanin below 2", mod(func(o *options) { o.maxFanin = 1 }), "minimum of 2"},
 	}
 	for _, tc := range cases {
 		err := run(tc.o)

@@ -45,7 +45,7 @@ func main() {
 			r := fabric.NetRoute{Global: true, Chans: []fabric.ChanAssign{
 				{Ch: 0, Lo: n.lo, Hi: n.hi, Track: -1},
 			}}
-			if droute.RouteChan(f, int32(i), &r, 0, droute.DefaultCost()) {
+			if droute.RouteChan(f, int32(i), &r, 0) {
 				ca := r.Chans[0]
 				fmt.Printf("  %s [%d,%d]: routed on segments %d..%d\n", n.name, n.lo, n.hi, ca.SegLo, ca.SegHi)
 			} else {

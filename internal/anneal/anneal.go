@@ -86,7 +86,6 @@ type TempStats struct {
 	Accepted int
 	Cost     float64       // cost at end of the temperature
 	BestCost float64       // best cost seen so far
-	StdCost  float64       // cost standard deviation within the temperature
 	Elapsed  time.Duration // wall clock spent in this temperature (reporting only)
 }
 
@@ -207,7 +206,7 @@ func (c *Chain) Step() bool {
 	improved := c.best < bestBefore
 	if c.onTemp != nil {
 		c.onTemp(TempStats{Step: c.step, Temp: c.temp, Moves: c.cfg.MovesPerTemp, Accepted: accepted,
-			Cost: c.p.Cost(), BestCost: c.best, StdCost: st.std(), Elapsed: time.Since(start)})
+			Cost: c.p.Cost(), BestCost: c.best, Elapsed: time.Since(start)})
 	}
 	// A temperature is stagnant when it neither improved the best nor
 	// shows real cost movement: acceptance collapsed, or all accepted
@@ -255,7 +254,7 @@ func (c *Chain) warmup(start time.Time) {
 	c.res = Result{TotalMoves: c.cfg.MovesPerTemp, Accepted: c.cfg.MovesPerTemp}
 	if c.onTemp != nil {
 		c.onTemp(TempStats{Step: 0, Temp: c.temp, Moves: c.cfg.MovesPerTemp, Accepted: c.cfg.MovesPerTemp,
-			Cost: c.p.Cost(), BestCost: c.best, StdCost: sigma, Elapsed: time.Since(start)})
+			Cost: c.p.Cost(), BestCost: c.best, Elapsed: time.Since(start)})
 	}
 	c.started = true
 }

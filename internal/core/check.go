@@ -73,26 +73,22 @@ func (o *Optimizer) Check() error {
 	if err != nil {
 		return err
 	}
-	ref.Begin()
-	for id := range o.Rts {
-		if len(o.NL.Nets[id].Sinks) == 0 {
-			continue
-		}
-		want, err := o.netDelays(int32(id))
+	err = ref.Fill(func(id int32) ([]float64, error) {
+		want, err := o.netDelays(id)
 		if err != nil {
-			return fmt.Errorf("core: net %d: %w", id, err)
+			return nil, fmt.Errorf("core: net %d: %w", id, err)
 		}
-		got := o.An.NetDelay(int32(id))
+		got := o.An.NetDelay(id)
 		for i := range want {
 			if math.Abs(want[i]-got[i]) > 1e-6 {
-				ref.Commit()
-				return fmt.Errorf("core: net %d sink %d delay cache %v, recompute %v", id, i, got[i], want[i])
+				return nil, fmt.Errorf("core: net %d sink %d delay cache %v, recompute %v", id, i, got[i], want[i])
 			}
 		}
-		ref.SetNetDelays(int32(id), want)
+		return want, nil
+	})
+	if err != nil {
+		return err
 	}
-	ref.Propagate()
-	ref.Commit()
 	for c := int32(0); c < int32(o.NL.NumCells()); c++ {
 		if math.Abs(ref.Arrival(c)-o.An.Arrival(c)) > 1e-6 {
 			return fmt.Errorf("core: cell %d arrival %v, recompute %v", c, o.An.Arrival(c), ref.Arrival(c))

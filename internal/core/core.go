@@ -256,7 +256,6 @@ type Optimizer struct {
 
 	dynamics []DynamicsSample
 	dcalc    timing.DelayCalc
-	estBuf   []float64
 
 	// Criticality-weighted timing term (CritWeight extension). All nil/zero
 	// when the extension is off; none of it is touched then, keeping the
@@ -341,14 +340,14 @@ func New(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Optimizer, error) {
 	drouteDone := metrics.StartPhase(cfg.Metrics, metrics.PhaseDetailRoute)
 	switch backend {
 	case droute.BackendNegotiated:
-		o.initRouteFailed = droute.RouteAllNegotiated(o.F, o.Rts, droute.DefaultCost(), droute.NegotiateConfig{Seed: cfg.Seed})
+		o.initRouteFailed = droute.RouteAllNegotiated(o.F, o.Rts, droute.NegotiateConfig{Seed: cfg.Seed})
 	case droute.BackendLagrange:
-		o.initRouteFailed = droute.RouteAllLagrange(o.F, o.Rts, droute.DefaultCost(), droute.LagrangeConfig{Seed: cfg.Seed})
+		o.initRouteFailed = droute.RouteAllLagrange(o.F, o.Rts, droute.LagrangeConfig{Seed: cfg.Seed})
 	default:
 		// A single ordered pass consuming no RNG draws beyond placement's:
 		// the annealer works off the remaining debt move by move, exactly as
 		// in the pre-backend engine.
-		o.initRouteFailed = droute.RouteAllDetailed(o.F, o.Rts, droute.DefaultCost(), 1, rng)
+		o.initRouteFailed = droute.RouteAllDetailed(o.F, o.Rts, 1, rng)
 	}
 	drouteDone()
 	o.recountGD()
@@ -369,19 +368,9 @@ func New(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Optimizer, error) {
 	})
 	o.watchAll()
 	if o.timingOn() {
-		an.Begin()
-		for id := range o.Rts {
-			if len(nl.Nets[id].Sinks) == 0 {
-				continue
-			}
-			d, err := o.netDelays(int32(id))
-			if err != nil {
-				return nil, err
-			}
-			an.SetNetDelays(int32(id), d)
+		if err := an.Fill(o.netDelays); err != nil {
+			return nil, err
 		}
-		an.Propagate()
-		an.Commit()
 	}
 	if o.critOn() {
 		o.crit = timing.NewCriticality(an, critDamping)
@@ -443,33 +432,13 @@ func (o *Optimizer) timingOn() bool { return !o.cfg.DisableTiming }
 
 // RefreshTiming fills the timing view from the current routes regardless of
 // mode; wirability-only callers use it to obtain a final WCD report.
-func (o *Optimizer) RefreshTiming() error {
-	o.An.Begin()
-	for id := range o.Rts {
-		if len(o.NL.Nets[id].Sinks) == 0 {
-			continue
-		}
-		d, err := o.netDelays(int32(id))
-		if err != nil {
-			o.An.Revert()
-			return err
-		}
-		o.An.SetNetDelays(int32(id), d)
-	}
-	o.An.Propagate()
-	o.An.Commit()
-	return nil
-}
+func (o *Optimizer) RefreshTiming() error { return o.An.Fill(o.netDelays) }
 
-// netDelays returns the current best-known per-sink delays for a net:
-// detailed Elmore when fully embedded, the spatial estimator otherwise. The
-// returned slice is only valid until the next call (the analyzer copies it).
+// netDelays returns the in-loop model's current per-sink delays for a net.
+// The returned slice is only valid until the next call (the analyzer copies
+// it).
 func (o *Optimizer) netDelays(id int32) ([]float64, error) {
-	if o.Rts[id].DetailDone() {
-		return o.dcalc.NetDelays(o.P, id, &o.Rts[id], 1.0)
-	}
-	o.estBuf = timing.AppendEstimateDelays(o.estBuf[:0], o.P, id)
-	return o.estBuf, nil
+	return o.dcalc.Delays(o.P, id, &o.Rts[id])
 }
 
 // recountGD recomputes G, D and the missing-channel count from scratch.

@@ -314,7 +314,7 @@ func (o *Optimizer) routeNet(id int32) bool {
 	}
 	if !r.DetailDone() {
 		u0 := r.UnroutedChans()
-		missing := droute.RouteNet(o.F, id, r, droute.DefaultCost())
+		missing := droute.RouteNet(o.F, id, r)
 		o.dc += missing - u0
 		if missing > 0 {
 			return false

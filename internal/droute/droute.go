@@ -12,36 +12,42 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
+	"repro/internal/arch"
 	"repro/internal/fabric"
 )
 
-// Cost weights the two terms of the track-selection objective.
-type Cost struct {
-	WWaste float64 // per column of allocated-but-unneeded segment length
-	WSegs  float64 // per segment used (each extra segment implies an antifuse)
-}
+// The track-selection weights: per column of allocated-but-unneeded segment
+// length, and per segment used (each extra segment implies an antifuse).
+// Keep each a separate operand where it is used, as the negotiation
+// constants are.
+const (
+	wWaste = 1
+	wSegs  = 4
+)
 
-// DefaultCost returns the weights used throughout the reproduction.
-func DefaultCost() Cost { return Cost{WWaste: 1, WSegs: 4} }
+// trackCost returns the cost of covering columns [lo, hi] on track t and the
+// segments [sl, sh] that cover them: weighted wastage plus weighted segment
+// count.
+func trackCost(a *arch.Arch, t, lo, hi int) (c float64, sl, sh int) {
+	sl, sh = a.SegRange(t, lo, hi)
+	segs := a.Seg[t]
+	waste := float64((segs[sh].End - segs[sl].Start) - (hi - lo + 1))
+	return wWaste*waste + wSegs*float64(sh-sl+1), sl, sh
+}
 
 // PickTrack returns the cheapest feasible track for covering columns
 // [lo, hi] in channel ch, or ok=false when no track has the needed free run.
 // Only the tracks in the fabric's fit set are costed, in ascending order with
 // a strict improvement test, so ties go to the lowest track.
-func PickTrack(f *fabric.Fabric, ch, lo, hi int, cost Cost) (track, segLo, segHi int, ok bool) {
-	a := f.A
+func PickTrack(f *fabric.Fabric, ch, lo, hi int) (track, segLo, segHi int, ok bool) {
 	best := math.Inf(1)
 	track = -1
 	for k, w := range f.HFit(ch, lo, hi) {
 		for ; w != 0; w &= w - 1 {
 			t := k<<6 + bits.TrailingZeros64(w)
-			sl, sh := a.SegRange(t, lo, hi)
-			segs := a.Seg[t]
-			waste := float64((segs[sh].End - segs[sl].Start) - (hi - lo + 1))
-			c := cost.WWaste*waste + cost.WSegs*float64(sh-sl+1)
-			if c < best {
+			if c, sl, sh := trackCost(f.A, t, lo, hi); c < best {
 				best, track, segLo, segHi = c, t, sl, sh
 			}
 		}
@@ -52,10 +58,10 @@ func PickTrack(f *fabric.Fabric, ch, lo, hi int, cost Cost) (track, segLo, segHi
 // RouteChan detail-routes channel entry ci of net id's route, allocating the
 // chosen segments. The entry must currently be unrouted. Returns false when
 // no track can host the interval.
-func RouteChan(f *fabric.Fabric, id int32, r *fabric.NetRoute, ci int, cost Cost) bool {
+func RouteChan(f *fabric.Fabric, id int32, r *fabric.NetRoute, ci int) bool {
 	f.Stats.DRouteAttempts++
 	ca := &r.Chans[ci]
-	t, sl, sh, ok := PickTrack(f, ca.Ch, ca.Lo, ca.Hi, cost)
+	t, sl, sh, ok := PickTrack(f, ca.Ch, ca.Lo, ca.Hi)
 	if !ok {
 		f.Stats.DRouteFails++
 		return false
@@ -75,164 +81,144 @@ func UnrouteChan(f *fabric.Fabric, id int32, r *fabric.NetRoute, ci int) {
 
 // RouteNet attempts to detail-route every unrouted channel of a globally
 // routed net. It returns the number of channels that remain unrouted.
-func RouteNet(f *fabric.Fabric, id int32, r *fabric.NetRoute, cost Cost) int {
+func RouteNet(f *fabric.Fabric, id int32, r *fabric.NetRoute) int {
 	missing := 0
 	for ci := range r.Chans {
 		if r.Chans[ci].Routed() {
 			continue
 		}
-		if !RouteChan(f, id, r, ci, cost) {
+		if !RouteChan(f, id, r, ci) {
 			missing++
 		}
 	}
 	return missing
 }
 
-// chanItem identifies one channel need of one net during full routing.
-type chanItem struct {
+// chanNeed identifies one unrouted channel need of a full router: entry ci of
+// net's route.
+type chanNeed struct {
 	net int32
 	ci  int
-	len int
+}
+
+// needs collects the unrouted channel needs of the globally routed nets in
+// (net, entry) order.
+func needs(routes []fabric.NetRoute) []chanNeed {
+	var ns []chanNeed
+	for id := range routes {
+		if !routes[id].Global {
+			continue
+		}
+		for ci := range routes[id].Chans {
+			if !routes[id].Chans[ci].Routed() {
+				ns = append(ns, chanNeed{int32(id), ci})
+			}
+		}
+	}
+	return ns
+}
+
+// byChannel sorts ns into routing order and returns the bounds of each
+// channel's run: the k-th channel's needs are ns[bounds[k]:bounds[k+1]].
+// The order is ascending channel, then longest interval first (those have
+// the fewest alternatives, so they claim resources first), then (net,
+// entry), which makes it a total order.
+func byChannel(routes []fabric.NetRoute, ns []chanNeed) (bounds []int) {
+	at := func(n chanNeed) *fabric.ChanAssign { return &routes[n.net].Chans[n.ci] }
+	slices.SortFunc(ns, func(x, y chanNeed) int {
+		a, b := at(x), at(y)
+		switch {
+		case a.Ch != b.Ch:
+			return a.Ch - b.Ch
+		case a.Hi-a.Lo != b.Hi-b.Lo:
+			return (b.Hi - b.Lo) - (a.Hi - a.Lo)
+		case x.net != y.net:
+			return int(x.net) - int(y.net)
+		}
+		return x.ci - y.ci
+	})
+	for i := range ns {
+		if i == 0 || at(ns[i]).Ch != at(ns[i-1]).Ch {
+			bounds = append(bounds, i)
+		}
+	}
+	return append(bounds, len(ns))
 }
 
 // RouteAllDetailed is the sequential baseline's full detailed router: each
-// channel is routed independently. Nets are first ordered longest-interval
-// first (the classic segmented-channel heuristic); if any fail, additional
-// randomized orderings are tried and the best assignment (fewest failures)
-// kept. Returns the total number of channel needs left unrouted.
-//
-// Retry orderings for one channel are evaluated concurrently on up to
-// GOMAXPROCS goroutines. Each gets its own RNG seeded from a value drawn
-// serially from rng before any attempt runs, and is evaluated as a pure
-// simulation against a frozen snapshot of the channel's occupancy — attempts
-// share no mutable state. The winner (fewest failures, lowest attempt index
-// on ties, with the deterministic longest-first ordering as attempt zero) is
-// then replayed into the fabric serially, so results are bit-identical at
-// every GOMAXPROCS setting.
-func RouteAllDetailed(f *fabric.Fabric, routes []fabric.NetRoute, cost Cost, attempts int, rng *rand.Rand) int {
-	if attempts < 1 {
-		attempts = 1
-	}
-	totalFailed := 0
-	for ch := 0; ch < f.A.Channels(); ch++ {
-		var items []chanItem
-		for id := range routes {
-			if !routes[id].Global {
-				continue
-			}
-			for ci := range routes[id].Chans {
-				ca := &routes[id].Chans[ci]
-				if ca.Ch == ch && !ca.Routed() {
-					items = append(items, chanItem{net: int32(id), ci: ci, len: ca.Hi - ca.Lo})
-				}
-			}
-		}
-		if len(items) == 0 {
-			continue
-		}
-		sort.Slice(items, func(i, j int) bool {
-			if items[i].len != items[j].len {
-				return items[i].len > items[j].len
-			}
-			if items[i].net != items[j].net {
-				return items[i].net < items[j].net
-			}
-			return items[i].ci < items[j].ci
-		})
-		bestFailed := routeChannelOrder(f, routes, items, cost)
-		if bestFailed > 0 && attempts > 1 {
-			// Per-attempt RNG splitting: seeds are drawn serially from the
-			// caller's stream (fixed-seed results survive), then the shuffled
-			// orderings are simulated concurrently against a frozen snapshot
-			// of the channel.
-			seeds := make([]int64, attempts-1)
-			for k := range seeds {
-				seeds[k] = rng.Int63()
-			}
-			unrouteChannel(f, routes, items)
-			blocked := channelBlocked(f, ch)
-			orders := make([][]chanItem, attempts)
-			fails := make([]int, attempts)
-			orders[0], fails[0] = items, bestFailed
-			parallelIndex(attempts-1, func(k int) {
-				order := append([]chanItem(nil), items...)
-				r := rand.New(rand.NewSource(seeds[k]))
-				r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-				orders[k+1], fails[k+1] = order, simulateOrder(f, routes, blocked, order, cost)
-			})
-			best := 0
-			for k := 1; k < attempts; k++ {
-				if fails[k] < fails[best] {
-					best = k
-				}
-			}
-			bestFailed = routeChannelOrder(f, routes, orders[best], cost)
-		}
-		totalFailed += bestFailed
-	}
-	return totalFailed
-}
-
-// simulateOrder counts how many channel needs a given routing order would
-// fail to embed, mirroring routeChannelOrder/PickTrack exactly but against a
-// private occupancy copy instead of the fabric — it mutates nothing, so
-// concurrent simulations of different orders are race-free.
-func simulateOrder(f *fabric.Fabric, routes []fabric.NetRoute, blocked [][]bool, items []chanItem, cost Cost) int {
-	a := f.A
-	occ := make([][]bool, len(blocked))
-	for t := range blocked {
-		occ[t] = append([]bool(nil), blocked[t]...)
-	}
+// channel is routed independently, in byChannel order, longest interval
+// first (the classic segmented-channel heuristic). If any of a channel's
+// needs fail, attempts-1 randomized orderings are tried and the best (fewest
+// failures) kept. Returns the total number of channel needs left unrouted.
+func RouteAllDetailed(f *fabric.Fabric, routes []fabric.NetRoute, attempts int, rng *rand.Rand) int {
+	ns := needs(routes)
+	bounds := byChannel(routes, ns)
 	failed := 0
-	for _, it := range items {
-		ca := &routes[it.net].Chans[it.ci]
-		best := math.Inf(1)
-		bt := -1
-		var bl, bh int
-		for t := 0; t < a.Tracks; t++ {
-			sl, sh := a.SegRange(t, ca.Lo, ca.Hi)
-			free := true
-			for s := sl; s <= sh; s++ {
-				if occ[t][s] {
-					free = false
-					break
-				}
-			}
-			if !free {
-				continue
-			}
-			segs := a.Seg[t]
-			waste := float64((segs[sh].End - segs[sl].Start) - (ca.Hi - ca.Lo + 1))
-			c := cost.WWaste*waste + cost.WSegs*float64(sh-sl+1)
-			if c < best {
-				best, bt, bl, bh = c, t, sl, sh
-			}
-		}
-		if bt < 0 {
-			failed++
-			continue
-		}
-		for s := bl; s <= bh; s++ {
-			occ[bt][s] = true
-		}
+	for k := 0; k+1 < len(bounds); k++ {
+		failed += routeChannel(f, routes, ns[bounds[k]:bounds[k+1]], attempts, rng)
 	}
 	return failed
 }
 
-func routeChannelOrder(f *fabric.Fabric, routes []fabric.NetRoute, items []chanItem, cost Cost) int {
+// routeChannel routes one channel's needs in order ns. If any fail, it draws
+// attempts-1 seeds from rng and tries, on the fabric, the ordering each seed
+// shuffles ns into. Every trial starts from the entries the first pass left
+// unrouted, whose segment fields still name their last route. The earliest
+// ordering with the fewest failures, ns itself counting first, is routed
+// again from there and kept. f.Stats record only the first pass and the kept
+// ordering. Returns the kept ordering's failures.
+func routeChannel(f *fabric.Fabric, routes []fabric.NetRoute, ns []chanNeed, attempts int, rng *rand.Rand) int {
+	failed := routeOrder(f, routes, ns)
+	if failed == 0 || attempts < 2 {
+		return failed
+	}
+	seeds := make([]int64, attempts-1)
+	for k := range seeds {
+		seeds[k] = rng.Int63()
+	}
+	stats := f.Stats
+	unroute(f, routes, ns)
+	left := make([]fabric.ChanAssign, len(ns))
+	for i, n := range ns {
+		left[i] = routes[n.net].Chans[n.ci]
+	}
+	best := ns
+	for _, seed := range seeds {
+		order := slices.Clone(ns)
+		rand.New(rand.NewSource(seed)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		trial := routeOrder(f, routes, order)
+		if trial == 0 {
+			return 0 // the fabric holds this ordering, counted once
+		}
+		if trial < failed {
+			failed, best = trial, order
+		}
+		unroute(f, routes, ns)
+		for i, n := range ns {
+			routes[n.net].Chans[n.ci] = left[i]
+		}
+		f.Stats = stats
+	}
+	routeOrder(f, routes, best)
+	return failed
+}
+
+// routeOrder routes the needs in order and returns how many fail.
+func routeOrder(f *fabric.Fabric, routes []fabric.NetRoute, ns []chanNeed) int {
 	failed := 0
-	for _, it := range items {
-		if !RouteChan(f, it.net, &routes[it.net], it.ci, cost) {
+	for _, n := range ns {
+		if !RouteChan(f, n.net, &routes[n.net], n.ci) {
 			failed++
 		}
 	}
 	return failed
 }
 
-func unrouteChannel(f *fabric.Fabric, routes []fabric.NetRoute, items []chanItem) {
-	for _, it := range items {
-		if routes[it.net].Chans[it.ci].Routed() {
-			UnrouteChan(f, it.net, &routes[it.net], it.ci)
+// unroute releases whichever of the needs are routed.
+func unroute(f *fabric.Fabric, routes []fabric.NetRoute, ns []chanNeed) {
+	for _, n := range ns {
+		if routes[n.net].Chans[n.ci].Routed() {
+			UnrouteChan(f, n.net, &routes[n.net], n.ci)
 		}
 	}
 }

@@ -36,7 +36,7 @@ func TestPickTrackMinimizesWastage(t *testing.T) {
 	p.PhaseStep = 2 // track 1 = [0,2)[2,6)[6,8)
 	a := arch.MustNew(p)
 	f := fabric.New(a)
-	tr, sl, sh, ok := PickTrack(f, 0, 2, 3, DefaultCost())
+	tr, sl, sh, ok := PickTrack(f, 0, 2, 3)
 	if !ok {
 		t.Fatal("no track found")
 	}
@@ -46,7 +46,7 @@ func TestPickTrackMinimizesWastage(t *testing.T) {
 		t.Errorf("picked track %d segs [%d,%d]", tr, sl, sh)
 	}
 	// Interval [0,1]: track 0 waste 2 (seg [0,4)), track 1 waste 0 (seg [0,2)).
-	tr, _, _, ok = PickTrack(f, 0, 0, 1, DefaultCost())
+	tr, _, _, ok = PickTrack(f, 0, 0, 1)
 	if !ok || tr != 1 {
 		t.Errorf("interval [0,1] picked track %d, want 1 (zero wastage)", tr)
 	}
@@ -64,7 +64,7 @@ func TestPickTrackPrefersFewerSegments(t *testing.T) {
 		t.Fatalf("track 1 segmentation unexpected: %v", a.Seg[1])
 	}
 	f := fabric.New(a)
-	tr, _, _, ok := PickTrack(f, 0, 1, 6, DefaultCost())
+	tr, _, _, ok := PickTrack(f, 0, 1, 6)
 	if !ok || tr != 1 {
 		t.Errorf("picked track %d, want 1 (fewer antifuses)", tr)
 	}
@@ -77,13 +77,12 @@ func TestPickTrackPrefersFewerSegments(t *testing.T) {
 func TestFigure2Scenario(t *testing.T) {
 	a := singleTrackArch(t, []int{2, 4, 2}, 1)
 	f := fabric.New(a)
-	cost := DefaultCost()
 
 	// "Left" placement: N1=[0,1], N2=[2,3], N3=[4,5]. Total length 3.
 	routes := []fabric.NetRoute{need(0, 0, 1), need(0, 2, 3), need(0, 4, 5)}
 	okCount := 0
 	for id := range routes {
-		if RouteChan(f, int32(id), &routes[id], 0, cost) {
+		if RouteChan(f, int32(id), &routes[id], 0) {
 			okCount++
 		}
 	}
@@ -96,7 +95,7 @@ func TestFigure2Scenario(t *testing.T) {
 	f.Reset()
 	routes = []fabric.NetRoute{need(0, 0, 1), need(0, 6, 7), need(0, 2, 5)}
 	for id := range routes {
-		if !RouteChan(f, int32(id), &routes[id], 0, cost) {
+		if !RouteChan(f, int32(id), &routes[id], 0) {
 			t.Fatalf("right placement: net %d failed", id)
 		}
 	}
@@ -114,7 +113,7 @@ func TestRouteNetCountsMissing(t *testing.T) {
 		{Ch: 0, Lo: 0, Hi: 3, Track: -1},
 		{Ch: 1, Lo: 0, Hi: 3, Track: -1},
 	}}
-	missing := RouteNet(f, 1, &r, DefaultCost())
+	missing := RouteNet(f, 1, &r)
 	if missing != 1 {
 		t.Fatalf("missing = %d, want 1", missing)
 	}
@@ -130,7 +129,7 @@ func TestUnrouteChan(t *testing.T) {
 	a := singleTrackArch(t, []int{4, 4}, 2)
 	f := fabric.New(a)
 	r := need(0, 1, 6)
-	if !RouteChan(f, 5, &r, 0, DefaultCost()) {
+	if !RouteChan(f, 5, &r, 0) {
 		t.Fatal("route failed")
 	}
 	UnrouteChan(f, 5, &r, 0)
@@ -153,7 +152,7 @@ func TestRouteAllDetailedOrderingMatters(t *testing.T) {
 	// track 1), [6,7] (track0 seg2 or track1). Longest-first ordering routes
 	// [0,7] onto track 1 first, leaving the exact fits for track 0.
 	routes := []fabric.NetRoute{need(0, 2, 5), need(0, 0, 7), need(0, 6, 7)}
-	failed := RouteAllDetailed(f, routes, DefaultCost(), 1, rand.New(rand.NewSource(1)))
+	failed := RouteAllDetailed(f, routes, 1, rand.New(rand.NewSource(1)))
 	if failed != 0 {
 		t.Fatalf("failed = %d, want 0", failed)
 	}
@@ -180,15 +179,112 @@ func TestRouteAllDetailedRetriesHelp(t *testing.T) {
 	}
 	f1 := fabric.New(a)
 	r1 := mk()
-	fail1 := RouteAllDetailed(f1, r1, DefaultCost(), 1, rand.New(rand.NewSource(1)))
+	fail1 := RouteAllDetailed(f1, r1, 1, rand.New(rand.NewSource(1)))
 	f8 := fabric.New(a)
 	r8 := mk()
-	fail8 := RouteAllDetailed(f8, r8, DefaultCost(), 8, rand.New(rand.NewSource(1)))
+	fail8 := RouteAllDetailed(f8, r8, 8, rand.New(rand.NewSource(1)))
 	if fail8 > fail1 {
 		t.Errorf("more attempts made things worse: %d vs %d", fail8, fail1)
 	}
 	if err := f8.CheckConsistent(r8); err != nil {
 		t.Error(err)
+	}
+}
+
+// The retry search keeps the earliest ordering with the fewest failures,
+// the longest-first pass counting first, and f.Stats count only the first
+// pass and the kept ordering. The reference routes every ordering on its own
+// copy of the starting fabric.
+func TestRetrySearchKeepsBestOrdering(t *testing.T) {
+	replayed, early := 0, 0
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := arch.Default(1, 10+rng.Intn(20), 2+rng.Intn(3))
+		p.SegPattern = []int{1 + rng.Intn(4), 2 + rng.Intn(6)}
+		p.PhaseStep = rng.Intn(4)
+		a := arch.MustNew(p)
+		start := make([]fabric.NetRoute, 4+rng.Intn(10))
+		for i := range start {
+			lo := rng.Intn(a.Cols)
+			start[i] = need(0, lo, lo+rng.Intn(min(a.Cols-lo, 8)))
+		}
+		attempts := 2 + rng.Intn(6)
+		clone := func() []fabric.NetRoute {
+			rs := make([]fabric.NetRoute, len(start))
+			for i := range start {
+				rs[i] = start[i].Clone()
+			}
+			return rs
+		}
+		routeOn := func(f *fabric.Fabric, rs []fabric.NetRoute, order []chanNeed) int {
+			failed := 0
+			for _, n := range order {
+				if !RouteChan(f, n.net, &rs[n.net], n.ci) {
+					failed++
+				}
+			}
+			return failed
+		}
+
+		// Reference: orderings[0] is longest-first, the rest its shuffles.
+		// The first pass is unrouted and the best ordering routed on the
+		// same fabric and routes, so unrouted entries keep the segment
+		// fields the first pass left them.
+		refF, want := fabric.New(a), clone()
+		first := needs(want)
+		byChannel(want, first)
+		seedRNG := rand.New(rand.NewSource(seed))
+		orderings := [][]chanNeed{first}
+		for k := 1; k < attempts; k++ {
+			order := append([]chanNeed(nil), first...)
+			rand.New(rand.NewSource(seedRNG.Int63())).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			orderings = append(orderings, order)
+		}
+		firstFailed := routeOn(refF, want, first)
+		best, bestFailed := 0, firstFailed
+		for k := 1; k < attempts && firstFailed > 0; k++ {
+			if n := routeOn(fabric.New(a), clone(), orderings[k]); n < bestFailed {
+				best, bestFailed = k, n
+			}
+		}
+		if firstFailed > 0 {
+			for _, n := range first {
+				if want[n.net].Chans[n.ci].Routed() {
+					UnrouteChan(refF, n.net, &want[n.net], n.ci)
+				}
+			}
+			routeOn(refF, want, orderings[best])
+		}
+
+		f, got := fabric.New(a), clone()
+		failed := RouteAllDetailed(f, got, attempts, rand.New(rand.NewSource(seed)))
+		if failed != bestFailed {
+			t.Fatalf("seed %d: %d failed, reference %d", seed, failed, bestFailed)
+		}
+		for i := range want {
+			if !got[i].Equal(&want[i]) {
+				t.Fatalf("seed %d: net %d route %+v, reference %+v", seed, i, got[i].Chans, want[i].Chans)
+			}
+		}
+		wantStats := fabric.RouteStats{DRouteAttempts: int64(len(first)), DRouteFails: int64(firstFailed)}
+		if firstFailed > 0 {
+			wantStats.DRouteAttempts *= 2
+			wantStats.DRouteFails += int64(bestFailed)
+			if bestFailed == 0 {
+				early++
+			} else {
+				replayed++
+			}
+		}
+		if f.Stats != wantStats {
+			t.Fatalf("seed %d: stats %+v, want %+v", seed, f.Stats, wantStats)
+		}
+		if err := f.CheckConsistent(got); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	if replayed == 0 || early == 0 {
+		t.Fatalf("retry paths not both exercised: %d replayed, %d ended early", replayed, early)
 	}
 }
 
@@ -214,7 +310,7 @@ func TestRouteChanProperty(t *testing.T) {
 			routes = append(routes, need(ch, lo, hi))
 		}
 		for id := range routes {
-			RouteChan(f, int32(id), &routes[id], 0, DefaultCost())
+			RouteChan(f, int32(id), &routes[id], 0)
 		}
 		if err := f.CheckConsistent(routes); err != nil {
 			t.Logf("seed %d: %v", seed, err)

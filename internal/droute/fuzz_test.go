@@ -42,7 +42,7 @@ func FuzzDetailedRoute(f *testing.F) {
 		}
 
 		attempts := 1 + int(seed&3)
-		failed := RouteAllDetailed(f, routes, DefaultCost(), attempts, rand.New(rand.NewSource(seed)))
+		failed := RouteAllDetailed(f, routes, attempts, rand.New(rand.NewSource(seed)))
 		if failed < 0 || failed > len(routes) {
 			t.Fatalf("failed = %d with %d needs", failed, len(routes))
 		}
@@ -103,7 +103,7 @@ func TestRouteAllDetailedTiebreakByNetID(t *testing.T) {
 	a := arch.MustNew(p)
 	f := fabric.New(a)
 	routes := []fabric.NetRoute{need(0, 2, 5), need(0, 2, 5)}
-	failed := RouteAllDetailed(f, routes, DefaultCost(), 1, rand.New(rand.NewSource(1)))
+	failed := RouteAllDetailed(f, routes, 1, rand.New(rand.NewSource(1)))
 	if failed != 1 {
 		t.Fatalf("failed = %d, want 1", failed)
 	}
@@ -146,10 +146,10 @@ func TestRouteAllNegotiatedDeterministic(t *testing.T) {
 	}
 	f1 := fabric.New(a)
 	r1 := mk()
-	fail1 := RouteAllNegotiated(f1, r1, DefaultCost(), NegotiateConfig{Seed: 5})
+	fail1 := RouteAllNegotiated(f1, r1, NegotiateConfig{Seed: 5})
 	f2 := fabric.New(a)
 	r2 := mk()
-	fail2 := RouteAllNegotiated(f2, r2, DefaultCost(), NegotiateConfig{Seed: 5})
+	fail2 := RouteAllNegotiated(f2, r2, NegotiateConfig{Seed: 5})
 	if fail1 != fail2 {
 		t.Fatalf("failure counts diverged: %d vs %d", fail1, fail2)
 	}

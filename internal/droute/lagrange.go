@@ -106,35 +106,26 @@ type lagChannel struct {
 // runs as a fallback and the better result is kept, so the relaxation is
 // never a downgrade. Results are bit-identical for fixed (Seed, MaxIters)
 // at every GOMAXPROCS setting.
-func RouteAllLagrange(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg LagrangeConfig) int {
+func RouteAllLagrange(f *fabric.Fabric, routes []fabric.NetRoute, cfg LagrangeConfig) int {
 	cfg.setDefaults()
-
-	// Each item has a dedicated tie-break RNG.
-	var items []negItem
-	var rngs []*rand.Rand
-	for id := range routes {
-		if !routes[id].Global {
-			continue
-		}
-		for ci := range routes[id].Chans {
-			if !routes[id].Chans[ci].Routed() {
-				items = append(items, negItem{int32(id), ci})
-				rngs = append(rngs, rand.New(rand.NewSource(splitSeed(cfg.Seed, int32(id), ci))))
-			}
-		}
-	}
-	chOf := func(it negItem) int { return routes[it.net].Chans[it.ci].Ch }
-	if len(items) == 0 {
+	ns := needs(routes)
+	chOf := func(n chanNeed) int { return routes[n.net].Chans[n.ci].Ch }
+	if len(ns) == 0 {
 		return 0
+	}
+	// Each need has a dedicated tie-break RNG.
+	rngs := make([]*rand.Rand, len(ns))
+	for i, n := range ns {
+		rngs[i] = rand.New(rand.NewSource(splitSeed(cfg.Seed, n.net, n.ci)))
 	}
 	// One attempt per channel need; salvage and fallback RouteChan calls
 	// count their own attempts on top, as genuinely separate tries.
-	f.Stats.DRouteAttempts += int64(len(items))
+	f.Stats.DRouteAttempts += int64(len(ns))
 
 	a := f.A
 	chans := make([]*lagChannel, a.Channels())
-	for _, it := range items {
-		ch := chOf(it)
+	for _, n := range ns {
+		ch := chOf(n)
 		if chans[ch] != nil {
 			continue
 		}
@@ -151,11 +142,11 @@ func RouteAllLagrange(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 		chans[ch] = lc
 	}
 
-	choices := make([]negChoice, len(items))
+	choices := make([]negChoice, len(ns))
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		// Step 1: parallel per-net track choice against frozen prices.
-		parallelIndex(len(items), func(i int) {
-			choices[i] = lagrangeChoose(f, routes, chans[chOf(items[i])], items[i], rngs[i], base)
+		parallelIndex(len(ns), func(i int) {
+			choices[i] = lagrangeChoose(f, routes, chans[chOf(ns[i])], ns[i], rngs[i])
 		})
 		// Step 2: serial occupancy accumulation.
 		for _, lc := range chans {
@@ -166,12 +157,12 @@ func RouteAllLagrange(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 				clear(lc.occ[t])
 			}
 		}
-		for i, it := range items {
+		for i, n := range ns {
 			c := choices[i]
 			if c.track < 0 {
 				continue
 			}
-			occ := chans[chOf(it)].occ[c.track]
+			occ := chans[chOf(n)].occ[c.track]
 			for s := c.segLo; s <= c.segHi; s++ {
 				occ[s]++
 			}
@@ -202,7 +193,7 @@ func RouteAllLagrange(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 	}
 
 	// Commit in ascending (net, ci) order.
-	return commitChoices(f, routes, base, items, choices, cfg.FallbackAttempts, cfg.Seed+43)
+	return commitChoices(f, routes, ns, choices, cfg.FallbackAttempts, cfg.Seed+43)
 }
 
 // lagrangeChoose picks the track minimizing base cost plus summed congestion
@@ -213,15 +204,15 @@ func RouteAllLagrange(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 // the item's own RNG: the stream advances only with this item's tie count,
 // which is itself a pure function of the frozen prices, so the draw sequence
 // is identical no matter which goroutine runs the item or when.
-func lagrangeChoose(f *fabric.Fabric, routes []fabric.NetRoute, lc *lagChannel, it negItem, rng *rand.Rand, base Cost) negChoice {
+func lagrangeChoose(f *fabric.Fabric, routes []fabric.NetRoute, lc *lagChannel, n chanNeed, rng *rand.Rand) negChoice {
 	a := f.A
-	ca := &routes[it.net].Chans[it.ci]
+	ca := &routes[n.net].Chans[n.ci]
 	best := math.Inf(1)
 	bt := -1
 	var bl, bh int
 	ties := 0
 	for t := 0; t < a.Tracks; t++ {
-		sl, sh := a.SegRange(t, ca.Lo, ca.Hi)
+		base, sl, sh := trackCost(a, t, ca.Lo, ca.Hi)
 		price := 0.0
 		feasible := true
 		for s := sl; s <= sh; s++ {
@@ -234,9 +225,7 @@ func lagrangeChoose(f *fabric.Fabric, routes []fabric.NetRoute, lc *lagChannel, 
 		if !feasible {
 			continue
 		}
-		segs := a.Seg[t]
-		waste := float64((segs[sh].End - segs[sl].Start) - (ca.Hi - ca.Lo + 1))
-		cost := base.WWaste*waste + base.WSegs*float64(sh-sl+1) + price
+		cost := base + price
 		switch {
 		case cost < best:
 			best, bt, bl, bh = cost, t, sl, sh
@@ -279,8 +268,8 @@ func parallelIndex(n int, fn func(int)) {
 		return
 	}
 	// Chunks of up to 16 amortize the cursor over many cheap items (nets),
-	// yet a few expensive ones (channels, retry orderings) still get one
-	// chunk each so that every worker takes a share.
+	// yet a few expensive ones (channels) still get one chunk each so that
+	// every worker takes a share.
 	chunk := max(1, min(16, n/(4*workers)))
 	var next atomic.Int64
 	var wg sync.WaitGroup

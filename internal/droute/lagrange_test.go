@@ -54,7 +54,7 @@ func TestLagrangeParallelInvariance(t *testing.T) {
 				if gf := groute.RouteAll(f, pl, routes); len(gf) > 0 {
 					t.Skipf("global routing failed at %d tracks", tracks)
 				}
-				failed := RouteAllLagrange(f, routes, DefaultCost(), LagrangeConfig{Seed: seed})
+				failed := RouteAllLagrange(f, routes, LagrangeConfig{Seed: seed})
 				return failed, f, routes
 			}
 			refFailed, refF, refRoutes := route(1)
@@ -99,7 +99,7 @@ func TestLagrangeGOMAXPROCSInvariance(t *testing.T) {
 		if gf := groute.RouteAll(f, pl, routes); len(gf) > 0 {
 			t.Skip("global routing failed")
 		}
-		failed := RouteAllLagrange(f, routes, DefaultCost(), LagrangeConfig{Seed: 3})
+		failed := RouteAllLagrange(f, routes, LagrangeConfig{Seed: 3})
 		return failed, routeKey(routes)
 	}
 	wideFailed, wideKey := route()
@@ -143,10 +143,10 @@ func TestRouteAllLagrangeDeterministic(t *testing.T) {
 	}
 	f1 := fabric.New(a)
 	r1 := mk()
-	fail1 := RouteAllLagrange(f1, r1, DefaultCost(), LagrangeConfig{Seed: 5})
+	fail1 := RouteAllLagrange(f1, r1, LagrangeConfig{Seed: 5})
 	f2 := fabric.New(a)
 	r2 := mk()
-	fail2 := RouteAllLagrange(f2, r2, DefaultCost(), LagrangeConfig{Seed: 5})
+	fail2 := RouteAllLagrange(f2, r2, LagrangeConfig{Seed: 5})
 	if fail1 != fail2 {
 		t.Fatalf("failure counts diverged: %d vs %d", fail1, fail2)
 	}
@@ -180,7 +180,7 @@ func TestRouteAllLagrangeRoutesFeasible(t *testing.T) {
 	if gf := groute.RouteAll(f, pl, routes); len(gf) > 0 {
 		t.Skip("global routing failed")
 	}
-	if failed := RouteAllLagrange(f, routes, DefaultCost(), LagrangeConfig{Seed: 1}); failed != 0 {
+	if failed := RouteAllLagrange(f, routes, LagrangeConfig{Seed: 1}); failed != 0 {
 		t.Fatalf("%d needs unrouted at 20 tracks", failed)
 	}
 	if err := f.CheckConsistent(routes); err != nil {
@@ -222,7 +222,7 @@ func FuzzLagrangeRoute(f *testing.F) {
 
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1 + int(seed>>3&3)))
 		cfg := LagrangeConfig{MaxIters: 1 + int(seed&7), Seed: seed}
-		failed := RouteAllLagrange(f, routes, DefaultCost(), cfg)
+		failed := RouteAllLagrange(f, routes, cfg)
 		if failed < 0 || failed > len(routes) {
 			t.Fatalf("failed = %d with %d needs", failed, len(routes))
 		}
@@ -274,10 +274,8 @@ func FuzzLagrangeRoute(f *testing.F) {
 }
 
 // TestDetailedWorkersInvariance pins the retry-path determinism of the
-// ordered router: the attempts>1 loop simulates candidate orderings
-// concurrently, and the chosen winner must be identical at every GOMAXPROCS
-// because candidate seeds are drawn serially and ties go to the lowest
-// attempt index.
+// ordered router: with attempts>1 the chosen ordering, and so the routes,
+// must be identical at every GOMAXPROCS.
 func TestDetailedWorkersInvariance(t *testing.T) {
 	nl, err := netgen.Generate(netgen.Params{Name: "dw", Inputs: 5, Outputs: 4, Seq: 2, Comb: 45, Seed: 87})
 	if err != nil {
@@ -296,7 +294,7 @@ func TestDetailedWorkersInvariance(t *testing.T) {
 		if gf := groute.RouteAll(f, pl, routes); len(gf) > 0 {
 			t.Skip("global routing failed at 8 tracks")
 		}
-		failed := RouteAllDetailed(f, routes, DefaultCost(), 6, rand.New(rand.NewSource(9)))
+		failed := RouteAllDetailed(f, routes, 6, rand.New(rand.NewSource(9)))
 		return failed, f, routes
 	}
 	refFailed, refF, refRoutes := route(1)

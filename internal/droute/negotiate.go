@@ -3,7 +3,6 @@ package droute
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/fabric"
 )
@@ -40,12 +39,6 @@ func (c *NegotiateConfig) setDefaults() {
 	}
 }
 
-// negItem identifies one unrouted channel need of an iterative backend.
-type negItem struct {
-	net int32
-	ci  int
-}
-
 // negChoice is an item's current (track, segLo, segHi); track == -1 when
 // nothing is feasible.
 type negChoice struct{ track, segLo, segHi int }
@@ -61,72 +54,31 @@ type negChoice struct{ track, segLo, segHi int }
 // own occupancy, history and present-cost schedule) on up to GOMAXPROCS
 // goroutines and the results are committed serially in ascending channel
 // order. The outcome is bit-identical at every GOMAXPROCS setting.
-func RouteAllNegotiated(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg NegotiateConfig) int {
+func RouteAllNegotiated(f *fabric.Fabric, routes []fabric.NetRoute, cfg NegotiateConfig) int {
 	cfg.setDefaults()
-
-	var items []negItem
-	for id := range routes {
-		if !routes[id].Global {
-			continue
-		}
-		for ci := range routes[id].Chans {
-			if !routes[id].Chans[ci].Routed() {
-				items = append(items, negItem{int32(id), ci})
-			}
-		}
-	}
-	if len(items) == 0 {
+	ns := needs(routes)
+	if len(ns) == 0 {
 		return 0
 	}
 	// One attempt per channel need; the salvage RouteChan calls at commit
 	// count their own attempts on top, as genuinely separate tries.
-	f.Stats.DRouteAttempts += int64(len(items))
-	// Ascending channel first (grouping the per-channel subproblems), then
-	// longest intervals first within a channel: they have the fewest
-	// alternatives, so they should claim resources first both during
-	// negotiation and at commit. The (net, ci) tiebreak makes the ordering a
-	// total one — a net with two equal-length intervals in different channels
-	// would otherwise land in sort-instability-dependent order.
-	sort.Slice(items, func(i, j int) bool {
-		a1 := &routes[items[i].net].Chans[items[i].ci]
-		a2 := &routes[items[j].net].Chans[items[j].ci]
-		if a1.Ch != a2.Ch {
-			return a1.Ch < a2.Ch
-		}
-		l1, l2 := a1.Hi-a1.Lo, a2.Hi-a2.Lo
-		if l1 != l2 {
-			return l1 > l2
-		}
-		if items[i].net != items[j].net {
-			return items[i].net < items[j].net
-		}
-		return items[i].ci < items[j].ci
-	})
-
-	// Contiguous per-channel groups of the sorted item list.
-	type group struct{ lo, hi int }
-	var groups []group
-	for lo := 0; lo < len(items); {
-		ch := routes[items[lo].net].Chans[items[lo].ci].Ch
-		hi := lo + 1
-		for hi < len(items) && routes[items[hi].net].Chans[items[hi].ci].Ch == ch {
-			hi++
-		}
-		groups = append(groups, group{lo, hi})
-		lo = hi
-	}
+	f.Stats.DRouteAttempts += int64(len(ns))
+	// byChannel groups the per-channel subproblems, and its longest-first
+	// order lets the needs with the fewest alternatives claim resources first
+	// both during negotiation and at commit.
+	bounds := byChannel(routes, ns)
 
 	// Negotiate each channel independently. Each channel writes its own
 	// choices range and only reads f (no fabric mutation happens until
-	// commit), so the pool is race-free; per-group results do not depend on
-	// scheduling.
-	choices := make([]negChoice, len(items))
-	parallelIndex(len(groups), func(i int) {
-		g := groups[i]
-		negotiateChannel(f, routes, base, cfg, items[g.lo:g.hi], choices[g.lo:g.hi])
+	// commit), so the pool is race-free; per-channel results do not depend
+	// on scheduling.
+	choices := make([]negChoice, len(ns))
+	parallelIndex(len(bounds)-1, func(k int) {
+		lo, hi := bounds[k], bounds[k+1]
+		negotiateChannel(f, routes, ns[lo:hi], choices[lo:hi])
 	})
-	// Commit in item (= ascending channel) order.
-	return commitChoices(f, routes, base, items, choices, cfg.FallbackAttempts, cfg.Seed+41)
+	// Commit in need (= ascending channel) order.
+	return commitChoices(f, routes, ns, choices, cfg.FallbackAttempts, cfg.Seed+41)
 }
 
 // commitChoices installs the iterative backends' final track choices into f
@@ -137,54 +89,47 @@ func RouteAllNegotiated(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, c
 // fallbackAttempts retry orderings, seeded from fallbackSeed, reroutes them,
 // and whichever result loses fewer channel needs is kept, so an iterative
 // backend is never a downgrade. Returns the number of needs left unrouted.
-func commitChoices(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, items []negItem, choices []negChoice, fallbackAttempts int, fallbackSeed int64) int {
+func commitChoices(f *fabric.Fabric, routes []fabric.NetRoute, ns []chanNeed, choices []negChoice, fallbackAttempts int, fallbackSeed int64) int {
 	commit := func() int {
 		failed := 0
-		for i, it := range items {
+		for i, n := range ns {
 			c := choices[i]
-			ca := &routes[it.net].Chans[it.ci]
+			ca := &routes[n.net].Chans[n.ci]
 			if c.track >= 0 && f.HRangeFree(ca.Ch, c.track, c.segLo, c.segHi) {
-				f.AllocH(ca.Ch, c.track, c.segLo, c.segHi, it.net)
+				f.AllocH(ca.Ch, c.track, c.segLo, c.segHi, n.net)
 				ca.Track, ca.SegLo, ca.SegHi = c.track, c.segLo, c.segHi
 				continue
 			}
-			if RouteChan(f, it.net, &routes[it.net], it.ci, base) {
+			if RouteChan(f, n.net, &routes[n.net], n.ci) {
 				continue
 			}
 			failed++ // the salvage RouteChan already counted the failure
 		}
 		return failed
 	}
-	ripItems := func() {
-		for _, it := range items {
-			if routes[it.net].Chans[it.ci].Routed() {
-				UnrouteChan(f, it.net, &routes[it.net], it.ci)
-			}
-		}
-	}
 	failed := commit()
 	if failed == 0 {
 		return 0
 	}
-	ripItems()
-	orderedFailed := RouteAllDetailed(f, routes, base, fallbackAttempts, rand.New(rand.NewSource(fallbackSeed)))
+	unroute(f, routes, ns)
+	orderedFailed := RouteAllDetailed(f, routes, fallbackAttempts, rand.New(rand.NewSource(fallbackSeed)))
 	if orderedFailed <= failed {
 		return orderedFailed
 	}
-	ripItems()
+	unroute(f, routes, ns)
 	return commit()
 }
 
-// negotiateChannel runs the present/history negotiation loop for the needs of
-// one channel (items, all sharing the same Ch), writing each item's final
+// negotiateChannel runs the present/history negotiation loop for the needs
+// of one channel (ns, all sharing the same Ch), writing each need's final
 // track selection into choices. It reads the fabric's current H ownership
 // (pre-routed nets block their segments permanently) but never mutates f —
 // commitment happens later, serially. The present-cost escalation and the
 // convergence check are local to the channel: a hard-to-untangle channel no
 // longer inflates the sharing penalty for channels that converged early.
-func negotiateChannel(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg NegotiateConfig, items []negItem, choices []negChoice) {
+func negotiateChannel(f *fabric.Fabric, routes []fabric.NetRoute, ns []chanNeed, choices []negChoice) {
 	a := f.A
-	ch := routes[items[0].net].Chans[items[0].ci].Ch
+	ch := routes[ns[0].net].Chans[ns[0].ci].Ch
 
 	// Occupancy and history over this channel's tracks, permitting
 	// over-subscription during negotiation; segments already owned in the
@@ -209,13 +154,13 @@ func negotiateChannel(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 				occ[t][s] = 0
 			}
 		}
-		for i, it := range items {
-			ca := &routes[it.net].Chans[it.ci]
+		for i, n := range ns {
+			ca := &routes[n.net].Chans[n.ci]
 			best := math.Inf(1)
 			bt := -1
 			var bl, bh int
 			for t := 0; t < a.Tracks; t++ {
-				sl, sh := a.SegRange(t, ca.Lo, ca.Hi)
+				base, sl, sh := trackCost(a, t, ca.Lo, ca.Hi)
 				cost := 0.0
 				feasible := true
 				for s := sl; s <= sh; s++ {
@@ -229,9 +174,7 @@ func negotiateChannel(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 				if !feasible {
 					continue
 				}
-				segs := a.Seg[t]
-				waste := float64((segs[sh].End - segs[sl].Start) - (ca.Hi - ca.Lo + 1))
-				cost += base.WWaste*waste + base.WSegs*float64(sh-sl+1)
+				cost += base
 				if cost < best {
 					best, bt, bl, bh = cost, t, sl, sh
 				}
@@ -245,7 +188,7 @@ func negotiateChannel(f *fabric.Fabric, routes []fabric.NetRoute, base Cost, cfg
 		}
 		// Check for over-subscription; accrue history on contended segments.
 		clean := true
-		for i := range items {
+		for i := range ns {
 			c := choices[i]
 			if c.track < 0 {
 				continue

@@ -35,11 +35,11 @@ func TestNegotiationUntanglesOrderingTrap(t *testing.T) {
 	}
 	fGreedy := fabric.New(a)
 	rGreedy := mk()
-	greedyFailed := RouteAllDetailed(fGreedy, rGreedy, DefaultCost(), 1, rand.New(rand.NewSource(1)))
+	greedyFailed := RouteAllDetailed(fGreedy, rGreedy, 1, rand.New(rand.NewSource(1)))
 
 	fNeg := fabric.New(a)
 	rNeg := mk()
-	negFailed := RouteAllNegotiated(fNeg, rNeg, DefaultCost(), NegotiateConfig{})
+	negFailed := RouteAllNegotiated(fNeg, rNeg, NegotiateConfig{})
 	if negFailed > greedyFailed {
 		t.Errorf("negotiation (%d failed) worse than greedy (%d failed)", negFailed, greedyFailed)
 	}
@@ -72,9 +72,9 @@ func TestNegotiationAtLeastAsGoodAsGreedy(t *testing.T) {
 					t.Skipf("global routing failed at %d tracks", tracks)
 				}
 				if neg {
-					return RouteAllNegotiated(f, routes, DefaultCost(), NegotiateConfig{}), f, routes
+					return RouteAllNegotiated(f, routes, NegotiateConfig{}), f, routes
 				}
-				return RouteAllDetailed(f, routes, DefaultCost(), 1, rand.New(rand.NewSource(seed))), f, routes
+				return RouteAllDetailed(f, routes, 1, rand.New(rand.NewSource(seed))), f, routes
 			}
 			greedyFailed, _, _ := route(false)
 			negFailed, fNeg, rNeg := route(true)
@@ -95,7 +95,7 @@ func TestNegotiationRespectsPreRouted(t *testing.T) {
 	// Block the whole single track with a foreign net.
 	f.AllocH(0, 0, 0, len(a.Seg[0])-1, 99)
 	routes := []fabric.NetRoute{need(0, 1, 3)}
-	failed := RouteAllNegotiated(f, routes, DefaultCost(), NegotiateConfig{})
+	failed := RouteAllNegotiated(f, routes, NegotiateConfig{})
 	if failed != 1 {
 		t.Errorf("failed = %d, want 1 (track fully blocked)", failed)
 	}
@@ -107,7 +107,7 @@ func TestNegotiationRespectsPreRouted(t *testing.T) {
 func TestNegotiationEmptyInput(t *testing.T) {
 	a := arch.MustNew(arch.Default(1, 8, 2))
 	f := fabric.New(a)
-	if failed := RouteAllNegotiated(f, nil, DefaultCost(), NegotiateConfig{}); failed != 0 {
+	if failed := RouteAllNegotiated(f, nil, NegotiateConfig{}); failed != 0 {
 		t.Errorf("failed = %d on empty input", failed)
 	}
 }

@@ -10,9 +10,16 @@ import (
 	"repro/internal/fabric"
 )
 
+// refCost is the track-selection objective written out independently of
+// trackCost: one per column of wastage plus four per segment.
+func refCost(a *arch.Arch, t, sl, sh, lo, hi int) float64 {
+	segs := a.Seg[t]
+	return float64((segs[sh].End-segs[sl].Start)-(hi-lo+1)) + 4*float64(sh-sl+1)
+}
+
 // pickTrackScan is PickTrack as an exhaustive scan: every track in ascending
 // order, each tested with HRangeFree, the first strictly cheapest kept.
-func pickTrackScan(f *fabric.Fabric, ch, lo, hi int, cost Cost) (track, segLo, segHi int, ok bool) {
+func pickTrackScan(f *fabric.Fabric, ch, lo, hi int) (track, segLo, segHi int, ok bool) {
 	a := f.A
 	best := math.Inf(1)
 	track = -1
@@ -21,10 +28,7 @@ func pickTrackScan(f *fabric.Fabric, ch, lo, hi int, cost Cost) (track, segLo, s
 		if !f.HRangeFree(ch, t, sl, sh) {
 			continue
 		}
-		segs := a.Seg[t]
-		waste := float64((segs[sh].End - segs[sl].Start) - (hi - lo + 1))
-		c := cost.WWaste*waste + cost.WSegs*float64(sh-sl+1)
-		if c < best {
+		if c := refCost(a, t, sl, sh, lo, hi); c < best {
 			best, track, segLo, segHi = c, t, sl, sh
 		}
 	}
@@ -33,13 +37,12 @@ func pickTrackScan(f *fabric.Fabric, ch, lo, hi int, cost Cost) (track, segLo, s
 
 // bruteBest returns the exhaustive minimum cost of covering the interval
 // (math.Inf(1) if no track can).
-func bruteBest(f *fabric.Fabric, ch, lo, hi int, cost Cost) float64 {
-	t, sl, sh, ok := pickTrackScan(f, ch, lo, hi, cost)
+func bruteBest(f *fabric.Fabric, ch, lo, hi int) float64 {
+	t, sl, sh, ok := pickTrackScan(f, ch, lo, hi)
 	if !ok {
 		return math.Inf(1)
 	}
-	segs := f.A.Seg[t]
-	return cost.WWaste*float64((segs[sh].End-segs[sl].Start)-(hi-lo+1)) + cost.WSegs*float64(sh-sl+1)
+	return refCost(f.A, t, sl, sh, lo, hi)
 }
 
 // PickTrack reads only the tracks in the fabric's fit set; on random
@@ -65,16 +68,12 @@ func TestPickTrackMatchesScan(t *testing.T) {
 				}
 			}
 		}
-		cost := DefaultCost()
-		if seed%3 == 0 {
-			cost = Cost{WWaste: rng.Float64()*3 + 0.1, WSegs: rng.Float64()*6 + 0.1}
-		}
 		for trial := 0; trial < 40; trial++ {
 			ch := rng.Intn(a.Channels())
 			lo := rng.Intn(a.Cols)
 			hi := lo + rng.Intn(min(a.Cols-lo, 1+rng.Intn(20)))
-			wt, wl, wh, wok := pickTrackScan(f, ch, lo, hi, cost)
-			gt, gl, gh, gok := PickTrack(f, ch, lo, hi, cost)
+			wt, wl, wh, wok := pickTrackScan(f, ch, lo, hi)
+			gt, gl, gh, gok := PickTrack(f, ch, lo, hi)
 			if gok != wok || (wok && (gt != wt || gl != wl || gh != wh)) {
 				t.Fatalf("seed %d channel %d [%d,%d]: PickTrack (%d, %d, %d, %v), scan (%d, %d, %d, %v)",
 					seed, ch, lo, hi, gt, gl, gh, gok, wt, wl, wh, wok)
@@ -92,8 +91,8 @@ func TestPickTrackMatchesScan(t *testing.T) {
 }
 
 // Property: PickTrack always returns a track achieving the exhaustive
-// minimum cost, under random segmentations, random pre-existing occupancy
-// and random cost weights.
+// minimum cost, under random segmentations and random pre-existing
+// occupancy.
 func TestPickTrackIsOptimalProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -113,12 +112,11 @@ func TestPickTrackIsOptimalProperty(t *testing.T) {
 				f.AllocH(0, tr, seg, seg, 99)
 			}
 		}
-		cost := Cost{WWaste: rng.Float64()*3 + 0.1, WSegs: rng.Float64()*6 + 0.1}
 		for trial := 0; trial < 20; trial++ {
 			lo := rng.Intn(a.Cols)
 			hi := lo + rng.Intn(a.Cols-lo)
-			want := bruteBest(f, 0, lo, hi, cost)
-			tr, sl, sh, ok := PickTrack(f, 0, lo, hi, cost)
+			want := bruteBest(f, 0, lo, hi)
+			tr, sl, sh, ok := PickTrack(f, 0, lo, hi)
 			if !ok {
 				if !math.IsInf(want, 1) {
 					t.Logf("seed %d: PickTrack failed but brute force found cost %v", seed, want)
@@ -126,9 +124,7 @@ func TestPickTrackIsOptimalProperty(t *testing.T) {
 				}
 				continue
 			}
-			segs := a.Seg[tr]
-			waste := float64((segs[sh].End - segs[sl].Start) - (hi - lo + 1))
-			got := cost.WWaste*waste + cost.WSegs*float64(sh-sl+1)
+			got := refCost(a, tr, sl, sh, lo, hi)
 			if math.Abs(got-want) > 1e-9 {
 				t.Logf("seed %d: PickTrack cost %v, optimum %v", seed, got, want)
 				return false

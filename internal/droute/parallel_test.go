@@ -63,7 +63,7 @@ func TestNegotiatedParallelInvariance(t *testing.T) {
 				if gf := groute.RouteAll(f, pl, routes); len(gf) > 0 {
 					t.Skipf("global routing failed at %d tracks", tracks)
 				}
-				failed := RouteAllNegotiated(f, routes, DefaultCost(), NegotiateConfig{})
+				failed := RouteAllNegotiated(f, routes, NegotiateConfig{})
 				return failed, f, routes
 			}
 			refFailed, refF, refRoutes := route(1)
@@ -108,7 +108,7 @@ func TestNegotiatedGOMAXPROCSInvariance(t *testing.T) {
 		if gf := groute.RouteAll(f, pl, routes); len(gf) > 0 {
 			t.Skip("global routing failed")
 		}
-		failed := RouteAllNegotiated(f, routes, DefaultCost(), NegotiateConfig{})
+		failed := RouteAllNegotiated(f, routes, NegotiateConfig{})
 		return failed, routeKey(routes)
 	}
 	wideFailed, wideKey := route()

@@ -251,8 +251,8 @@ func TestReadRejectsDoublePlacement(t *testing.T) {
 	i := strings.Index(s, "place ")
 	j := strings.Index(s[i:], "\n")
 	dup := s[:i+j+1] + s[i:i+j+1] + s[i+j+1:]
-	if _, _, err := Read(strings.NewReader(dup), a, nl); err == nil {
-		t.Error("double placement accepted")
+	if _, _, err := Read(strings.NewReader(dup), a, nl); err == nil || !strings.Contains(err.Error(), "placed twice") {
+		t.Errorf("double placement: got %v, want a \"placed twice\" error", err)
 	}
 }
 

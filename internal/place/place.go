@@ -50,7 +50,6 @@ func (c *Config) setDefaults() {
 // Result summarizes a placement run.
 type Result struct {
 	Wirelength float64
-	Penalty    float64
 	Anneal     anneal.Result
 }
 
@@ -68,7 +67,7 @@ func Place(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*layout.Placement, Re
 		MovesPerTemp: cfg.MovesPerCell * nl.NumCells(),
 		MaxTemps:     cfg.MaxTemps,
 	}, nil)
-	return p, Result{Wirelength: pr.wl, Penalty: pr.penalty, Anneal: ares}, nil
+	return p, Result{Wirelength: pr.wl, Anneal: ares}, nil
 }
 
 // netContrib caches one net's current contribution to the cost terms.

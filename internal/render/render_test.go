@@ -27,7 +27,7 @@ func TestASCIIStructure(t *testing.T) {
 	f := fabric.New(a)
 	routes := make([]fabric.NetRoute, nl.NumNets())
 	groute.RouteAll(f, p, routes)
-	droute.RouteAllDetailed(f, routes, droute.DefaultCost(), 2, rng)
+	droute.RouteAllDetailed(f, routes, 2, rng)
 
 	out := ASCII(p, routes)
 	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")

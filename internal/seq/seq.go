@@ -75,7 +75,6 @@ type Result struct {
 	UnroutedNets  int // nets lacking a complete detailed route (the paper's D)
 	FullyRouted   bool
 	WCD           float64 // worst-case delay (estimates fill in for unrouted nets)
-	PlaceResult   place.Result
 	CriticalCells []int32
 }
 
@@ -84,7 +83,7 @@ func Run(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Result, error) {
 	cfg.setDefaults()
 
 	placeDone := metrics.StartPhase(cfg.Metrics, metrics.PhasePlace)
-	p, pres, err := place.Place(a, nl, cfg.Place)
+	p, _, err := place.Place(a, nl, cfg.Place)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +95,7 @@ func Run(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Result, error) {
 		pc := cfg.Place
 		pc.Seed++
 		pc.NetWeights = weights
-		p, pres, err = place.Place(a, nl, pc)
+		p, _, err = place.Place(a, nl, pc)
 		if err != nil {
 			return nil, err
 		}
@@ -117,17 +116,17 @@ func Run(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Result, error) {
 	drouteDone := metrics.StartPhase(cfg.Metrics, metrics.PhaseDetailRoute)
 	switch backend {
 	case droute.BackendNegotiated:
-		dFailed = droute.RouteAllNegotiated(f, routes, droute.DefaultCost(), droute.NegotiateConfig{
+		dFailed = droute.RouteAllNegotiated(f, routes, droute.NegotiateConfig{
 			Seed:             cfg.Seed,
 			FallbackAttempts: cfg.RouteAttempts,
 		})
 	case droute.BackendLagrange:
-		dFailed = droute.RouteAllLagrange(f, routes, droute.DefaultCost(), droute.LagrangeConfig{
+		dFailed = droute.RouteAllLagrange(f, routes, droute.LagrangeConfig{
 			Seed:             cfg.Seed,
 			FallbackAttempts: cfg.RouteAttempts,
 		})
 	default:
-		dFailed = droute.RouteAllDetailed(f, routes, droute.DefaultCost(), cfg.RouteAttempts, rng)
+		dFailed = droute.RouteAllDetailed(f, routes, cfg.RouteAttempts, rng)
 	}
 	drouteDone()
 
@@ -137,7 +136,6 @@ func Run(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Result, error) {
 		Routes:       routes,
 		GlobalFailed: len(gFailed),
 		DetailFailed: dFailed,
-		PlaceResult:  pres,
 	}
 	for id := range routes {
 		if !routes[id].DetailDone() {

@@ -143,7 +143,6 @@ func (s *Server) handleFleetLease(w http.ResponseWriter, r *http.Request) {
 			if !j.beginRunning() {
 				continue // canceled while queued; try the next job
 			}
-			s.journal(store.Record{Kind: store.KindRunning, Job: j.ID, Key: j.Key})
 			atomic.AddInt64(&s.runs, 1)
 			lease := s.leases.Grant(j.ID, req.WorkerID)
 			spec, err := json.Marshal(j.spec.req)

@@ -11,6 +11,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -72,6 +74,39 @@ func statsOf(t *testing.T, base string) server.Stats {
 		t.Fatalf("statsz decode: %v", err)
 	}
 	return st
+}
+
+// A finished job leaves exactly two journal records, its submission and its
+// completion: recovery reads nothing in between, so nothing in between is
+// journaled.
+func TestFinishedJobJournalsTwoRecords(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	srv, ts := startService(server.Config{Workers: 1, QueueDepth: 8, Store: st})
+	job, resp := submitJob(t, ts.URL, tinyJob)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	waitState(t, ts.URL, job.ID, server.StateDone, 60*time.Second)
+	ts.Close()
+	srv.Close()
+	st.Close()
+
+	wal, recs, _, err := store.OpenWAL(filepath.Join(dir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal.Close()
+	var kinds []store.Kind
+	for _, r := range recs {
+		if r.Job != job.ID {
+			t.Errorf("record %v names job %q, want %q", r.Kind, r.Job, job.ID)
+		}
+		kinds = append(kinds, r.Kind)
+	}
+	if want := []store.Kind{store.KindSubmitted, store.KindDone}; !slices.Equal(kinds, want) {
+		t.Errorf("journal kinds %v, want %v", kinds, want)
+	}
 }
 
 // TestRestartRecovery is the full durability story across three process

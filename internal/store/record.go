@@ -29,7 +29,9 @@ const (
 	// journalSubmission JSON); a submitted record with no terminal record
 	// behind it is an interrupted job, re-enqueued at recovery.
 	KindSubmitted Kind = 1
-	// KindRunning marks the queued → running transition.
+	// KindRunning marked the queued → running transition. Recovery never
+	// read it, so it is no longer written; it stays decodable so that
+	// journals written by older binaries still replay.
 	KindRunning Kind = 2
 	// KindDone marks successful completion; Data carries the result metadata
 	// (design name, size, stats) and the layout bytes live in the blob store

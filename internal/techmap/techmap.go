@@ -34,11 +34,11 @@ type Stats struct {
 }
 
 // Map returns a new netlist in which every combinational cell has at most k
-// inputs (4 when k is below 2). Cells created by decomposition get
-// netlist.CombDelay.
+// inputs. k must be at least 2: a tree of 1-input cells cannot join two
+// signals. Cells created by decomposition get netlist.CombDelay.
 func Map(nl *netlist.Netlist, k int) (*netlist.Netlist, Stats, error) {
-	if k <= 1 {
-		k = 4
+	if k < 2 {
+		return nil, Stats{}, fmt.Errorf("techmap: module fanin %d is below the minimum of 2", k)
 	}
 	var st Stats
 	st.CellsIn = nl.NumCells()

@@ -3,6 +3,7 @@ package techmap
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -68,6 +69,16 @@ func TestDecomposeWideGate(t *testing.T) {
 		wantDepth++ // root gate level
 		if depth > wantDepth {
 			t.Errorf("n=%d: depth %d, want <= %d (balanced tree)", n, depth, wantDepth)
+		}
+	}
+}
+
+// A fanin below 2 cannot be mapped to and is an error naming the limit.
+func TestMapRejectsFaninBelowTwo(t *testing.T) {
+	nl := wideGate(t, 5)
+	for _, k := range []int{0, 1} {
+		if _, _, err := Map(nl, k); err == nil || !strings.Contains(err.Error(), "minimum of 2") {
+			t.Errorf("Map(k=%d) error %v, want one naming the minimum of 2", k, err)
 		}
 	}
 }

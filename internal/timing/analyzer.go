@@ -390,6 +390,27 @@ func (t *Analyzer) Revert() {
 	t.inMove = false
 }
 
+// Fill sets every net's delays from scratch in one move: delays(id) for each
+// net with sinks, then Propagate and Commit. When delays fails, the move is
+// reverted and its error returned.
+func (t *Analyzer) Fill(delays func(id int32) ([]float64, error)) error {
+	t.Begin()
+	for id := range t.nl.Nets {
+		if len(t.nl.Nets[id].Sinks) == 0 {
+			continue
+		}
+		d, err := delays(int32(id))
+		if err != nil {
+			t.Revert()
+			return err
+		}
+		t.SetNetDelays(int32(id), d)
+	}
+	t.Propagate()
+	t.Commit()
+	return nil
+}
+
 // CriticalPath traces back from the worst sink pin and returns the cells on
 // the critical path, source first. The worst pin is the first strict maximum
 // in sink-pin order.

@@ -209,6 +209,19 @@ type DelayCalc struct {
 	order, stack []int
 	parentR      []float64
 	down, delay  []float64
+
+	est []float64 // Delays' estimate buffer
+}
+
+// Delays returns the in-loop model's per-sink delays for net id: Elmore at
+// wire load 1.0 once r is completely detail-routed, the spatial estimate
+// otherwise (also when r is nil). The slice is valid until the next call.
+func (dc *DelayCalc) Delays(p *layout.Placement, id int32, r *fabric.NetRoute) ([]float64, error) {
+	if r != nil && r.DetailDone() {
+		return dc.NetDelays(p, id, r, 1.0)
+	}
+	dc.est = AppendEstimateDelays(dc.est[:0], p, id)
+	return dc.est, nil
 }
 
 // addTap records a tap in the dense per-channel scratch, tracking first

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -160,7 +161,7 @@ func routeDesign(t *testing.T, a *arch.Arch, nl *netlist.Netlist, seed int64) (*
 	f := fabric.New(a)
 	routes := make([]fabric.NetRoute, nl.NumNets())
 	gFail := groute.RouteAll(f, p, routes)
-	dFail := droute.RouteAllDetailed(f, routes, droute.DefaultCost(), 4, rng)
+	dFail := droute.RouteAllDetailed(f, routes, 4, rng)
 	return p, f, routes, len(gFail) + dFail
 }
 
@@ -324,5 +325,10 @@ func TestAnalyzeChoosesModelPerNet(t *testing.T) {
 				t.Errorf("routes nil %v, net %d: delays %v, want %v", rts == nil, id, got, want)
 			}
 		}
+	}
+	// Verify, unlike Analyze, needs every net routed.
+	if _, err := Verify(p, routes, 1); err == nil || !strings.HasPrefix(err.Error(), "timing: verify: timing: net ") ||
+		!strings.HasSuffix(err.Error(), " is not completely routed") {
+		t.Errorf("Verify with unrouted nets: error %v", err)
 	}
 }

@@ -21,30 +21,24 @@ type VerifyResult struct {
 }
 
 // Analyze builds a fresh timing view of a finished layout with the in-loop
-// model: Elmore delays for every completely routed net, the spatial estimate
-// for the rest (for every net when routes is nil, as before routing).
+// model (DelayCalc.Delays; for every net the spatial estimate when routes is
+// nil, as before routing).
 func Analyze(p *layout.Placement, routes []fabric.NetRoute) (*Analyzer, error) {
 	t, err := NewAnalyzer(p.NL)
 	if err != nil {
 		return nil, err
 	}
-	t.Begin()
-	for id := range p.NL.Nets {
-		if len(p.NL.Nets[id].Sinks) == 0 {
-			continue
+	var dc DelayCalc
+	err = t.Fill(func(id int32) ([]float64, error) {
+		var r *fabric.NetRoute
+		if routes != nil {
+			r = &routes[id]
 		}
-		var d []float64
-		if routes != nil && routes[id].DetailDone() {
-			if d, err = NetDelays(p, int32(id), &routes[id], 1.0); err != nil {
-				return nil, err
-			}
-		} else {
-			d = EstimateDelays(p, int32(id))
-		}
-		t.SetNetDelays(int32(id), d)
+		return dc.Delays(p, id, r)
+	})
+	if err != nil {
+		return nil, err
 	}
-	t.Propagate()
-	t.Commit()
 	return t, nil
 }
 
@@ -56,22 +50,20 @@ func Verify(p *layout.Placement, routes []fabric.NetRoute, inLoopWCD float64) (V
 	if err != nil {
 		return VerifyResult{}, err
 	}
-	t.Begin()
-	for id := range routes {
-		if len(p.NL.Nets[id].Sinks) == 0 {
-			continue
-		}
-		d, err := NetDelays(p, int32(id), &routes[id], VerifyWireLoad)
+	var dc DelayCalc
+	err = t.Fill(func(id int32) ([]float64, error) {
+		d, err := dc.NetDelays(p, id, &routes[id], VerifyWireLoad)
 		if err != nil {
-			return VerifyResult{}, fmt.Errorf("timing: verify: %w", err)
+			return nil, fmt.Errorf("timing: verify: %w", err)
 		}
-		t.SetNetDelays(int32(id), d)
+		return d, nil
+	})
+	if err != nil {
+		return VerifyResult{}, err
 	}
-	wcd := t.Propagate()
-	t.Commit()
-	res := VerifyResult{WCD: wcd}
-	if wcd > 0 {
-		res.Agreement = inLoopWCD / wcd
+	res := VerifyResult{WCD: t.WCD()}
+	if res.WCD > 0 {
+		res.Agreement = inLoopWCD / res.WCD
 	}
 	return res, nil
 }

@@ -101,7 +101,8 @@ type TechMapStats = techmap.Stats
 // technology-mapping stage of the paper's Figure-1 flow): combinational
 // cells with more than k inputs are decomposed into balanced trees, and
 // single-fanout cells are absorbed into their fanout when the merged support
-// still fits (classic covering). Layouts consume the result.
+// still fits (classic covering). Layouts consume the result. k must be at
+// least 2.
 func TechMap(nl *Netlist, k int) (*Netlist, TechMapStats, error) {
 	return techmap.Map(nl, k)
 }
