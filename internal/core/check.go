@@ -130,6 +130,7 @@ func (o *Optimizer) Check() error {
 // afterwards only allocates, so a net it leaves unrouted stays unroutable
 // until something is freed.
 func (o *Optimizer) checkUnrouted() error {
+	defer func(n int64) { o.fitTests = n }(o.fitTests) // count only the cascade's tests
 	listed := make([]bool, len(o.Rts))
 	for k, id := range o.unrouted {
 		if id < 0 || int(id) >= len(o.Rts) {

@@ -241,13 +241,26 @@ type Optimizer struct {
 	// The wake index (wake.go): per channel and for the vertical list, what
 	// the listed nets are stuck on, live iff an entry's generation is its
 	// net's netGen; watchGen is the generation counter. woke[net] == epoch
-	// marks the nets this move's rip-up woke; freedH is the move's freed runs.
+	// marks the nets this move's rip-up woke, and needHead[net] is then the
+	// first of their recorded needs in needs. hstr (per channel) and vstr
+	// are the move's stretches.
 	hwatch   [][]watch
 	vwatch   []watch
 	netGen   []uint64
 	watchGen uint64
 	woke     []uint32
-	freedH   []freedRun
+	needHead []int32
+	needs    []wokeNeed
+	hstr     [][]stretch
+	vstr     []stretch
+
+	// fitTests counts the fabric-wide fit tests (HFit and VFit calls) that
+	// mayRoute makes in the cascade. stepHook, nil outside tests, runs at
+	// each woken listed net's turn before its fit test (turn true) and after
+	// each allocation the cascade makes (turn false), so that tests can
+	// follow the stretch rule step by step.
+	fitTests int64
+	stepHook func(id int32, turn bool)
 
 	// Dynamics instrumentation.
 	cellStamp     []uint32

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"runtime"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/fabric"
+	"repro/internal/layio"
 	"repro/internal/netgen"
 )
 
@@ -183,5 +188,73 @@ func TestParallelRunRoutesAndChecks(t *testing.T) {
 	}
 	if r.Champion < 0 || r.Champion >= 3 {
 		t.Errorf("champion index %d out of range", r.Champion)
+	}
+}
+
+// flowGolden is one fixed-seed flow of a benchmark workload and what it must
+// produce: the SHA-256 of layio.Write's bytes and the fabric's router counts.
+type flowGolden struct {
+	design          string
+	tracks, vtracks int // vtracks 0: arch.Default's
+	cfg             Config
+	layout          string
+	stats           fabric.RouteStats
+}
+
+// flowGoldens are perfbench's big529 effort on 38 tracks, where most moves
+// retry stuck nets, and s1 on its constrained instance, where global routes
+// fail and repair runs: the regimes the wake index and the cascade's skip
+// rule serve, which the smaller golden runs above barely reach.
+var flowGoldens = []flowGolden{
+	{
+		design: "big529", tracks: 38,
+		cfg:    Config{Seed: 4, MovesPerCell: 1, MaxTemps: 10, RepairPasses: 1},
+		layout: "5e23be0c5379a87821271ab7eb95c6b92abd1ff9d442b6afc194f119e36f7873",
+		stats:  fabric.RouteStats{RipUps: 44574, GRouteAttempts: 40241, GRouteFails: 60, DRouteAttempts: 197545, DRouteFails: 94596},
+	},
+	{
+		design: "s1", tracks: 24, vtracks: 3,
+		cfg:    Config{Seed: 4, MovesPerCell: 1, MaxTemps: 80},
+		layout: "d91cea8a2f74c6125bd734a402b1c51f424c3def277c6874fd113a325edd799c",
+		stats:  fabric.RouteStats{RipUps: 79247, GRouteAttempts: 67931, GRouteFails: 37, DRouteAttempts: 244971, DRouteFails: 65076},
+	},
+}
+
+// TestFlowGoldenLayouts pins the layout bytes and router counts of whole
+// flows in the stuck-net regime. The array is exper.ArchFor's: 8 rows, 12
+// above 350 cells, at about 55% slot use.
+func TestFlowGoldenLayouts(t *testing.T) {
+	for _, g := range flowGoldens {
+		prof, ok := netgen.Profile(g.design)
+		if !ok {
+			t.Fatalf("no %s profile", g.design)
+		}
+		nl, err := netgen.Generate(prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := 8
+		if nl.NumCells() > 350 {
+			rows = 12
+		}
+		p := arch.Default(rows, max(8, (nl.NumCells()*18/10+rows-1)/rows), g.tracks)
+		if g.vtracks > 0 {
+			p.VTracks = g.vtracks
+		}
+		o, err := New(arch.MustNew(p), nl, g.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Run()
+		var buf bytes.Buffer
+		if err := layio.Write(&buf, o.P, o.Rts); err != nil {
+			t.Fatal(err)
+		}
+		if h := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); h != g.layout {
+			t.Errorf("%s: layout sha256 %s, golden %s", g.design, h, g.layout)
+		}
+		if o.F.Stats != g.stats {
+			t.Errorf("%s: route stats %+v, golden %+v", g.design, o.F.Stats, g.stats)
+		}
 	}
 }

@@ -213,10 +213,11 @@ func (o *Optimizer) rerouteAndTime() {
 // cascade reroutes the unroutable nets. They are the persistent unrouted
 // list, so the cascade is one merge: the ripped nets, re-keyed by their new
 // estimated lengths, go into the old list in order, and the walk builds the
-// next list from the nets that stay unrouted. A net whose attempt mayRoute
-// rules out is passed over: the attempt would fail and change nothing, so
-// the layout is the one retrying it would give. It is tested at its turn,
-// since an earlier net may have taken what it needs. A listed net that wake
+// next list from the nets that stay unrouted. A net whose attempt its fit
+// test rules out is passed over: the attempt would fail and change nothing,
+// so the layout is the one retrying it would give. It is tested at its turn,
+// since an earlier net may have taken what it needs: a ripped net by
+// mayRoute, a listed net that wake woke by stretchFit. A listed net that wake
 // did not mark could not route after rip-up and cannot later, so it is
 // passed over untested. The old list stays in spare for Reject.
 func (o *Optimizer) cascade() {
@@ -249,13 +250,22 @@ func (o *Optimizer) cascade() {
 				next = append(next, id)
 				continue
 			}
+			o.step(id, true)
+			if !o.stretchFit(id) {
+				next = append(next, id)
+				continue
+			}
 		} else if j < len(o.ripped) {
 			id = o.ripped[j]
 			j++
+			if !o.mayRoute(id) {
+				next = append(next, id)
+				continue
+			}
 		} else {
 			break
 		}
-		if !o.mayRoute(id) || !o.routeNet(id) {
+		if !o.routeNet(id) {
 			next = append(next, id)
 		}
 	}
@@ -300,8 +310,9 @@ func (o *Optimizer) retime() {
 	o.An.Propagate()
 }
 
-// routeNet attempts to complete the unrouted net id's route and reports
-// whether it is now fully detail-routed.
+// routeNet attempts to complete the unrouted net id's route, global route
+// first and then each missing channel in order, and reports whether it is
+// now fully detail-routed. Each allocation splits the stretch it hits.
 func (o *Optimizer) routeNet(id int32) bool {
 	o.journalNet(id, false)
 	r := &o.Rts[id]
@@ -309,21 +320,46 @@ func (o *Optimizer) routeNet(id int32) bool {
 		if !groute.Route(o.F, o.P, id, r) {
 			return false
 		}
+		if r.HasTrunk {
+			if len(o.vstr) > 0 {
+				o.vstr = split(o.vstr, int32(r.TrunkCol*o.A.VTracks+r.TrunkTrack), int32(r.VLo), int32(r.VHi))
+			}
+			o.step(id, false)
+		}
 		o.g--
 		o.dc += r.UnroutedChans()
 	}
-	if !r.DetailDone() {
-		u0 := r.UnroutedChans()
-		missing := droute.RouteNet(o.F, id, r)
-		o.dc += missing - u0
-		if missing > 0 {
-			return false
+	missing := 0
+	for ci := range r.Chans {
+		ca := &r.Chans[ci]
+		if ca.Routed() {
+			continue
 		}
+		if !droute.RouteChan(o.F, id, r, ci) {
+			missing++
+			continue
+		}
+		o.dc--
+		if ss := o.hstr[ca.Ch]; len(ss) > 0 {
+			segs := o.A.Seg[ca.Track]
+			o.hstr[ca.Ch] = split(ss, int32(ca.Track), int32(segs[ca.SegLo].Start), int32(segs[ca.SegHi].End-1))
+		}
+		o.step(id, false)
+	}
+	if missing > 0 {
+		return false
 	}
 	// Detail-routed now (a global route with no channel needs, such as a
 	// sink-less net's, is complete at once).
 	o.d--
 	return true
+}
+
+// step calls stepHook, if set.
+func (o *Optimizer) step(id int32, turn bool) {
+	if o.stepHook != nil {
+		o.stepHook(id, turn)
+	}
 }
 
 // Accept implements anneal.Problem.
@@ -417,12 +453,15 @@ func (o *Optimizer) mayRoute(id int32) bool {
 			return true
 		}
 		vLo, vHi := o.A.VSegRange(box.ChLo, box.ChHi)
+		o.fitTests++
 		return !o.F.VFit(vLo, vHi).Empty()
 	}
 	for i := range r.Chans {
-		ca := &r.Chans[i]
-		if !ca.Routed() && !o.F.HFit(ca.Ch, ca.Lo, ca.Hi).Empty() {
-			return true
+		if ca := &r.Chans[i]; !ca.Routed() {
+			o.fitTests++
+			if !o.F.HFit(ca.Ch, ca.Lo, ca.Hi).Empty() {
+				return true
+			}
 		}
 	}
 	return false

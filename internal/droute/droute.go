@@ -79,21 +79,6 @@ func UnrouteChan(f *fabric.Fabric, id int32, r *fabric.NetRoute, ci int) {
 	ca.Track = -1
 }
 
-// RouteNet attempts to detail-route every unrouted channel of a globally
-// routed net. It returns the number of channels that remain unrouted.
-func RouteNet(f *fabric.Fabric, id int32, r *fabric.NetRoute) int {
-	missing := 0
-	for ci := range r.Chans {
-		if r.Chans[ci].Routed() {
-			continue
-		}
-		if !RouteChan(f, id, r, ci) {
-			missing++
-		}
-	}
-	return missing
-}
-
 // chanNeed identifies one unrouted channel need of a full router: entry ci of
 // net's route.
 type chanNeed struct {

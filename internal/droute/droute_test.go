@@ -104,7 +104,7 @@ func TestFigure2Scenario(t *testing.T) {
 	}
 }
 
-func TestRouteNetCountsMissing(t *testing.T) {
+func TestRouteChanLeavesBlockedChannel(t *testing.T) {
 	a := singleTrackArch(t, []int{4, 4}, 1)
 	f := fabric.New(a)
 	// Net needs channels 0 and 1; block channel 1 entirely.
@@ -113,15 +113,20 @@ func TestRouteNetCountsMissing(t *testing.T) {
 		{Ch: 0, Lo: 0, Hi: 3, Track: -1},
 		{Ch: 1, Lo: 0, Hi: 3, Track: -1},
 	}}
-	missing := RouteNet(f, 1, &r)
-	if missing != 1 {
-		t.Fatalf("missing = %d, want 1", missing)
+	if !RouteChan(f, 1, &r, 0) {
+		t.Fatal("free channel 0 did not route")
 	}
-	if !r.Chans[0].Routed() || r.Chans[1].Routed() {
+	if RouteChan(f, 1, &r, 1) {
+		t.Fatal("blocked channel 1 routed")
+	}
+	if !r.Chans[0].Routed() || r.Chans[1].Routed() || r.UnroutedChans() != 1 {
 		t.Error("wrong channel routed")
 	}
 	if r.DetailDone() {
 		t.Error("route with missing channel reported done")
+	}
+	if f.Stats.DRouteAttempts != 2 || f.Stats.DRouteFails != 1 {
+		t.Errorf("stats %+v, want 2 attempts and 1 failure", f.Stats)
 	}
 }
 
