@@ -10,9 +10,9 @@ import (
 
 // Ablation benchmarks quantify the design choices DESIGN.md calls out: the
 // pinmap component of the state, the missing-channel gradient inside the D
-// term, and the range-limited move extension. Each runs the simultaneous
-// flow on the cse benchmark and reports worst-case delay and unrouted nets,
-// so variants can be compared from one `go test -bench=Ablation` run.
+// term, the timing term and the sequential baselines. Each runs its flow on
+// the cse benchmark and reports worst-case delay and unrouted nets, so
+// variants can be compared from one `go test -bench=Ablation` run.
 
 func runAblation(b *testing.B, mutate func(*core.Config)) {
 	b.Helper()
@@ -51,11 +51,6 @@ func BenchmarkAblationNoPinmaps(b *testing.B) {
 // count.
 func BenchmarkAblationNoDCGradient(b *testing.B) {
 	runAblation(b, func(c *core.Config) { c.DCFraction = -1 })
-}
-
-// BenchmarkAblationRangeLimit enables adaptive move-range windows.
-func BenchmarkAblationRangeLimit(b *testing.B) {
-	runAblation(b, func(c *core.Config) { c.RangeLimit = true })
 }
 
 // BenchmarkAblationWirabilityOnly drops the timing term (the Table-2

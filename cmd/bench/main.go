@@ -194,11 +194,7 @@ func run(o runOpts) error {
 		if err != nil {
 			return err
 		}
-		opt := exper.DefaultCompareOptions()
-		opt.WallTol = wallTol
-		if o.timingGate {
-			opt = exper.TimingQualityCompareOptions()
-		}
+		opt := exper.CompareOptions{WallTol: wallTol, TimingQuality: o.timingGate}
 		regs, err := exper.CompareBenchReports(base, rep, opt)
 		if err != nil {
 			return err

@@ -108,13 +108,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "paper:", err)
 		os.Exit(1)
 	}
-	if sum != nil {
-		fmt.Println()
-		if err := sum.WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "paper:", err)
-			os.Exit(1)
-		}
-	}
 	if *segsweep {
 		rows, err := exper.SegmentationSweep(*design, 24, e, *seed)
 		if err != nil {
@@ -122,6 +115,13 @@ func main() {
 			os.Exit(1)
 		}
 		if err := report.SegSweep(os.Stdout, rows); err != nil {
+			fmt.Fprintln(os.Stderr, "paper:", err)
+			os.Exit(1)
+		}
+	}
+	if sum != nil {
+		fmt.Println()
+		if err := sum.WriteText(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "paper:", err)
 			os.Exit(1)
 		}

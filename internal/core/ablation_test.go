@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/arch"
@@ -43,65 +42,4 @@ func TestNoDCGradientStillRoutes(t *testing.T) {
 	if !res.FullyRouted {
 		t.Errorf("not routed without the missing-channel gradient: D=%d", res.D)
 	}
-}
-
-func TestRangeLimitStillRoutes(t *testing.T) {
-	res := runVariant(t, func(c *Config) { c.RangeLimit = true })
-	if !res.FullyRouted {
-		t.Errorf("not routed with range limiting: D=%d", res.D)
-	}
-	if res.WCD <= 0 {
-		t.Error("no WCD")
-	}
-}
-
-func TestRangeLimitWindowAdapts(t *testing.T) {
-	nl, err := netgen.Generate(netgen.Params{Name: "abl", Inputs: 4, Outputs: 3, Seq: 2, Comb: 30, Seed: 81})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := arch.MustNew(arch.Default(5, 12, 12))
-	o, err := New(a, nl, Config{Seed: 5, MovesPerCell: 5, MaxTemps: 60, RangeLimit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := o.window
-	o.Run()
-	if o.window >= start {
-		t.Errorf("window did not shrink over the anneal: %d -> %d", start, o.window)
-	}
-	if o.window < 1 {
-		t.Errorf("window below 1: %d", o.window)
-	}
-}
-
-func TestRangeLimitMovesStayInWindow(t *testing.T) {
-	nl, err := netgen.Generate(netgen.Params{Name: "abl", Inputs: 4, Outputs: 3, Seq: 2, Comb: 30, Seed: 81})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := arch.MustNew(arch.Default(5, 12, 12))
-	o, err := New(a, nl, Config{Seed: 5, RangeLimit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.window = 2
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 200; i++ {
-		la := o.P.Loc[rng.Intn(o.NL.NumCells())]
-		lb := o.pickPartner(rng, la)
-		if abs(lb.Row-la.Row) > 2 || abs(lb.Col-la.Col) > 2 {
-			t.Fatalf("partner %v outside window of %v", lb, la)
-		}
-		if lb == la {
-			t.Fatal("partner equals source")
-		}
-	}
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -8,11 +8,11 @@ import (
 // Clone returns a deep copy of the complete optimizer state: placement (cell
 // slots and pinmaps), fabric ownership tables and free sets, every net's
 // segment assignment, the unrouted list and its keys, the wake index (rebuilt
-// from the list), the G/D/dc counters, the adaptive cost weights, the
-// move-range window, and the incremental timing-analyzer state. Clones share
-// only immutable structures (the architecture, the netlist, the pinmap
-// palette) and evolve fully independently afterwards — the parallel annealing
-// engine relies on this to run chains on separate goroutines.
+// from the list), the G/D/dc counters, the adaptive cost weights, and the
+// incremental timing-analyzer state. Clones share only immutable structures
+// (the architecture, the netlist, the pinmap palette) and evolve fully
+// independently afterwards — the parallel annealing engine relies on this to
+// run chains on separate goroutines.
 //
 // The clone starts with fresh journal scratch and epoch counters; cloning
 // inside an open move is a programming error and panics.
@@ -50,7 +50,6 @@ func (o *Optimizer) Clone() *Optimizer {
 		estLen:   append([]float64(nil), o.estLen...),
 
 		dynamics: append([]DynamicsSample(nil), o.dynamics...),
-		window:   o.window,
 
 		chain:   o.chain,
 		lastRt:  o.lastRt,

@@ -86,12 +86,6 @@ type Config struct {
 	// every pre-existing configuration.
 	CritWeight float64
 
-	// RangeLimit enables TimberWolf-style adaptive move-range windows (the
-	// "technical improvements ... for increased speed" direction of the
-	// paper's §5): the swap partner is drawn from a window around the moved
-	// cell whose radius adapts to keep acceptance near 0.44.
-	RangeLimit bool
-
 	// Chains selects parallel portfolio annealing: K independent chains run
 	// concurrently and exchange state at synchronization barriers (losers
 	// restart from a clone of the champion). 0 or 1 keeps the serial engine
@@ -282,9 +276,6 @@ type Optimizer struct {
 	critEpoch uint32
 	jCritSum  float64 // journaled critSum (valid during an open move)
 
-	// Adaptive move-range window (RangeLimit extension).
-	window int
-
 	// Observability state: the chain index this optimizer is annealing as,
 	// and the router/STA counter snapshots taken at the last temperature
 	// boundary (for per-temperature deltas). Only read when cfg.Metrics is
@@ -342,7 +333,6 @@ func New(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Optimizer, error) {
 		ripped:   make([]int32, 0, nl.NumNets()),
 		estLen:   make([]float64, nl.NumNets()),
 	}
-	o.window = maxInt(a.Rows, a.Cols)
 
 	// Initial constructive routing (longest nets first) and delay fill.
 	// The nested phase records let benchmarks attribute the construction's
@@ -606,7 +596,7 @@ func (o *Optimizer) RunParallel() (*Optimizer, Result) {
 		Chains:    o.cfg.Chains,
 		SyncTemps: o.cfg.SyncTemps,
 	}, func(ci int, p anneal.Problem, s anneal.TempStats) {
-		// Each chain maintains its own weights, window and dynamics trace;
+		// Each chain maintains its own weights and dynamics trace;
 		// the callback only ever touches that chain's optimizer.
 		opt := p.(*Optimizer)
 		opt.chain = ci
@@ -640,16 +630,8 @@ func (o *Optimizer) RunParallel() (*Optimizer, Result) {
 	return champ, res
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// onTemp records Figure-6 dynamics, emits the observability record,
-// renormalizes weights, and adapts the move-range window toward the classic
-// 0.44 acceptance target.
+// onTemp records Figure-6 dynamics, emits the observability record and
+// renormalizes weights.
 func (o *Optimizer) onTemp(s anneal.TempStats) {
 	if mc := o.cfg.Metrics; mc != nil {
 		rt, st := o.F.Stats.Sub(o.lastRt), o.An.Stats().Sub(o.lastSTA)
@@ -704,24 +686,6 @@ func (o *Optimizer) onTemp(s anneal.TempStats) {
 		o.rebuildCritState()
 	}
 	o.refreshWeights()
-	if o.cfg.RangeLimit {
-		// Lam-style control: low acceptance means the moves are too
-		// disruptive, so shrink the window; high acceptance means they are
-		// too timid, so widen it.
-		switch r := s.AcceptRatio(); {
-		case r < 0.38:
-			o.window = maxInt(1, o.window*8/10)
-		case r > 0.55:
-			o.window = minIntc(o.window*12/10+1, maxInt(o.A.Rows, o.A.Cols))
-		}
-	}
-}
-
-func minIntc(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // cancelPending reports whether cfg.Cancel has fired (nil = never). It is

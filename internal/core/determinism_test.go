@@ -41,14 +41,14 @@ var goldenRuns = []golden{
 		dyn:        26,
 	},
 	{
-		cfg:        Config{Seed: 4, MovesPerCell: 6, MaxTemps: 60, RangeLimit: true},
-		wcd:        35398.376000000004,
+		cfg:        Config{Seed: 4, MovesPerCell: 6, MaxTemps: 60},
+		wcd:        36277.868000000002,
 		finalCost:  1,
-		temps:      37,
-		totalMoves: 8892,
-		accepted:   3540,
-		annealBest: 0.88186076555232296,
-		dyn:        38,
+		temps:      49,
+		totalMoves: 11700,
+		accepted:   3455,
+		annealBest: 0.88988227221724181,
+		dyn:        50,
 	},
 }
 

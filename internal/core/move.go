@@ -52,34 +52,15 @@ func (o *Optimizer) Propose(rng *rand.Rand) float64 {
 	return o.proposeSwap(la, lb)
 }
 
-// pickPartner chooses the destination slot for a swap: uniform over the
-// array, or — with RangeLimit — within the adaptive window around the source.
+// pickPartner chooses the destination slot for a swap, uniformly over the
+// array's other slots.
 func (o *Optimizer) pickPartner(rng *rand.Rand, la layout.Loc) layout.Loc {
 	for {
-		var lb layout.Loc
-		if o.cfg.RangeLimit {
-			w := o.window
-			lb = layout.Loc{
-				Row: clampInt(la.Row+rng.Intn(2*w+1)-w, 0, o.A.Rows-1),
-				Col: clampInt(la.Col+rng.Intn(2*w+1)-w, 0, o.A.Cols-1),
-			}
-		} else {
-			lb = layout.Loc{Row: rng.Intn(o.A.Rows), Col: rng.Intn(o.A.Cols)}
-		}
+		lb := layout.Loc{Row: rng.Intn(o.A.Rows), Col: rng.Intn(o.A.Cols)}
 		if lb != la {
 			return lb
 		}
 	}
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 func (o *Optimizer) begin(kind moveKind) float64 {

@@ -43,7 +43,7 @@ func TestIncrementalStateAgreesWithRecompute(t *testing.T) {
 			arch:  shifted,
 			comb:  22,
 			seq:   3,
-			cfg:   Config{RangeLimit: true},
+			cfg:   Config{},
 			seeds: []int64{7, 18},
 		},
 		{
@@ -63,11 +63,11 @@ func TestIncrementalStateAgreesWithRecompute(t *testing.T) {
 			seeds: []int64{3, 21},
 		},
 		{
-			name:  "criticality-biased-range-limited",
+			name:  "criticality-biased-shifted",
 			arch:  shifted,
 			comb:  22,
 			seq:   3,
-			cfg:   Config{CritWeight: 0.5, RangeLimit: true},
+			cfg:   Config{CritWeight: 0.5},
 			seeds: []int64{9},
 		},
 	}

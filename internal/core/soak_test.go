@@ -194,6 +194,17 @@ func TestCheckCatchesDrift(t *testing.T) {
 			}
 			t.Fatal("no routed run reaches left of its interval")
 		}, "its pins need"},
+		{"stale trunk column", func(c *Optimizer) {
+			// The layout format saves no trunk fields for a route without a
+			// trunk, so a value there would not survive a save and reload.
+			for id := range c.Rts {
+				if r := &c.Rts[id]; !r.HasTrunk {
+					r.TrunkCol = 1
+					return
+				}
+			}
+			t.Fatal("every route has a trunk")
+		}, "holds trunk fields"},
 	} {
 		cl := o.Clone()
 		c.corrupt(cl)

@@ -72,11 +72,11 @@ func RouteChan(f *fabric.Fabric, id int32, r *fabric.NetRoute, ci int) bool {
 }
 
 // UnrouteChan releases channel entry ci of net id's route and marks it
-// unrouted.
+// unrouted, with no segment run.
 func UnrouteChan(f *fabric.Fabric, id int32, r *fabric.NetRoute, ci int) {
 	ca := &r.Chans[ci]
 	f.FreeH(ca.Ch, ca.Track, ca.SegLo, ca.SegHi, id)
-	ca.Track = -1
+	ca.Track, ca.SegLo, ca.SegHi = -1, 0, 0
 }
 
 // chanNeed identifies one unrouted channel need of a full router: entry ci of
@@ -147,11 +147,10 @@ func RouteAllDetailed(f *fabric.Fabric, routes []fabric.NetRoute, attempts int, 
 
 // routeChannel routes one channel's needs in order ns. If any fail, it draws
 // attempts-1 seeds from rng and tries, on the fabric, the ordering each seed
-// shuffles ns into. Every trial starts from the entries the first pass left
-// unrouted, whose segment fields still name their last route. The earliest
-// ordering with the fewest failures, ns itself counting first, is routed
-// again from there and kept. f.Stats record only the first pass and the kept
-// ordering. Returns the kept ordering's failures.
+// shuffles ns into, each from all of ns unrouted. The earliest ordering with
+// the fewest failures, ns itself counting first, is routed again and kept.
+// f.Stats record only the first pass and the kept ordering. Returns the kept
+// ordering's failures.
 func routeChannel(f *fabric.Fabric, routes []fabric.NetRoute, ns []chanNeed, attempts int, rng *rand.Rand) int {
 	failed := routeOrder(f, routes, ns)
 	if failed == 0 || attempts < 2 {
@@ -163,10 +162,6 @@ func routeChannel(f *fabric.Fabric, routes []fabric.NetRoute, ns []chanNeed, att
 	}
 	stats := f.Stats
 	unroute(f, routes, ns)
-	left := make([]fabric.ChanAssign, len(ns))
-	for i, n := range ns {
-		left[i] = routes[n.net].Chans[n.ci]
-	}
 	best := ns
 	for _, seed := range seeds {
 		order := slices.Clone(ns)
@@ -179,9 +174,6 @@ func routeChannel(f *fabric.Fabric, routes []fabric.NetRoute, ns []chanNeed, att
 			failed, best = trial, order
 		}
 		unroute(f, routes, ns)
-		for i, n := range ns {
-			routes[n.net].Chans[n.ci] = left[i]
-		}
 		f.Stats = stats
 	}
 	routeOrder(f, routes, best)

@@ -137,12 +137,16 @@ func TestUnrouteChan(t *testing.T) {
 	if !RouteChan(f, 5, &r, 0) {
 		t.Fatal("route failed")
 	}
+	if r.Chans[0].SegHi == 0 {
+		t.Fatal("route took one segment; want a run to clear")
+	}
 	UnrouteChan(f, 5, &r, 0)
 	if f.UsedH() != 0 {
 		t.Error("segments leaked")
 	}
-	if r.Chans[0].Routed() {
-		t.Error("channel still marked routed")
+	// Nothing the layout format does not carry for an open entry stays set.
+	if want := (fabric.ChanAssign{Ch: 0, Lo: 1, Hi: 6, Track: -1}); r.Chans[0] != want {
+		t.Errorf("unrouted entry %+v, want %+v", r.Chans[0], want)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/layio"
 	"repro/internal/metrics"
 	"repro/internal/portfolio"
 )
@@ -90,10 +91,10 @@ type BenchRow struct {
 	Accepted int    `json:"accepted"`
 	Restarts int    `json:"restarts"` // elite-migration restarts (parallel runs)
 
-	// LayoutHash fingerprints the final placement, pinmaps and routes; like
-	// the quality fields it is bit-identical for a fixed configuration, so
-	// the compare gate can prove a perf change did not alter results. Empty
-	// in reports predating the field.
+	// LayoutHash is the SHA-256 of the final layout's saved bytes (see
+	// LayoutHash); like the quality fields it is bit-identical for a fixed
+	// configuration, so the compare gate can prove a perf change did not
+	// alter results. Empty in reports predating the field.
 	LayoutHash string `json:"layout_hash,omitempty"`
 
 	// RouteFailed is the channel-need count the initial constructive routing
@@ -162,22 +163,14 @@ func RunBenchmark(design string, e Effort, seed int64, tracks int) (BenchRow, er
 	}, nil
 }
 
-// LayoutHash returns a SHA-256 fingerprint of the optimizer's final layout:
-// every cell's slot and pinmap plus every net's complete route descriptor.
-// Two runs with the same configuration produce the same hash on any machine;
-// a perf-only change that alters the hash has changed results.
+// LayoutHash returns the hex SHA-256 of the optimizer's layout as layio.Write
+// saves it (placement, pinmaps and routes), so it equals the hash of the
+// saved file and survives a save and reload. Two runs with the same
+// configuration produce the same hash on any machine; a perf-only change
+// that alters the hash has changed results.
 func LayoutHash(o *core.Optimizer) string {
 	h := sha256.New()
-	for id, loc := range o.P.Loc {
-		fmt.Fprintf(h, "c%d:%d,%d,%d;", id, loc.Row, loc.Col, o.P.Pm[id])
-	}
-	for id := range o.Rts {
-		r := &o.Rts[id]
-		fmt.Fprintf(h, "n%d:%v,%v,%d,%d,%d,%d|", id, r.Global, r.HasTrunk, r.TrunkCol, r.TrunkTrack, r.VLo, r.VHi)
-		for _, ca := range r.Chans {
-			fmt.Fprintf(h, "%d,%d,%d,%d,%d,%d;", ca.Ch, ca.Lo, ca.Hi, ca.Track, ca.SegLo, ca.SegHi)
-		}
-	}
+	_ = layio.Write(h, o.P, o.Rts) // writes to a hash never fail
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -215,49 +208,38 @@ func ReadBenchReport(r io.Reader) (*BenchReport, error) {
 type CompareOptions struct {
 	// WallTol is the allowed relative wall-time regression (0.25 = +25%).
 	WallTol float64
-	// WallSlackMS is an absolute grace on top of WallTol, so sub-second
-	// benchmarks on differently loaded machines do not flake the gate.
-	WallSlackMS float64
-	// AllocTol is the allowed relative allocs/move and bytes/move regression.
-	// The counters are near-deterministic, so the tolerance only absorbs
-	// runtime-internal noise, not real regressions.
-	AllocTol float64
-	// AllocSlack / BytesSlack are the absolute graces on top of AllocTol
-	// (allocs per move, bytes per move), keeping near-zero baselines from
-	// flaking the gate on sub-allocation noise.
-	AllocSlack float64
-	BytesSlack float64
 
 	// TimingQuality switches the gate from same-configuration regression
 	// checking to cross-configuration quality comparison: the current report
 	// (typically a criticality-weighted run) must strictly improve the
 	// geometric-mean critical path over the baseline without routing any
-	// worse, at a total wall-time cost of at most WallCostTol. Per-design
+	// worse, at a total wall-time cost of at most wallCostTol. Per-design
 	// layout-hash, critical-path, wall and alloc gates are skipped — the
 	// configurations are *supposed* to differ in results — but
 	// Effort/Seed/Tracks/Chains must still match, and both reports must be
 	// from the same machine for the wall comparison to mean anything.
 	TimingQuality bool
-	// WallCostTol is the allowed relative total wall-time increase in
+}
+
+// The compare gate's fixed graces.
+const (
+	// wallSlackMS is an absolute grace on top of WallTol (and of
+	// wallCostTol), so sub-second benchmarks on differently loaded machines
+	// do not flake the gate.
+	wallSlackMS = 250
+	// allocTol is the allowed relative allocs/move and bytes/move
+	// regression. The counters are near-deterministic, so the tolerance only
+	// absorbs runtime-internal noise, not real regressions.
+	allocTol = 0.25
+	// allocSlack and bytesSlack are the absolute graces on top of allocTol
+	// (allocs per move, bytes per move), keeping near-zero baselines from
+	// flaking the gate on sub-allocation noise.
+	allocSlack = 2
+	bytesSlack = 256
+	// wallCostTol is the allowed relative total wall-time increase in
 	// TimingQuality mode (0.05 = the timing win may cost at most 5% runtime).
-	WallCostTol float64
-}
-
-// DefaultCompareOptions returns the CI gate settings: fail on >25% wall-time
-// regression (plus 250 ms absolute slack), >25% allocs/bytes-per-move
-// regression (plus small absolute slack), any quality worsening, or a layout
-// hash mismatch.
-func DefaultCompareOptions() CompareOptions {
-	return CompareOptions{WallTol: 0.25, WallSlackMS: 250, AllocTol: 0.25, AllocSlack: 2, BytesSlack: 256}
-}
-
-// TimingQualityCompareOptions returns the nightly paper-suite gate settings:
-// the criticality-weighted run must improve geomean critical path at a total
-// wall cost of at most 5% (plus the usual absolute slack for sub-second
-// suites).
-func TimingQualityCompareOptions() CompareOptions {
-	return CompareOptions{TimingQuality: true, WallCostTol: 0.05, WallSlackMS: 250}
-}
+	wallCostTol = 0.05
+)
 
 // CompareBenchReports checks cur against base and returns one message per
 // regression (empty = gate passes). Quality metrics (unrouted counts,
@@ -324,20 +306,20 @@ func CompareBenchReports(base, cur *BenchReport, opt CompareOptions) ([]string, 
 			regressions = append(regressions,
 				fmt.Sprintf("%s: layout hash changed (%.12s... -> %.12s...)", c.Design, b.LayoutHash, c.LayoutHash))
 		}
-		if limit := b.WallMS*(1+opt.WallTol) + opt.WallSlackMS; c.WallMS > limit {
+		if limit := b.WallMS*(1+opt.WallTol) + wallSlackMS; c.WallMS > limit {
 			regressions = append(regressions,
 				fmt.Sprintf("%s: wall time %.0f ms -> %.0f ms (limit %.0f ms)", c.Design, b.WallMS, c.WallMS, limit))
 		}
 		// Alloc gates only arm once the baseline carries the counters
 		// (reports predating the fields decode them as zero).
 		if b.AllocsPerMove > 0 {
-			if limit := b.AllocsPerMove*(1+opt.AllocTol) + opt.AllocSlack; c.AllocsPerMove > limit {
+			if limit := b.AllocsPerMove*(1+allocTol) + allocSlack; c.AllocsPerMove > limit {
 				regressions = append(regressions,
 					fmt.Sprintf("%s: allocs/move %.2f -> %.2f (limit %.2f)", c.Design, b.AllocsPerMove, c.AllocsPerMove, limit))
 			}
 		}
 		if b.BytesPerMove > 0 {
-			if limit := b.BytesPerMove*(1+opt.AllocTol) + opt.BytesSlack; c.BytesPerMove > limit {
+			if limit := b.BytesPerMove*(1+allocTol) + bytesSlack; c.BytesPerMove > limit {
 				regressions = append(regressions,
 					fmt.Sprintf("%s: bytes/move %.0f -> %.0f (limit %.0f)", c.Design, b.BytesPerMove, c.BytesPerMove, limit))
 			}
@@ -349,7 +331,7 @@ func CompareBenchReports(base, cur *BenchReport, opt CompareOptions) ([]string, 
 		}
 	}
 	if opt.TimingQuality {
-		regressions = append(regressions, timingQualityGate(base, cur, baseRows, curRows, opt)...)
+		regressions = append(regressions, timingQualityGate(base, curRows)...)
 	}
 	return regressions, nil
 }
@@ -357,9 +339,9 @@ func CompareBenchReports(base, cur *BenchReport, opt CompareOptions) ([]string, 
 // timingQualityGate is the TimingQuality-mode aggregate check: the current
 // report's geometric-mean critical path over the designs both reports share
 // must strictly improve on the baseline's, at a total wall-time cost of at
-// most WallCostTol (both reports must come from the same machine and run for
+// most wallCostTol (both reports must come from the same machine and run for
 // the wall comparison to hold).
-func timingQualityGate(base, cur *BenchReport, baseRows, curRows map[string]BenchRow, opt CompareOptions) []string {
+func timingQualityGate(base *BenchReport, curRows map[string]BenchRow) []string {
 	var (
 		logSumBase, logSumCur float64
 		wallBase, wallCur     float64
@@ -387,10 +369,10 @@ func timingQualityGate(base, cur *BenchReport, baseRows, curRows map[string]Benc
 			"timing-quality gate: geomean critical path did not improve (%.1f ps -> %.1f ps over %d designs)",
 			gmBase, gmCur, n))
 	}
-	if limit := wallBase*(1+opt.WallCostTol) + opt.WallSlackMS; wallCur > limit {
+	if limit := wallBase*(1+wallCostTol) + wallSlackMS; wallCur > limit {
 		out = append(out, fmt.Sprintf(
 			"timing-quality gate: total wall time %.0f ms -> %.0f ms exceeds the %.0f%% cost budget (limit %.0f ms)",
-			wallBase, wallCur, opt.WallCostTol*100, limit))
+			wallBase, wallCur, wallCostTol*100, limit))
 	}
 	return out
 }

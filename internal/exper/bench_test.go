@@ -2,12 +2,21 @@ package exper
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/arch"
+	"repro/internal/core"
+	"repro/internal/droute"
+	"repro/internal/layio"
 	"repro/internal/metrics"
+	"repro/internal/netlist"
+	"repro/internal/place"
+	"repro/internal/seq"
 )
 
 // goldenReport is a fixed report whose serialized form is pinned by testdata.
@@ -76,7 +85,7 @@ func TestBenchReportRoundTrip(t *testing.T) {
 
 func TestCompareBenchReports(t *testing.T) {
 	base := goldenReport()
-	opt := DefaultCompareOptions()
+	opt := CompareOptions{WallTol: 0.25}
 
 	t.Run("identical passes", func(t *testing.T) {
 		regs, err := CompareBenchReports(base, goldenReport(), opt)
@@ -205,7 +214,7 @@ func tqReport() *BenchReport {
 }
 
 func TestCompareTimingQuality(t *testing.T) {
-	opt := TimingQualityCompareOptions()
+	opt := CompareOptions{TimingQuality: true}
 	base := tqReport()
 
 	// critRun mimics a criticality-weighted re-run of the same suite: the
@@ -384,7 +393,7 @@ func TestCompareRouteGate(t *testing.T) {
 	t.Run("standard mode rejects backend mismatch", func(t *testing.T) {
 		cur := goldenReport()
 		cur.RouteBackend = "lagrange"
-		if _, err := CompareBenchReports(base, cur, DefaultCompareOptions()); err == nil {
+		if _, err := CompareBenchReports(base, cur, CompareOptions{WallTol: 0.25}); err == nil {
 			t.Error("route-backend mismatch accepted by the standard gate")
 		}
 	})
@@ -392,7 +401,7 @@ func TestCompareRouteGate(t *testing.T) {
 	t.Run("route failure gate armed in standard mode", func(t *testing.T) {
 		cur := goldenReport()
 		cur.Rows[0].RouteFailed = 3
-		regs, err := CompareBenchReports(base, cur, DefaultCompareOptions())
+		regs, err := CompareBenchReports(base, cur, CompareOptions{WallTol: 0.25})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,4 +409,89 @@ func TestCompareRouteGate(t *testing.T) {
 			t.Errorf("got %v, want one route-failure regression", regs)
 		}
 	})
+}
+
+// TestLayoutHashSurvivesReload requires LayoutHash to be the hash of the
+// saved layout, so the layout reloaded from those bytes hashes the same. The
+// runs hold routes ripped and re-routed without a trunk, and unrouted nets.
+func TestLayoutHashSurvivesReload(t *testing.T) {
+	for _, tc := range []struct {
+		design string
+		arch   func(*netlist.Netlist) (*arch.Arch, error)
+	}{
+		{"big529", func(nl *netlist.Netlist) (*arch.Arch, error) { return ArchFor(nl, DefaultTracks) }},
+		{"s1", constrainedArchFor},
+	} {
+		nl, err := Design(tc.design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := tc.arch(nl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := core.New(a, nl, core.Config{Seed: 1, MovesPerCell: 1, MaxTemps: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Run()
+		var buf bytes.Buffer
+		if err := layio.Write(&buf, o.P, o.Rts); err != nil {
+			t.Fatal(err)
+		}
+		p, rts, err := layio.Read(bytes.NewReader(buf.Bytes()), a, nl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again bytes.Buffer
+		if err := layio.Write(&again, p, rts); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := LayoutHash(o), fmt.Sprintf("%x", sha256.Sum256(again.Bytes())); got != want {
+			t.Errorf("%s: layout hash %s, reloaded layout hashes %s", tc.design, got, want)
+		}
+	}
+}
+
+// TestSeqRoutesSurviveReload requires every route of a starved sequential
+// flow, whose detailed router rips and retries channel entries, to equal its
+// reload field for field under each backend.
+func TestSeqRoutesSurviveReload(t *testing.T) {
+	for _, design := range []string{"s1", "cse"} {
+		nl, err := Design(design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := ArchFor(nl, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []droute.Backend{droute.BackendOrdered, droute.BackendNegotiated, droute.BackendLagrange} {
+			res, err := seq.Run(a, nl, seq.Config{Seed: 3, RouteAttempts: 4, RouteBackend: b,
+				Place: place.Config{MovesPerCell: 2, MaxTemps: 20}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.FullyRouted {
+				t.Fatalf("%s/%s: fully routed; the array is not starved", design, b)
+			}
+			var buf bytes.Buffer
+			if err := layio.Write(&buf, res.P, res.Routes); err != nil {
+				t.Fatal(err)
+			}
+			_, rts, err := layio.Read(&buf, a, nl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			differ := 0
+			for id := range rts {
+				if !rts[id].Equal(&res.Routes[id]) {
+					differ++
+				}
+			}
+			if differ > 0 {
+				t.Errorf("%s/%s: %d reloaded routes differ from the live ones", design, b, differ)
+			}
+		}
+	}
 }

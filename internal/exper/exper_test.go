@@ -2,6 +2,8 @@ package exper
 
 import (
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // tinyEffort keeps unit tests quick.
@@ -144,9 +146,16 @@ func TestFigure7Smoke(t *testing.T) {
 }
 
 func TestSegmentationSweepTiny(t *testing.T) {
-	rows, err := SegmentationSweep("tiny", 16, tinyEffort(), 3)
+	e := tinyEffort()
+	sum := metrics.NewSummary()
+	e.Metrics = sum
+	rows, err := SegmentationSweep("tiny", 16, e, 3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The sweep runs through RunSim, so the effort's collector sees it.
+	if sum.Totals().Moves == 0 {
+		t.Error("the effort's collector saw no moves")
 	}
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))

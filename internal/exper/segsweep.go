@@ -1,9 +1,6 @@
 package exper
 
-import (
-	"repro/internal/arch"
-	"repro/internal/core"
-)
+import "repro/internal/arch"
 
 // SegSweepRow is one segmentation scheme's outcome in the architecture
 // study: the paper's §1 tension made quantitative. "Small segment sizes are
@@ -35,10 +32,11 @@ func SegSchemes() []struct {
 
 // SegmentationSweep lays out one design with the simultaneous flow under
 // each segmentation scheme at a fixed, moderately tight channel capacity,
-// reporting routability, delay and antifuse usage. Expected shape: short
-// segments route at lower capacity but accrue antifuses and delay; long
-// segments are fast but waste capacity; the mixed scheme balances both —
-// which is why real parts mix sizes.
+// reporting routability, delay and antifuse usage. Each run is RunSim's, so
+// the effort's chains, criticality weight, route backend and collector
+// apply. Expected shape: short segments route at lower capacity but accrue
+// antifuses and delay; long segments are fast but waste capacity; the mixed
+// scheme balances both — which is why real parts mix sizes.
 func SegmentationSweep(design string, tracks int, e Effort, seed int64) ([]SegSweepRow, error) {
 	nl, err := Design(design)
 	if err != nil {
@@ -52,15 +50,10 @@ func SegmentationSweep(design string, tracks int, e Effort, seed int64) ([]SegSw
 		if err != nil {
 			return nil, err
 		}
-		o, err := core.New(a, nl, core.Config{
-			Seed:         seed,
-			MovesPerCell: e.CoreMovesPerCell,
-			MaxTemps:     e.CoreMaxTemps,
-		})
+		o, res, _, err := RunSim(a, nl, e, seed, false)
 		if err != nil {
 			return nil, err
 		}
-		res := o.Run()
 		af := 0
 		for id := range o.Rts {
 			af += o.Rts[id].AntifuseCount()

@@ -155,7 +155,7 @@ func TestInstallRemoveRouteProperty(t *testing.T) {
 }
 
 func TestNetRouteHelpers(t *testing.T) {
-	r := NetRoute{Global: true, HasTrunk: true, VLo: 1, VHi: 3}
+	r := NetRoute{Global: true, HasTrunk: true, TrunkCol: 4, TrunkTrack: 1, VLo: 1, VHi: 3}
 	r.Chans = []ChanAssign{
 		{Ch: 0, Lo: 2, Hi: 9, Track: 0, SegLo: 1, SegHi: 3},
 		{Ch: 2, Lo: 4, Hi: 5, Track: -1},
@@ -181,9 +181,23 @@ func TestNetRouteHelpers(t *testing.T) {
 	if r.Equal(&c) {
 		t.Error("Equal missed difference")
 	}
+	// Equal reads every field, also those a route without a trunk does not
+	// use.
+	c.CopyFrom(&r)
+	c.HasTrunk, r.HasTrunk = false, false
+	c.TrunkCol++
+	if r.Equal(&c) {
+		t.Error("Equal missed a trunk column difference")
+	}
+	// Reset keeps no field the layout format would not carry for an unrouted
+	// net, only the Chans storage.
+	chans := r.Chans
 	r.Reset()
-	if r.Global || r.HasTrunk || len(r.Chans) != 0 {
-		t.Error("Reset incomplete")
+	if !r.Equal(&NetRoute{}) {
+		t.Errorf("Reset incomplete: %+v", r)
+	}
+	if cap(r.Chans) != cap(chans) || &r.Chans[:1][0] != &chans[0] {
+		t.Error("Reset dropped the Chans storage")
 	}
 }
 

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 )
@@ -41,12 +42,10 @@ type NetRoute struct {
 	Chans []ChanAssign
 }
 
-// Reset returns the route to the completely-unrouted state (the caller must
-// free fabric resources first).
+// Reset returns the route to the completely-unrouted state, keeping only the
+// Chans storage (the caller must free fabric resources first).
 func (r *NetRoute) Reset() {
-	r.Global = false
-	r.HasTrunk = false
-	r.Chans = r.Chans[:0]
+	*r = NetRoute{Chans: r.Chans[:0]}
 }
 
 // DetailDone reports whether the net is globally routed and every channel
@@ -90,23 +89,13 @@ func (r *NetRoute) CopyFrom(src *NetRoute) {
 	r.Chans = chans
 }
 
-// Equal reports deep equality (used by tests and consistency checks).
+// Equal reports whether every field of the two routes is equal. Fields a
+// route does not use are zero (see Reset and droute.UnrouteChan), so a route
+// equals its reload from the layout format.
 func (r *NetRoute) Equal(o *NetRoute) bool {
-	if r.Global != o.Global || r.HasTrunk != o.HasTrunk {
-		return false
-	}
-	if r.HasTrunk && (r.TrunkCol != o.TrunkCol || r.TrunkTrack != o.TrunkTrack || r.VLo != o.VLo || r.VHi != o.VHi) {
-		return false
-	}
-	if len(r.Chans) != len(o.Chans) {
-		return false
-	}
-	for i := range r.Chans {
-		if r.Chans[i] != o.Chans[i] {
-			return false
-		}
-	}
-	return true
+	return r.Global == o.Global && r.HasTrunk == o.HasTrunk &&
+		r.TrunkCol == o.TrunkCol && r.TrunkTrack == o.TrunkTrack && r.VLo == o.VLo && r.VHi == o.VHi &&
+		slices.Equal(r.Chans, o.Chans)
 }
 
 // AntifuseCount returns the number of programmed antifuses the route implies:

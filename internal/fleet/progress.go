@@ -6,12 +6,12 @@ import (
 	"repro/internal/metrics"
 )
 
-// defaultProgressCap bounds a ProgressBuffer between drains. A stalled
-// heartbeat loop must not let a chatty optimizer run grow the buffer without
-// bound; past the cap the oldest events are dropped — the coordinator's SSE
-// stream loses some mid-run detail, never the terminal records, because the
-// final drain rides the complete call.
-const defaultProgressCap = 4096
+// progressCap bounds a ProgressBuffer between drains. A stalled heartbeat
+// loop must not let a chatty optimizer run grow the buffer without bound;
+// past the cap the oldest events are dropped — the coordinator's SSE stream
+// loses some mid-run detail, never the terminal records, because the final
+// drain rides the complete call.
+const progressCap = 4096
 
 // ProgressBuffer is the worker-side metrics.Collector: optimizer progress
 // accumulates here between heartbeats, and Drain hands the batch to the
@@ -20,23 +20,16 @@ const defaultProgressCap = 4096
 type ProgressBuffer struct {
 	mu      sync.Mutex
 	events  []ProgressEvent
-	max     int
 	dropped int64
 }
 
-// NewProgressBuffer builds a buffer bounded to max events (<= 0 selects the
-// default).
-func NewProgressBuffer(max int) *ProgressBuffer {
-	if max <= 0 {
-		max = defaultProgressCap
-	}
-	return &ProgressBuffer{max: max}
-}
+// NewProgressBuffer builds an empty buffer bounded to progressCap events.
+func NewProgressBuffer() *ProgressBuffer { return &ProgressBuffer{} }
 
 func (b *ProgressBuffer) append(ev ProgressEvent) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.events) >= b.max {
+	if len(b.events) >= progressCap {
 		b.events = b.events[1:]
 		b.dropped++
 	}

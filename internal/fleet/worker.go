@@ -247,7 +247,7 @@ func (w *Worker) runLease(grant LeaseGrant) {
 	cancel := make(chan struct{})
 	var cancelOnce sync.Once
 	cancelFn := func() { cancelOnce.Do(func() { close(cancel) }) }
-	buf := NewProgressBuffer(0)
+	buf := NewProgressBuffer()
 	hbStop := make(chan struct{})
 	hbDone := make(chan struct{})
 	go w.heartbeatLoop(grant.LeaseID, buf, cancelFn, hbStop, hbDone)

@@ -114,10 +114,16 @@ func Route(f *fabric.Fabric, p *layout.Placement, id int32, r *fabric.NetRoute) 
 // otherwise r has one entry per channel holding a pin, in ascending order,
 // each spanning that channel's pins, a trunk iff the pins span several
 // channels, covering exactly their vertical segment range, and every
-// interval reaches the trunk column. Resource ranges and exclusivity are
-// fabric.CheckExclusive's. scratch is reused for the derived needs and
-// returned for the next call.
+// interval reaches the trunk column. Fields the layout format does not carry
+// are zero: the trunk fields of a route without a trunk, and the segment run
+// of an open channel entry (whose track is -1). Resource ranges and
+// exclusivity are fabric.CheckExclusive's. scratch is reused for the derived
+// needs and returned for the next call.
 func CheckRoute(p *layout.Placement, id int32, r *fabric.NetRoute, scratch []fabric.ChanAssign) ([]fabric.ChanAssign, error) {
+	if !r.HasTrunk && (r.TrunkCol != 0 || r.TrunkTrack != 0 || r.VLo != 0 || r.VHi != 0) {
+		return scratch, fmt.Errorf("route without a trunk holds trunk fields col %d track %d vsegs [%d,%d]",
+			r.TrunkCol, r.TrunkTrack, r.VLo, r.VHi)
+	}
 	if !r.Global || len(p.NL.Nets[id].Sinks) == 0 {
 		if r.HasTrunk || len(r.Chans) > 0 {
 			return scratch, fmt.Errorf("route holds %d channel entries and trunk %v, want none (global %v, %d sinks)",
@@ -142,9 +148,13 @@ func CheckRoute(p *layout.Placement, id int32, r *fabric.NetRoute, scratch []fab
 		if r.HasTrunk {
 			want.Lo, want.Hi = min(want.Lo, r.TrunkCol), max(want.Hi, r.TrunkCol)
 		}
-		if ca := &r.Chans[i]; ca.Ch != want.Ch || ca.Lo != want.Lo || ca.Hi != want.Hi {
+		ca := &r.Chans[i]
+		if ca.Ch != want.Ch || ca.Lo != want.Lo || ca.Hi != want.Hi {
 			return need, fmt.Errorf("channel entry %d is channel %d [%d,%d], its pins need channel %d [%d,%d]",
 				i, ca.Ch, ca.Lo, ca.Hi, want.Ch, want.Lo, want.Hi)
+		}
+		if !ca.Routed() && (ca.Track != -1 || ca.SegLo != 0 || ca.SegHi != 0) {
+			return need, fmt.Errorf("open channel entry %d holds track %d run [%d,%d]", i, ca.Track, ca.SegLo, ca.SegHi)
 		}
 	}
 	return need, nil

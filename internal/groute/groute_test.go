@@ -278,7 +278,12 @@ func TestCheckRouteCatches(t *testing.T) {
 	}{
 		{"channel dropped", multi, func(r *fabric.NetRoute) { r.Chans = r.Chans[:len(r.Chans)-1] }, "channel entries"},
 		{"interval widened", single, func(r *fabric.NetRoute) { r.Chans[0].Hi++ }, "its pins need channel"},
-		{"trunk dropped", multi, func(r *fabric.NetRoute) { r.HasTrunk = false }, "route has trunk false"},
+		{"trunk dropped", multi, func(r *fabric.NetRoute) {
+			r.HasTrunk, r.TrunkCol, r.TrunkTrack, r.VLo, r.VHi = false, 0, 0, 0, 0
+		}, "route has trunk false"},
+		{"trunk flag dropped", multi, func(r *fabric.NetRoute) { r.HasTrunk = false }, "holds trunk fields"},
+		{"stale trunk column", single, func(r *fabric.NetRoute) { r.TrunkCol = 3 }, "holds trunk fields col 3"},
+		{"segment run on an open entry", single, func(r *fabric.NetRoute) { r.Chans[0].SegHi = 2 }, "open channel entry 0"},
 		{"trunk added", single, func(r *fabric.NetRoute) { r.HasTrunk = true }, "route has trunk true"},
 		{"trunk short", multi, func(r *fabric.NetRoute) { r.VHi-- }, "trunk spans vsegs"},
 		{"not global yet holding", single, func(r *fabric.NetRoute) { r.Global = false }, "want none (global false"},

@@ -13,8 +13,7 @@ import (
 // timing model can evaluate, with a positive delay at every sink of every
 // detail-routed net; and it is canonical after one write — reading the
 // written bytes back succeeds and writing again reproduces them byte for
-// byte. Bytes are compared, not exper.LayoutHash: Read does not restore
-// every in-memory route field the hash covers.
+// byte.
 func FuzzLayoutLoad(f *testing.F) {
 	a, nl, o := routedState(f)
 	var buf bytes.Buffer

@@ -22,6 +22,7 @@ import (
 // Request-validation bounds. They protect the daemon, not the library: the
 // batch CLIs impose no such limits.
 const (
+	maxBodyBytes    = 4 << 20 // request body cap
 	maxNetlistBytes = 1 << 20 // inline netlist body cap
 	maxCells        = 4096    // parsed design size cap
 	maxTracks       = 200
@@ -90,7 +91,6 @@ type JobConfig struct {
 	MaxTemps      int   `json:"max_temps,omitempty"`
 	Chains        int   `json:"chains,omitempty"`
 	SyncTemps     int   `json:"sync_temps,omitempty"`
-	RangeLimit    bool  `json:"range_limit,omitempty"`
 	DisableTiming bool  `json:"disable_timing,omitempty"`
 
 	// Criticality-weighted timing term (see core.Config). Result-affecting:
@@ -244,16 +244,15 @@ func (c *JobConfig) validate() error {
 func (s *jobSpec) cacheKey() string {
 	h := sha256.New()
 	c := s.req.Config
-	fmt.Fprintf(h, "fpgaprd/v1 tracks=%d seed=%d mpc=%d temps=%d chains=%d sync=%d rl=%t dt=%t\n",
-		s.req.Tracks, c.Seed, c.MovesPerCell, c.MaxTemps, c.Chains, c.SyncTemps,
-		c.RangeLimit, c.DisableTiming)
+	// "rl=false", "bias=0 damp=0" and "iters=0" spell the zero values of the
+	// retired range_limit, crit_bias, crit_damping and route_iters fields.
+	// Every request still accepted left them at zero, so keeping the text
+	// keeps its key, and every result cached under it, unchanged.
+	fmt.Fprintf(h, "fpgaprd/v1 tracks=%d seed=%d mpc=%d temps=%d chains=%d sync=%d rl=false dt=%t\n",
+		s.req.Tracks, c.Seed, c.MovesPerCell, c.MaxTemps, c.Chains, c.SyncTemps, c.DisableTiming)
 	// The criticality line is appended only when the term is on: crit-off
 	// requests produce layouts bit-identical to the pre-extension engine, so
 	// their keys — and any results already cached under them — stay valid.
-	// "bias=0 damp=0" (and "iters=0" below) spell the zero values of the
-	// retired crit_bias, crit_damping and route_iters fields. Every request
-	// still accepted left them at zero, so keeping the text keeps its key,
-	// and every result cached under it, unchanged.
 	if c.critOn() {
 		fmt.Fprintf(h, "crit=%g bias=0 damp=0\n", c.CritWeight)
 	}
@@ -277,7 +276,6 @@ func (s *jobSpec) coreConfig() core.Config {
 		MaxTemps:      c.MaxTemps,
 		Chains:        c.Chains,
 		SyncTemps:     c.SyncTemps,
-		RangeLimit:    c.RangeLimit,
 		DisableTiming: c.DisableTiming,
 		CritWeight:    c.CritWeight,
 		RouteBackend:  droute.Backend(c.RouteBackend),

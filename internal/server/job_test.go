@@ -90,15 +90,15 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 
 // TestCacheKeyPinned pins the exact key bytes across versions: a changed
 // key orphans every result cached under the old one. The expected values
-// were computed before crit_bias, crit_damping and route_iters were
-// retired, so they also prove the retirement kept every accepted request's
-// key.
+// were computed before range_limit, crit_bias, crit_damping and route_iters
+// were retired, so they also prove the retirement kept every accepted
+// request's key.
 func TestCacheKeyPinned(t *testing.T) {
 	for _, tc := range []struct{ body, key string }{
 		{`{"design":"tiny"}`,
 			"8cde3001828e555f2280ca5b248af964317f32de303a0335cef512b1afb10775"},
-		{`{"design":"tiny","tracks":30,"config":{"seed":7,"moves_per_cell":5,"max_temps":20,"chains":2,"sync_temps":4,"range_limit":true,"disable_timing":true}}`,
-			"9e2b16a2f5c512770583df47286947668051f7779a7896421c5f0f235f2f2d06"},
+		{`{"design":"tiny","tracks":30,"config":{"seed":7,"moves_per_cell":5,"max_temps":20,"chains":2,"sync_temps":4,"disable_timing":true}}`,
+			"e20a8a1e942f03a1fb2577a22ef3b947e8f29893c86789d62b1e368bdf635ecf"},
 		{`{"design":"tiny","config":{"crit_weight":1}}`,
 			"4ba101346f723c76075e28caca0e58cd39da5add821a4f5fb8b84361fa915c22"},
 		{`{"design":"tiny","config":{"seed":3,"crit_weight":0.5}}`,
@@ -148,6 +148,7 @@ func TestParseJobRequestValidation(t *testing.T) {
 		{"retired crit bias field", `{"design":"tiny","config":{"crit_weight":1,"crit_bias":0.25}}`},
 		{"retired crit damping field", `{"design":"tiny","config":{"crit_weight":1,"crit_damping":0.6}}`},
 		{"retired route iters field", `{"design":"tiny","config":{"route_backend":"lagrange","route_iters":12}}`},
+		{"retired range limit field", `{"design":"tiny","config":{"range_limit":true}}`},
 		{"trailing data", `{"design":"tiny"} {"x":1}`},
 		{"not an object", `42`},
 	} {

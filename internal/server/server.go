@@ -60,8 +60,6 @@ type Config struct {
 	// MaxGroups caps retained batch/portfolio records, evicted like jobs
 	// (default 64).
 	MaxGroups int
-	// MaxBodyBytes caps the request body (default 4 MiB).
-	MaxBodyBytes int64
 
 	// Store enables durability: job lifecycle records are journaled to its
 	// WAL (submissions before they are enqueued) and finished layouts are
@@ -107,9 +105,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.MaxGroups <= 0 {
 		c.MaxGroups = 64
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 4 << 20
 	}
 }
 
@@ -425,7 +420,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request,
 			"rate limit exceeded for client %q; retry later", client)
 		return nil
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		httpError(w, http.StatusRequestEntityTooLarge, "request body: %v", err)
 		return nil
