@@ -20,8 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -124,29 +122,15 @@ func run(o options) error {
 	if o.stats {
 		sum = metrics.NewSummary()
 	}
-	if o.pprofP != "" {
-		cf, err := os.Create(o.pprofP + ".cpu.pprof")
-		if err != nil {
-			return err
-		}
-		defer cf.Close()
-		if err := pprof.StartCPUProfile(cf); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-		defer func() {
-			hf, err := os.Create(o.pprofP + ".heap.pprof")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fpgapr:", err)
-				return
-			}
-			defer hf.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(hf); err != nil {
-				fmt.Fprintln(os.Stderr, "fpgapr:", err)
-			}
-		}()
+	stopProfile, err := metrics.StartProfile(o.pprofP)
+	if err != nil {
+		return err
 	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(os.Stderr, "fpgapr:", err)
+		}
+	}()
 
 	if o.portfolio != "" {
 		if o.flow != "sim" {

@@ -17,8 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"repro/internal/droute"
 	"repro/internal/exper"
@@ -78,53 +76,29 @@ func main() {
 		sum = metrics.NewSummary()
 		e.Metrics = sum
 	}
-	if *pprofP != "" {
-		cf, err := os.Create(*pprofP + ".cpu.pprof")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "paper:", err)
-			os.Exit(1)
-		}
-		defer cf.Close()
-		if err := pprof.StartCPUProfile(cf); err != nil {
-			fmt.Fprintln(os.Stderr, "paper:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-		defer func() {
-			hf, err := os.Create(*pprofP + ".heap.pprof")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "paper:", err)
-				return
-			}
-			defer hf.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(hf); err != nil {
-				fmt.Fprintln(os.Stderr, "paper:", err)
-			}
-		}()
-	}
-
-	if err := run(*table1, *table2, *figure6, *figure7, *runtimeFlag, e, *seed, *design, *csvPath); err != nil {
+	stopProfile, err := metrics.StartProfile(*pprofP)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "paper:", err)
 		os.Exit(1)
 	}
-	if *segsweep {
-		rows, err := exper.SegmentationSweep(*design, 24, e, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "paper:", err)
-			os.Exit(1)
-		}
-		if err := report.SegSweep(os.Stdout, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "paper:", err)
-			os.Exit(1)
+	err = run(*table1, *table2, *figure6, *figure7, *runtimeFlag, e, *seed, *design, *csvPath)
+	if err == nil && *segsweep {
+		var rows []exper.SegSweepRow
+		if rows, err = exper.SegmentationSweep(*design, 24, e, *seed); err == nil {
+			err = report.SegSweep(os.Stdout, rows)
 		}
 	}
-	if sum != nil {
+	if err == nil && sum != nil {
 		fmt.Println()
-		if err := sum.WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "paper:", err)
-			os.Exit(1)
-		}
+		err = sum.WriteText(os.Stdout)
+	}
+	// Stop the profiles before any exit: os.Exit skips deferred calls.
+	if perr := stopProfile(); perr != nil {
+		fmt.Fprintln(os.Stderr, "paper:", perr)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "paper:", err)
+		os.Exit(1)
 	}
 }
 

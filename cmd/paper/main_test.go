@@ -1,12 +1,48 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"testing"
 
 	"repro/internal/exper"
 )
+
+// TestMain runs the command itself when PAPER_RUN_MAIN is set, so a test can
+// drive main's flag parsing and exit paths in a child process.
+func TestMain(m *testing.M) {
+	if os.Getenv("PAPER_RUN_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestProfilesSurviveFailedRun runs the command on an unknown design with
+// -pprof. The run fails and exits 1, and both profiles must still be
+// written: main stops them before it exits.
+func TestProfilesSurviveFailedRun(t *testing.T) {
+	prefix := filepath.Join(t.TempDir(), "p")
+	cmd := exec.Command(os.Args[0], "-fast", "-figure6", "-design", "nosuch", "-pprof", prefix)
+	cmd.Env = append(os.Environ(), "PAPER_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("run on an unknown design: %v, want exit status 1\n%s", err, out)
+	}
+	for _, suffix := range []string{".cpu.pprof", ".heap.pprof"} {
+		st, err := os.Stat(prefix + suffix)
+		if err != nil {
+			t.Fatalf("profile %s: %v", suffix, err)
+		}
+		if st.Size() == 0 {
+			t.Errorf("profile %s is empty", suffix)
+		}
+	}
+}
 
 func tinyEffort() exper.Effort {
 	return exper.Effort{Name: "test", PlaceMovesPerCell: 4, PlaceMaxTemps: 30,

@@ -51,9 +51,8 @@ func (o *Optimizer) Clone() *Optimizer {
 
 		dynamics: append([]DynamicsSample(nil), o.dynamics...),
 
-		chain:   o.chain,
-		lastRt:  o.lastRt,
-		lastSTA: o.lastSTA,
+		chain:    o.chain,
+		lastWork: o.lastWork,
 	}
 	for id := range o.Rts {
 		c.Rts[id] = o.Rts[id].Clone()

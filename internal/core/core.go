@@ -277,12 +277,10 @@ type Optimizer struct {
 	jCritSum  float64 // journaled critSum (valid during an open move)
 
 	// Observability state: the chain index this optimizer is annealing as,
-	// and the router/STA counter snapshots taken at the last temperature
-	// boundary (for per-temperature deltas). Only read when cfg.Metrics is
-	// non-nil.
-	chain   int
-	lastRt  fabric.RouteStats
-	lastSTA timing.Stats
+	// and the work snapshot taken at the last temperature boundary (for
+	// per-temperature deltas). Only read when cfg.Metrics is non-nil.
+	chain    int
+	lastWork metrics.Work
 }
 
 type moveKind uint8
@@ -384,7 +382,7 @@ func New(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Optimizer, error) {
 		o.rebuildCritState()
 	}
 	o.refreshWeights()
-	o.lastRt, o.lastSTA = o.F.Stats, o.An.Stats()
+	o.lastWork = o.work()
 	initDone()
 	return o, nil
 }
@@ -630,11 +628,19 @@ func (o *Optimizer) RunParallel() (*Optimizer, Result) {
 	return champ, res
 }
 
+// work returns the engine's cumulative work: the fabric's router counts plus
+// the analyzer's timing counts.
+func (o *Optimizer) work() metrics.Work {
+	w := o.F.Stats
+	w.Add(o.An.Stats())
+	return w
+}
+
 // onTemp records Figure-6 dynamics, emits the observability record and
 // renormalizes weights.
 func (o *Optimizer) onTemp(s anneal.TempStats) {
 	if mc := o.cfg.Metrics; mc != nil {
-		rt, st := o.F.Stats.Sub(o.lastRt), o.An.Stats().Sub(o.lastSTA)
+		w := o.work()
 		mc.RecordTemp(metrics.TempRecord{
 			Chain:    o.chain,
 			Step:     s.Step,
@@ -650,18 +656,10 @@ func (o *Optimizer) onTemp(s anneal.TempStats) {
 			TCost:    o.wt * o.An.WCD(),
 			CCost:    o.wcr * o.critSum,
 			WCD:      o.An.WCD(),
-
-			RipUps:          rt.RipUps,
-			GRouteAttempts:  rt.GRouteAttempts,
-			GRouteFails:     rt.GRouteFails,
-			DRouteAttempts:  rt.DRouteAttempts,
-			DRouteFails:     rt.DRouteFails,
-			STAUpdates:      st.NetUpdates,
-			STACellsRelaxed: st.CellsRelaxed,
-
-			Elapsed: s.Elapsed,
+			Work:     w.Sub(o.lastWork),
+			Elapsed:  s.Elapsed,
 		})
-		o.lastRt, o.lastSTA = o.F.Stats, o.An.Stats()
+		o.lastWork = w
 	}
 	n := float64(o.NL.NumNets())
 	o.dynamics = append(o.dynamics, DynamicsSample{
@@ -741,22 +739,30 @@ func (o *Optimizer) proposeBiased(rng *rand.Rand) float64 {
 }
 
 func (o *Optimizer) cellOnUnroutedNet(rng *rand.Rand) (int32, bool) {
-	// Reservoir-sample an unrouted net.
-	seen := 0
-	pick := int32(-1)
-	for id := range o.Rts {
-		if o.Rts[id].DetailDone() {
-			continue
-		}
-		seen++
-		if rng.Intn(seen) == 0 {
-			pick = int32(id)
-		}
-	}
-	if pick < 0 {
+	// Reservoir-sample an unrouted net in id order: the draws are those of a
+	// walk over the unrouted nets by increasing id, and pick is the sampled
+	// net's place in that walk. The unrouted list holds exactly those nets;
+	// spare, which holds nothing live between moves, marks them by id.
+	if len(o.unrouted) == 0 {
 		return 0, false
 	}
-	net := &o.NL.Nets[pick]
+	pick := 0
+	for i := 1; i <= len(o.unrouted); i++ {
+		if rng.Intn(i) == 0 {
+			pick = i - 1
+		}
+	}
+	mark := o.spare[:len(o.Rts)]
+	clear(mark)
+	for _, id := range o.unrouted {
+		mark[id] = 1
+	}
+	id := 0
+	for mark[id] == 0 || pick > 0 {
+		pick -= int(mark[id])
+		id++
+	}
+	net := &o.NL.Nets[id]
 	k := rng.Intn(len(net.Sinks) + 1)
 	if k == 0 {
 		return net.Driver.Cell, true

@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/fabric"
 	"repro/internal/layio"
+	"repro/internal/metrics"
 	"repro/internal/netgen"
 )
 
@@ -198,7 +198,7 @@ type flowGolden struct {
 	tracks, vtracks int // vtracks 0: arch.Default's
 	cfg             Config
 	layout          string
-	stats           fabric.RouteStats
+	stats           metrics.Work
 }
 
 // flowGoldens are perfbench's big529 effort on 38 tracks, where most moves
@@ -210,13 +210,13 @@ var flowGoldens = []flowGolden{
 		design: "big529", tracks: 38,
 		cfg:    Config{Seed: 4, MovesPerCell: 1, MaxTemps: 10, RepairPasses: 1},
 		layout: "5e23be0c5379a87821271ab7eb95c6b92abd1ff9d442b6afc194f119e36f7873",
-		stats:  fabric.RouteStats{RipUps: 44574, GRouteAttempts: 40241, GRouteFails: 60, DRouteAttempts: 197545, DRouteFails: 94596},
+		stats:  metrics.Work{RipUps: 44574, GRouteAttempts: 40241, GRouteFails: 60, DRouteAttempts: 197545, DRouteFails: 94596},
 	},
 	{
 		design: "s1", tracks: 24, vtracks: 3,
 		cfg:    Config{Seed: 4, MovesPerCell: 1, MaxTemps: 80},
 		layout: "d91cea8a2f74c6125bd734a402b1c51f424c3def277c6874fd113a325edd799c",
-		stats:  fabric.RouteStats{RipUps: 79247, GRouteAttempts: 67931, GRouteFails: 37, DRouteAttempts: 244971, DRouteFails: 65076},
+		stats:  metrics.Work{RipUps: 79247, GRouteAttempts: 67931, GRouteFails: 37, DRouteAttempts: 244971, DRouteFails: 65076},
 	},
 }
 

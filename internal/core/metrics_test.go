@@ -50,6 +50,33 @@ func TestMetricsMatchAnnealTotals(t *testing.T) {
 	}
 }
 
+// TestTempRecordsCarryAllWork checks that the per-temperature work deltas
+// add up to the engine's whole work: on a serial run with timing on that
+// ends fully routed, so that no repair move works outside a temperature, the
+// records' sum is exactly what the fabric and the analyzer counted between
+// New and the end of Run. No count is dropped or counted twice.
+func TestTempRecordsCarryAllWork(t *testing.T) {
+	a, nl := smallDesign(t)
+	sum := metrics.NewSummary()
+	o, err := New(a, nl, Config{Seed: 1, MovesPerCell: 4, MaxTemps: 12, Metrics: sum})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := o.work()
+	res := o.Run()
+	if !res.FullyRouted || res.RepairMoves != 0 {
+		t.Fatalf("run ended with G=%d D=%d after %d repair moves, want fully routed by the anneal",
+			res.G, res.D, res.RepairMoves)
+	}
+	want := o.work().Sub(start)
+	if got := sum.Totals().Work; got != want {
+		t.Errorf("temperature records sum to %+v, engine counted %+v", got, want)
+	}
+	if want.RipUps == 0 || want.STAUpdates == 0 {
+		t.Errorf("engine counted no work: %+v", want)
+	}
+}
+
 // TestMetricsDoNotPerturbResults runs the same seed with and without a
 // collector and requires bit-identical outcomes: observation must never feed
 // back into the optimization.

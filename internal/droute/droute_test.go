@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/fabric"
+	"repro/internal/metrics"
 )
 
 // singleTrackArch builds a 1-row architecture whose single track is cut into
@@ -275,7 +276,7 @@ func TestRetrySearchKeepsBestOrdering(t *testing.T) {
 				t.Fatalf("seed %d: net %d route %+v, reference %+v", seed, i, got[i].Chans, want[i].Chans)
 			}
 		}
-		wantStats := fabric.RouteStats{DRouteAttempts: int64(len(first)), DRouteFails: int64(firstFailed)}
+		wantStats := metrics.Work{DRouteAttempts: int64(len(first)), DRouteFails: int64(firstFailed)}
 		if firstFailed > 0 {
 			wantStats.DRouteAttempts *= 2
 			wantStats.DRouteFails += int64(bestFailed)

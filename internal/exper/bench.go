@@ -144,8 +144,8 @@ func RunBenchmark(design string, e Effort, seed int64, tracks int) (BenchRow, er
 	if moves < 1 {
 		moves = 1
 	}
-	routeDur := sum.Totals().PhaseDur[metrics.PhaseGlobalRoute] +
-		sum.Totals().PhaseDur[metrics.PhaseDetailRoute]
+	tot := sum.Totals()
+	routeDur := tot.PhaseDur[metrics.PhaseGlobalRoute] + tot.PhaseDur[metrics.PhaseDetailRoute]
 	return BenchRow{
 		Design:          design,
 		Cells:           nl.NumCells(),
@@ -156,7 +156,7 @@ func RunBenchmark(design string, e Effort, seed int64, tracks int) (BenchRow, er
 		LayoutHash:      LayoutHash(opt),
 		RouteFailed:     res.RouteFailed,
 		WallMS:          float64(dur) / float64(time.Millisecond),
-		PeakMovesPerSec: sum.PeakMovesPerSec(),
+		PeakMovesPerSec: tot.PeakMovesPerSec,
 		AllocsPerMove:   float64(m1.Mallocs-m0.Mallocs) / float64(moves),
 		BytesPerMove:    float64(m1.TotalAlloc-m0.TotalAlloc) / float64(moves),
 		RouteWallMS:     float64(routeDur) / float64(time.Millisecond),

@@ -10,35 +10,11 @@ import (
 	"fmt"
 
 	"repro/internal/arch"
+	"repro/internal/metrics"
 )
 
 // Free marks an unowned segment in the ownership tables.
 const Free int32 = -1
-
-// RouteStats counts router activity on a fabric. The routers (groute, droute,
-// core's rip-up cascade) increment the fields unconditionally — plain integer
-// adds, cheap enough to stay on in the hot loop — and the observability layer
-// snapshots them at temperature boundaries to derive per-temperature deltas.
-// Rollback traffic (Reject reinstating journaled routes) is deliberately not
-// counted: the stats describe router work, not bookkeeping.
-type RouteStats struct {
-	RipUps         int64 // nets ripped up (resources freed ahead of a reroute)
-	GRouteAttempts int64 // global-route attempts
-	GRouteFails    int64 // global-route attempts that found no vertical run
-	DRouteAttempts int64 // detailed channel-route attempts
-	DRouteFails    int64 // detailed attempts with no feasible track
-}
-
-// Sub returns the delta s - prev, for per-interval reporting.
-func (s RouteStats) Sub(prev RouteStats) RouteStats {
-	return RouteStats{
-		RipUps:         s.RipUps - prev.RipUps,
-		GRouteAttempts: s.GRouteAttempts - prev.GRouteAttempts,
-		GRouteFails:    s.GRouteFails - prev.GRouteFails,
-		DRouteAttempts: s.DRouteAttempts - prev.DRouteAttempts,
-		DRouteFails:    s.DRouteFails - prev.DRouteFails,
-	}
-}
 
 // Fabric tracks segment ownership. Ownership violations (allocating an owned
 // segment, freeing a segment not owned by the caller) are programming errors
@@ -46,9 +22,10 @@ func (s RouteStats) Sub(prev RouteStats) RouteStats {
 type Fabric struct {
 	A *arch.Arch
 
-	// Stats accumulates router activity against this fabric. Cloned fabrics
-	// carry the counts forward, so parallel chains keep independent tallies.
-	Stats RouteStats
+	// Stats accumulates the routers' work against this fabric (its router
+	// fields; the analyzer counts the timing ones). Cloned fabrics carry the
+	// counts forward, so parallel chains keep independent tallies.
+	Stats metrics.Work
 
 	h [][][]int32 // [channel][track][segment] -> owning net or Free
 	v [][][]int32 // [column][vtrack][vsegment] -> owning net or Free

@@ -7,7 +7,7 @@
 //
 //  1. Disabled must be free. A nil Collector is the disabled state; every
 //     instrumentation site is a single nil check, no per-move calls exist at
-//     all (hot-loop counts are plain integer fields on fabric.Fabric and
+//     all (hot-loop counts are a Work on fabric.Fabric and one on
 //     timing.Analyzer, snapshotted once per temperature), and records are
 //     passed by value so the interface boundary never allocates.
 //  2. Determinism is untouched. Collectors only observe; wall-clock fields
@@ -77,17 +77,51 @@ type TempRecord struct {
 	CCost float64 `json:"c_cost,omitempty"` // weighted criticality component (0 unless core.Config.CritWeight > 0)
 	WCD   float64 `json:"wcd_ps"`           // worst-case delay, ps
 
-	// Router and timing activity during this temperature (deltas of the
-	// always-on fabric/analyzer counters).
-	RipUps          int64 `json:"rip_ups"`           // nets ripped up
-	GRouteAttempts  int64 `json:"groute_attempts"`   // global-route attempts
-	GRouteFails     int64 `json:"groute_fails"`      // global-route failures
-	DRouteAttempts  int64 `json:"droute_attempts"`   // detailed channel-route attempts
-	DRouteFails     int64 `json:"droute_fails"`      // detailed channel-route failures
-	STAUpdates      int64 `json:"sta_updates"`       // incremental net-delay updates pushed into the analyzer
-	STACellsRelaxed int64 `json:"sta_cells_relaxed"` // cell arrivals recomputed by frontier propagation
+	// Router and timing work during this temperature.
+	Work
 
 	Elapsed time.Duration `json:"elapsed_ns"` // wall clock spent in this temperature
+}
+
+// Work counts the engine's router and timing work. The routers (groute,
+// droute, core's rip-up cascade) count into fabric.Fabric.Stats and the
+// incremental analyzer into its own Work; both are always on — plain integer
+// adds, cheap enough for the hot loop — and the optimizer snapshots them at
+// temperature boundaries to derive per-temperature deltas. Rollback traffic
+// (Reject reinstating journaled routes and arrivals) is deliberately not
+// counted: the counters describe work, not bookkeeping.
+type Work struct {
+	RipUps          int64 `json:"rip_ups"`           // nets ripped up (resources freed ahead of a reroute)
+	GRouteAttempts  int64 `json:"groute_attempts"`   // global-route attempts
+	GRouteFails     int64 `json:"groute_fails"`      // global-route attempts that found no vertical run
+	DRouteAttempts  int64 `json:"droute_attempts"`   // detailed channel-route attempts
+	DRouteFails     int64 `json:"droute_fails"`      // detailed attempts with no feasible track
+	STAUpdates      int64 `json:"sta_updates"`       // incremental net-delay updates pushed into the analyzer
+	STACellsRelaxed int64 `json:"sta_cells_relaxed"` // cell arrivals recomputed by frontier propagation
+}
+
+// Add adds d's counts to w.
+func (w *Work) Add(d Work) {
+	w.RipUps += d.RipUps
+	w.GRouteAttempts += d.GRouteAttempts
+	w.GRouteFails += d.GRouteFails
+	w.DRouteAttempts += d.DRouteAttempts
+	w.DRouteFails += d.DRouteFails
+	w.STAUpdates += d.STAUpdates
+	w.STACellsRelaxed += d.STACellsRelaxed
+}
+
+// Sub returns the delta w - prev, for per-interval reporting.
+func (w Work) Sub(prev Work) Work {
+	return Work{
+		RipUps:          w.RipUps - prev.RipUps,
+		GRouteAttempts:  w.GRouteAttempts - prev.GRouteAttempts,
+		GRouteFails:     w.GRouteFails - prev.GRouteFails,
+		DRouteAttempts:  w.DRouteAttempts - prev.DRouteAttempts,
+		DRouteFails:     w.DRouteFails - prev.DRouteFails,
+		STAUpdates:      w.STAUpdates - prev.STAUpdates,
+		STACellsRelaxed: w.STACellsRelaxed - prev.STACellsRelaxed,
+	}
 }
 
 // AcceptRatio returns the fraction of proposed moves accepted.

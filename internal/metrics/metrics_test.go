@@ -15,14 +15,14 @@ import (
 func handStepped() []TempRecord {
 	return []TempRecord{
 		{Chain: 0, Step: 0, Temp: 10, Moves: 100, Accepted: 90, Cost: 50,
-			RipUps: 40, GRouteAttempts: 45, GRouteFails: 5, DRouteAttempts: 80, DRouteFails: 8,
-			STAUpdates: 30, STACellsRelaxed: 120, Elapsed: 10 * time.Millisecond},
+			Work: Work{RipUps: 40, GRouteAttempts: 45, GRouteFails: 5, DRouteAttempts: 80, DRouteFails: 8,
+				STAUpdates: 30, STACellsRelaxed: 120}, Elapsed: 10 * time.Millisecond},
 		{Chain: 0, Step: 1, Temp: 8, Moves: 200, Accepted: 100, Cost: 40,
-			RipUps: 70, GRouteAttempts: 72, GRouteFails: 2, DRouteAttempts: 140, DRouteFails: 4,
-			STAUpdates: 50, STACellsRelaxed: 200, Elapsed: 20 * time.Millisecond},
+			Work: Work{RipUps: 70, GRouteAttempts: 72, GRouteFails: 2, DRouteAttempts: 140, DRouteFails: 4,
+				STAUpdates: 50, STACellsRelaxed: 200}, Elapsed: 20 * time.Millisecond},
 		{Chain: 0, Step: 2, Temp: 6, Moves: 200, Accepted: 60, Cost: 35,
-			RipUps: 55, GRouteAttempts: 55, GRouteFails: 0, DRouteAttempts: 110, DRouteFails: 1,
-			STAUpdates: 45, STACellsRelaxed: 180, Elapsed: 10 * time.Millisecond},
+			Work: Work{RipUps: 55, GRouteAttempts: 55, GRouteFails: 0, DRouteAttempts: 110, DRouteFails: 1,
+				STAUpdates: 45, STACellsRelaxed: 180}, Elapsed: 10 * time.Millisecond},
 	}
 }
 
@@ -104,6 +104,28 @@ func TestTempRecordRatios(t *testing.T) {
 	}
 	if r.MovesPerSec() != 40 {
 		t.Errorf("MovesPerSec = %v, want 40", r.MovesPerSec())
+	}
+}
+
+// TestTempRecordJSON pins the exact bytes of a temperature record, the shape
+// the trace, fleet heartbeats and the job service's SSE events share: every
+// field distinct, so a renamed, dropped or reordered key fails.
+func TestTempRecordJSON(t *testing.T) {
+	r := TempRecord{Chain: 1, Step: 2, Temp: 3.5, Moves: 4, Accepted: 5, Cost: 6.25, BestCost: 7.5,
+		G: 8, D: 9, GCost: 10.5, DCost: 11.5, TCost: 12.5, CCost: 13.5, WCD: 14.5,
+		Work: Work{RipUps: 15, GRouteAttempts: 16, GRouteFails: 17, DRouteAttempts: 18, DRouteFails: 19,
+			STAUpdates: 20, STACellsRelaxed: 21},
+		Elapsed: 22}
+	got, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"chain":1,"step":2,"temp":3.5,"moves":4,"accepted":5,"cost":6.25,"best_cost":7.5,` +
+		`"g":8,"d":9,"g_cost":10.5,"d_cost":11.5,"t_cost":12.5,"c_cost":13.5,"wcd_ps":14.5,` +
+		`"rip_ups":15,"groute_attempts":16,"groute_fails":17,"droute_attempts":18,"droute_fails":19,` +
+		`"sta_updates":20,"sta_cells_relaxed":21,"elapsed_ns":22}`
+	if string(got) != want {
+		t.Errorf("TempRecord JSON\n got %s\nwant %s", got, want)
 	}
 }
 

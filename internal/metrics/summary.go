@@ -9,30 +9,11 @@ import (
 )
 
 // Summary aggregates every record into run totals: move/acceptance counts,
-// router and STA activity, per-phase wall clock, peak throughput, and the
-// final per-chain table. It is safe for concurrent use.
+// router and STA work, per-phase wall clock, peak throughput, and the final
+// per-chain table. It is safe for concurrent use.
 type Summary struct {
 	mu sync.Mutex
-
-	temps    int // temperature records seen (warmup included)
-	moves    int
-	accepted int
-
-	ripUps          int64
-	gRouteAttempts  int64
-	gRouteFails     int64
-	dRouteAttempts  int64
-	dRouteFails     int64
-	staUpdates      int64
-	staCellsRelaxed int64
-
-	peakMovesPerSec float64
-	lastTemp        TempRecord
-
-	phaseDur   [NumPhases]time.Duration
-	phaseCount [NumPhases]int
-
-	chains []ChainRecord
+	t  Totals // Chains in arrival order; Totals sorts a copy
 }
 
 // NewSummary returns an empty summary collector.
@@ -42,21 +23,16 @@ func NewSummary() *Summary { return &Summary{} }
 func (s *Summary) RecordTemp(r TempRecord) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.temps++
-	s.moves += r.Moves
-	s.accepted += r.Accepted
-	s.ripUps += r.RipUps
-	s.gRouteAttempts += r.GRouteAttempts
-	s.gRouteFails += r.GRouteFails
-	s.dRouteAttempts += r.DRouteAttempts
-	s.dRouteFails += r.DRouteFails
-	s.staUpdates += r.STAUpdates
-	s.staCellsRelaxed += r.STACellsRelaxed
-	if mps := r.MovesPerSec(); mps > s.peakMovesPerSec {
-		s.peakMovesPerSec = mps
+	t := &s.t
+	t.Temps++
+	t.Moves += r.Moves
+	t.Accepted += r.Accepted
+	t.Work.Add(r.Work)
+	if mps := r.MovesPerSec(); mps > t.PeakMovesPerSec {
+		t.PeakMovesPerSec = mps
 	}
-	if r.Step >= s.lastTemp.Step || r.Chain != s.lastTemp.Chain {
-		s.lastTemp = r
+	if r.Step >= t.LastTemp.Step || r.Chain != t.LastTemp.Chain {
+		t.LastTemp = r
 	}
 }
 
@@ -65,8 +41,7 @@ func (s *Summary) RecordPhase(r PhaseRecord) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r.Phase < NumPhases {
-		s.phaseDur[r.Phase] += r.Elapsed
-		s.phaseCount[r.Phase]++
+		s.t.PhaseDur[r.Phase] += r.Elapsed
 	}
 }
 
@@ -74,24 +49,18 @@ func (s *Summary) RecordPhase(r PhaseRecord) {
 func (s *Summary) RecordChain(r ChainRecord) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.chains = append(s.chains, r)
+	s.t.Chains = append(s.t.Chains, r)
 }
 
 // Totals is a snapshot of a Summary's aggregates.
 type Totals struct {
-	Temps    int
+	Temps    int // temperature records seen (warmup included)
 	Moves    int
 	Accepted int
 
-	RipUps          int64
-	GRouteAttempts  int64
-	GRouteFails     int64
-	DRouteAttempts  int64
-	DRouteFails     int64
-	STAUpdates      int64
-	STACellsRelaxed int64
+	Work
 
-	PeakMovesPerSec float64
+	PeakMovesPerSec float64 // highest single-temperature throughput
 	LastTemp        TempRecord
 
 	PhaseDur [NumPhases]time.Duration
@@ -102,31 +71,10 @@ type Totals struct {
 func (s *Summary) Totals() Totals {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := Totals{
-		Temps:           s.temps,
-		Moves:           s.moves,
-		Accepted:        s.accepted,
-		RipUps:          s.ripUps,
-		GRouteAttempts:  s.gRouteAttempts,
-		GRouteFails:     s.gRouteFails,
-		DRouteAttempts:  s.dRouteAttempts,
-		DRouteFails:     s.dRouteFails,
-		STAUpdates:      s.staUpdates,
-		STACellsRelaxed: s.staCellsRelaxed,
-		PeakMovesPerSec: s.peakMovesPerSec,
-		LastTemp:        s.lastTemp,
-		PhaseDur:        s.phaseDur,
-		Chains:          append([]ChainRecord(nil), s.chains...),
-	}
+	t := s.t
+	t.Chains = append([]ChainRecord(nil), s.t.Chains...)
 	sort.Slice(t.Chains, func(i, j int) bool { return t.Chains[i].Chain < t.Chains[j].Chain })
 	return t
-}
-
-// PeakMovesPerSec returns the highest single-temperature throughput observed.
-func (s *Summary) PeakMovesPerSec() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.peakMovesPerSec
 }
 
 // WriteText prints a human-readable report of the collected statistics.

@@ -3,6 +3,7 @@ package timing
 import (
 	"fmt"
 
+	"repro/internal/metrics"
 	"repro/internal/netlist"
 )
 
@@ -20,7 +21,7 @@ type Analyzer struct {
 	arr    []float64 // per cell: output arrival time
 	delays []float64 // every net's per-sink interconnect delays, see graph.netOff
 	wcd    float64
-	stats  Stats
+	stats  metrics.Work // STAUpdates and STACellsRelaxed; see Stats
 
 	// Move journal.
 	inMove    bool
@@ -72,28 +73,10 @@ type edge struct {
 	drv, slot int32
 }
 
-// Stats counts incremental-analysis activity: how many net-delay updates were
-// pushed in, how many propagation passes ran, and how many cell arrivals were
-// actually recomputed by the frontier. The counters are always on (plain
-// integer adds); the observability layer snapshots them at temperature
-// boundaries.
-type Stats struct {
-	NetUpdates   int64 // SetNetDelays calls
-	Propagates   int64 // Propagate calls
-	CellsRelaxed int64 // cell arrivals changed by frontier propagation
-}
-
-// Sub returns the delta s - prev, for per-interval reporting.
-func (s Stats) Sub(prev Stats) Stats {
-	return Stats{
-		NetUpdates:   s.NetUpdates - prev.NetUpdates,
-		Propagates:   s.Propagates - prev.Propagates,
-		CellsRelaxed: s.CellsRelaxed - prev.CellsRelaxed,
-	}
-}
-
-// Stats returns the analyzer's cumulative activity counters.
-func (t *Analyzer) Stats() Stats { return t.stats }
+// Stats returns the analyzer's cumulative work: the net-delay updates pushed
+// in (STAUpdates) and the cell arrivals the frontier changed
+// (STACellsRelaxed). Its router fields stay zero.
+func (t *Analyzer) Stats() metrics.Work { return t.stats }
 
 // NewAnalyzer levelizes the netlist and initializes all net delays to zero
 // (arrivals then reflect pure logic depth until delays are supplied).
@@ -299,7 +282,7 @@ func (t *Analyzer) SetNetDelays(id int32, d []float64) {
 	if len(d) != len(cur) {
 		panic(fmt.Sprintf("timing: net %d delay arity %d, want %d", id, len(d), len(cur)))
 	}
-	t.stats.NetUpdates++
+	t.stats.STAUpdates++
 	if t.netStamp[id] != t.epoch {
 		t.netStamp[id] = t.epoch
 		t.jNets = append(t.jNets, id)
@@ -320,7 +303,6 @@ func (t *Analyzer) Propagate() float64 {
 	if !t.inMove {
 		panic("timing: Propagate outside a move")
 	}
-	t.stats.Propagates++
 	t.sweep++
 	g := t.g
 	t.lo, t.hi = int32(len(t.tail)), -1
@@ -341,7 +323,7 @@ func (t *Analyzer) Propagate() float64 {
 				t.jOldArr = append(t.jOldArr, t.arr[cell])
 			}
 			t.arr[cell] = nv
-			t.stats.CellsRelaxed++
+			t.stats.STACellsRelaxed++
 			t.pushFanout(cell)
 		}
 	}

@@ -3,9 +3,10 @@
 // for every programmed antifuse and segment the route uses, a crude
 // spatial-extent estimator for nets that are not yet embedded, one-time
 // levelization, full and incremental (level-ordered frontier) worst-case
-// arrival propagation with journaled undo, and an independently coded
-// post-layout analyzer standing in for the RICE AWE evaluator used in the
-// paper's experiments.
+// arrival propagation with journaled undo, and a post-layout check (Verify)
+// standing in for the RICE AWE evaluator used in the paper's experiments.
+// Verify re-runs this file's Elmore model with wire capacitance raised 10%,
+// so it is not independent of it.
 package timing
 
 import (

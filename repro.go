@@ -201,16 +201,6 @@ func (l *Layout) CriticalPaths(k int) ([]TimingPath, error) {
 	return out, nil
 }
 
-// NetCriticalities returns, per net, how timing-critical the net is in this
-// layout: 1 on the critical path, toward 0 for timing-irrelevant nets.
-func (l *Layout) NetCriticalities() ([]float64, error) {
-	an, err := timing.Analyze(l.Placement, l.Routes)
-	if err != nil {
-		return nil, err
-	}
-	return an.NetCriticality(an.WCD()), nil
-}
-
 // Save serializes the layout (placement, pinmaps, every net's segment
 // assignment) in a canonical text format reloadable by LoadLayout.
 func (l *Layout) Save(w io.Writer) error {

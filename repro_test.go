@@ -217,17 +217,4 @@ func TestCriticalPathsFacade(t *testing.T) {
 	if len(paths[0].CellNames) < 2 {
 		t.Error("path too short")
 	}
-	crit, err := lay.NetCriticalities()
-	if err != nil {
-		t.Fatal(err)
-	}
-	max := 0.0
-	for _, c := range crit {
-		if c > max {
-			max = c
-		}
-	}
-	if max < 0.999 {
-		t.Errorf("no fully critical net (max %v)", max)
-	}
 }
