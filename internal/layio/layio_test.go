@@ -109,6 +109,11 @@ func TestReadRejectsCorruption(t *testing.T) {
 		{"placed twice", func(s string) string {
 			return editPlace(t, s, 1, func(f, first []string) { f[1] = first[1] })
 		}, "placed twice"},
+		{"identical place line", func(s string) string {
+			i := strings.Index(s, "place ")
+			j := i + strings.Index(s[i:], "\n") + 1
+			return s[:j] + s[i:j] + s[j:]
+		}, "placed twice"},
 		{"slot occupied", func(s string) string {
 			return editPlace(t, s, 1, func(f, first []string) { f[2], f[3] = first[2], first[3] })
 		}, "already occupied"},
@@ -237,22 +242,6 @@ search:
 	_, _, err := Read(&buf, a, nl)
 	if err == nil || !strings.Contains(err.Error(), "both claim") {
 		t.Errorf("resource conflict: got %v, want a double claim", err)
-	}
-}
-
-func TestReadRejectsDoublePlacement(t *testing.T) {
-	a, nl, o := routedState(t)
-	var buf bytes.Buffer
-	if err := Write(&buf, o.P, o.Rts); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	// Duplicate the first place line: same cell twice.
-	i := strings.Index(s, "place ")
-	j := strings.Index(s[i:], "\n")
-	dup := s[:i+j+1] + s[i:i+j+1] + s[i+j+1:]
-	if _, _, err := Read(strings.NewReader(dup), a, nl); err == nil || !strings.Contains(err.Error(), "placed twice") {
-		t.Errorf("double placement: got %v, want a \"placed twice\" error", err)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 
 // newTestService starts a service plus an HTTP front end; both are torn down
 // (jobs cancelled first, so no stream can dangle) when the test ends.
-func newTestService(t *testing.T, cfg server.Config) (*server.Server, string) {
+func newTestService(t testing.TB, cfg server.Config) (*server.Server, string) {
 	t.Helper()
 	s := server.New(cfg)
 	ts := httptest.NewServer(s.Handler())
@@ -30,7 +30,7 @@ func newTestService(t *testing.T, cfg server.Config) (*server.Server, string) {
 	return s, ts.URL
 }
 
-func submitJob(t *testing.T, base, body string) (server.JobStatus, *http.Response) {
+func submitJob(t testing.TB, base, body string) (server.JobStatus, *http.Response) {
 	t.Helper()
 	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -48,7 +48,7 @@ func submitJob(t *testing.T, base, body string) (server.JobStatus, *http.Respons
 	return st, resp
 }
 
-func getStatus(t *testing.T, base, id string) server.JobStatus {
+func getStatus(t testing.TB, base, id string) server.JobStatus {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/jobs/" + id)
 	if err != nil {
@@ -64,7 +64,7 @@ func getStatus(t *testing.T, base, id string) server.JobStatus {
 
 // waitState polls until the job reaches the wanted state (or any terminal
 // state, which fails the test if it is not the wanted one).
-func waitState(t *testing.T, base, id string, want server.JobState, timeout time.Duration) server.JobStatus {
+func waitState(t testing.TB, base, id string, want server.JobState, timeout time.Duration) server.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
@@ -234,6 +234,38 @@ func TestCacheHit(t *testing.T) {
 	}
 	if stats.CacheHits != 1 {
 		t.Errorf("cache-hit responses = %d, want 1", stats.CacheHits)
+	}
+}
+
+// BenchmarkSubmitCacheHit times one cache hit over HTTP, with a WAL store
+// attached as in a durable daemon: the POST of a finished tiny job's body,
+// answered 200 from the result cache, and the GET of its layout.
+func BenchmarkSubmitCacheHit(b *testing.B) {
+	st := openStore(b, b.TempDir())
+	b.Cleanup(func() { st.Close() })
+	_, base := newTestService(b, server.Config{Workers: 1, QueueDepth: 4, Store: st})
+	first, resp := submitJob(b, base, tinyJob)
+	if resp.StatusCode != http.StatusAccepted {
+		b.Fatalf("first submit status = %d, want 202", resp.StatusCode)
+	}
+	waitState(b, base, first.ID, server.StateDone, 60*time.Second)
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hit, resp := submitJob(b, base, tinyJob)
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("cache-hit submit status = %d, want 200", resp.StatusCode)
+		}
+		resp, err := http.Get(base + "/v1/jobs/" + hit.ID + "/layout")
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("layout of %s: %d, %v", hit.ID, resp.StatusCode, err)
+		}
 	}
 }
 

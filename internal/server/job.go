@@ -114,7 +114,9 @@ func (c *JobConfig) routeOn() bool {
 
 // jobSpec is a validated, canonicalized submission: the parsed netlist, its
 // canonical .net serialization, and the deterministic cache key derived from
-// everything that can influence the layout bytes.
+// everything that can influence the layout bytes. A spec that names a
+// built-in design shares nl and canon with every other such spec
+// (builtinDesign), so neither is ever written.
 type jobSpec struct {
 	req   JobRequest
 	nl    *netlist.Netlist
@@ -152,18 +154,20 @@ func buildSpec(req JobRequest) (*jobSpec, error) {
 		return nil, fmt.Errorf("exactly one of %q or %q must be set", "design", "netlist")
 	}
 	var (
-		nl  *netlist.Netlist
-		err error
+		nl    *netlist.Netlist
+		canon []byte // a built-in design's; an inline netlist's is written below
+		err   error
 	)
 	switch {
 	case req.Design != "":
 		if req.Format != "" {
 			return nil, fmt.Errorf("%q only applies to inline netlists", "format")
 		}
-		nl, err = exper.Design(req.Design)
+		d, err := resolveDesign(req.Design)
 		if err != nil {
-			return nil, fmt.Errorf("unknown design %q", req.Design)
+			return nil, err
 		}
+		nl, canon = d.nl, d.canon
 	default:
 		if len(req.Netlist) > maxNetlistBytes {
 			return nil, fmt.Errorf("inline netlist too large: %d bytes (max %d)", len(req.Netlist), maxNetlistBytes)
@@ -193,13 +197,60 @@ func buildSpec(req JobRequest) (*jobSpec, error) {
 		return nil, err
 	}
 
-	var canon bytes.Buffer
-	if err := netlist.WriteNet(&canon, nl); err != nil {
-		return nil, fmt.Errorf("canonicalize netlist: %w", err)
+	if canon == nil {
+		if canon, err = canonical(nl); err != nil {
+			return nil, err
+		}
 	}
-	spec := &jobSpec{req: req, nl: nl, canon: canon.Bytes(), pri: pri}
+	spec := &jobSpec{req: req, nl: nl, canon: canon, pri: pri}
 	spec.key = spec.cacheKey()
 	return spec, nil
+}
+
+// builtinDesign is a built-in design resolved once per process: the netlist
+// exper.Design generates for the name and its canonical WriteNet bytes. Every
+// spec that names the design shares the record, so both are read-only.
+// Nothing mutates a *netlist.Netlist after netlist.Builder returns it (only
+// the builder calls rebuildIndex), and nothing writes to canon.
+type builtinDesign struct {
+	nl    *netlist.Netlist
+	canon []byte
+}
+
+// builtinDesigns maps a netgen.Profiles() name to its *builtinDesign. It is
+// filled on first use and never stores an unknown name, so it holds at most
+// one entry per profile. It is one table per process, not per Server:
+// FleetExecutor parses leased specs without a server, and a record depends
+// on the name alone, so every server and executor in the process shares it.
+var builtinDesigns sync.Map
+
+// resolveDesign returns the record of a built-in design, building it on the
+// name's first use. Concurrent first uses may each build one; LoadOrStore
+// keeps the first stored, so every spec shares that one.
+func resolveDesign(name string) (*builtinDesign, error) {
+	if d, ok := builtinDesigns.Load(name); ok {
+		return d.(*builtinDesign), nil
+	}
+	nl, err := exper.Design(name)
+	if err != nil {
+		return nil, fmt.Errorf("unknown design %q", name)
+	}
+	canon, err := canonical(nl)
+	if err != nil {
+		return nil, err
+	}
+	d, _ := builtinDesigns.LoadOrStore(name, &builtinDesign{nl: nl, canon: canon})
+	return d.(*builtinDesign), nil
+}
+
+// canonical is the netlist's canonical serialization, which the cache key
+// hashes: a named design and an equivalent inline netlist share it.
+func canonical(nl *netlist.Netlist) ([]byte, error) {
+	var b bytes.Buffer
+	if err := netlist.WriteNet(&b, nl); err != nil {
+		return nil, fmt.Errorf("canonicalize netlist: %w", err)
+	}
+	return b.Bytes(), nil
 }
 
 func (c *JobConfig) validate() error {

@@ -7,32 +7,31 @@ import (
 	"testing"
 
 	"repro/internal/exper"
+	"repro/internal/netgen"
 	"repro/internal/netlist"
 )
 
 // TestCacheKeyCanonicalization pins the dedup property of the cache key: a
-// named design and the equivalent inline netlist hash identically, and every
-// result-affecting config field feeds the key.
+// named design and the equivalent inline netlist hash identically, for every
+// built-in design, and every result-affecting config field feeds the key.
 func TestCacheKeyCanonicalization(t *testing.T) {
+	for _, name := range netgen.Profiles() {
+		named, err := buildSpec(JobRequest{Design: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inline, err := buildSpec(JobRequest{Netlist: string(writeNet(t, name))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if named.key != inline.key {
+			t.Errorf("%s: named vs inline key mismatch:\n%s\n%s", name, named.key, inline.key)
+		}
+	}
+
 	named, err := buildSpec(JobRequest{Design: "tiny"})
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	nl, err := exper.Design("tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := netlist.WriteNet(&buf, nl); err != nil {
-		t.Fatal(err)
-	}
-	inline, err := buildSpec(JobRequest{Netlist: buf.String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if named.key != inline.key {
-		t.Errorf("named vs inline key mismatch:\n%s\n%s", named.key, inline.key)
 	}
 
 	seeded, err := buildSpec(JobRequest{Design: "tiny", Config: JobConfig{Seed: 2}})
@@ -86,6 +85,21 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	if neg.key == lag.key || neg.key == named.key {
 		t.Error("negotiated backend key not distinct")
 	}
+}
+
+// writeNet generates the named built-in design afresh and returns its
+// canonical serialization.
+func writeNet(t testing.TB, name string) []byte {
+	t.Helper()
+	nl, err := exper.Design(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := netlist.WriteNet(&buf, nl); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestCacheKeyPinned pins the exact key bytes across versions: a changed
@@ -171,6 +185,23 @@ func TestParseJobRequestValidation(t *testing.T) {
 	}
 }
 
+// BenchmarkParseJobRequest times the admission parse of a job body that
+// names a built-in design: decode, validate, resolve the design and hash the
+// cache key.
+func BenchmarkParseJobRequest(b *testing.B) {
+	for _, design := range []string{"tiny", "s1"} {
+		body := []byte(`{"design":"` + design + `","config":{"seed":1,"moves_per_cell":4,"max_temps":10}}`)
+		b.Run(design, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := parseJobRequest(body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestEventHubReplayAndFollow checks the hub's contract: ordered sequence
 // numbers, full replay from any cursor, wake on append, and sealing.
 func TestEventHubReplayAndFollow(t *testing.T) {
@@ -231,6 +262,59 @@ func TestResultCacheEviction(t *testing.T) {
 	if st.Entries != 2 || st.Hits != 2 || st.Misses != 1 {
 		t.Errorf("stats = %+v, want 2 entries, 2 hits, 1 miss", st)
 	}
+}
+
+// TestRecordsEviction pins the retention table behind -max-jobs and
+// -max-groups: a full table evicts its oldest terminal records first, skips
+// live ones, grows when every record is live, and remove keeps the rest in
+// insertion order.
+func TestRecordsEviction(t *testing.T) {
+	type rec struct{ done bool }
+	fill := func(states string) *records[*rec] {
+		tb := newRecords(3, func(r *rec) bool { return r.done })
+		for i, c := range states {
+			tb.add(string(rune('a'+i)), &rec{done: c == 'd'})
+		}
+		return tb
+	}
+	check := func(what string, tb *records[*rec], want string) {
+		t.Helper()
+		if got := strings.Join(tb.order, " "); got != want {
+			t.Errorf("%s: order %q, want %q", what, got, want)
+		}
+		if len(tb.byID) != len(tb.order) {
+			t.Errorf("%s: %d records for %d ids in order", what, len(tb.byID), len(tb.order))
+		}
+		for _, id := range tb.order {
+			if _, ok := tb.byID[id]; !ok {
+				t.Errorf("%s: %s in order but not in the table", what, id)
+			}
+		}
+	}
+
+	tb := fill("ddd") // a, b, c terminal
+	tb.add("x", &rec{})
+	check("full, all terminal", tb, "b c x")
+
+	tb = fill("ldl") // a live, b terminal, c live
+	tb.add("x", &rec{done: true})
+	check("full, live skipped", tb, "a c x")
+
+	tb = fill("lll")
+	tb.add("x", &rec{})
+	check("full, all live", tb, "a b c x")
+	tb.byID["b"].done = true
+	tb.add("y", &rec{})
+	check("over the cap, one terminal", tb, "a c x y")
+
+	tb = fill("llll")
+	tb.remove("b")
+	check("remove middle", tb, "a c d")
+	tb.remove("zzz")
+	check("remove unknown", tb, "a c d")
+	tb.byID["c"].done = true
+	tb.add("x", &rec{})
+	check("add after remove", tb, "a d x")
 }
 
 // TestJobStateMachine drives the transitions directly.

@@ -22,7 +22,7 @@ import (
 )
 
 // openStore opens the persistent store under dir.
-func openStore(t *testing.T, dir string) *store.Store {
+func openStore(t testing.TB, dir string) *store.Store {
 	t.Helper()
 	st, err := store.Open(dir, 1<<20)
 	if err != nil {
