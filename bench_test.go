@@ -174,21 +174,27 @@ func benchDesign(b *testing.B, name string) (*Netlist, *Arch) {
 
 // --- Micro-benchmarks of the in-the-loop mechanisms ---
 
-// BenchmarkIncrementalMove measures one annealing move of the simultaneous
-// optimizer: rip-up, incremental global + detailed reroute, incremental
-// timing, and undo.
-func BenchmarkIncrementalMove(b *testing.B) {
+// settledS1 returns s1's optimizer after 2000 accepted moves, a mostly
+// routed state, and the move generator that made them.
+func settledS1(b *testing.B) (*core.Optimizer, *rand.Rand) {
 	nl, a := benchDesign(b, "s1")
 	o, err := core.New(a, nl, core.Config{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
-	// Settle into a mostly-routed state first.
 	for i := 0; i < 2000; i++ {
 		o.Propose(rng)
 		o.Accept()
 	}
+	return o, rng
+}
+
+// BenchmarkIncrementalMove measures one annealing move of the simultaneous
+// optimizer: rip-up, incremental global + detailed reroute, incremental
+// timing, and undo.
+func BenchmarkIncrementalMove(b *testing.B) {
+	o, rng := settledS1(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o.Propose(rng)
@@ -283,37 +289,59 @@ func BenchmarkLayoutLoad(b *testing.B) {
 	b.ReportMetric(float64(len(data)), "layout-bytes")
 }
 
-// BenchmarkElmoreNetDelay measures the detailed RC-tree evaluation of one
-// routed net with a reused DelayCalc, as the move loop evaluates it.
+// BenchmarkElmoreNetDelay measures the detailed RC-tree evaluation of a
+// routed net with a reused DelayCalc. "trunk" evaluates one multi-channel
+// net of a fully routed random placement again and again; "settled"
+// evaluates every routed net of a settled s1 state in turn (see
+// settledS1), the mix a move's re-timing sees.
 func BenchmarkElmoreNetDelay(b *testing.B) {
-	nl, a := benchDesign(b, "s1")
-	rng := rand.New(rand.NewSource(3))
-	p, err := layout.NewRandom(a, nl, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := fabric.New(a)
-	routes := make([]fabric.NetRoute, nl.NumNets())
-	groute.RouteAll(f, p, routes)
-	droute.RouteAllDetailed(f, routes, 2, rng)
-	// Find a multi-channel routed net.
-	var target int32 = -1
-	for id := range routes {
-		if routes[id].DetailDone() && routes[id].HasTrunk {
-			target = int32(id)
-			break
-		}
-	}
-	if target < 0 {
-		b.Fatal("no routed trunk net")
-	}
-	var dc timing.DelayCalc
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dc.NetDelays(p, target, &routes[target], 1.0); err != nil {
+	b.Run("trunk", func(b *testing.B) {
+		nl, a := benchDesign(b, "s1")
+		rng := rand.New(rand.NewSource(3))
+		p, err := layout.NewRandom(a, nl, rng)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		f := fabric.New(a)
+		routes := make([]fabric.NetRoute, nl.NumNets())
+		groute.RouteAll(f, p, routes)
+		droute.RouteAllDetailed(f, routes, 2, rng)
+		// Find a multi-channel routed net.
+		var target int32 = -1
+		for id := range routes {
+			if routes[id].DetailDone() && routes[id].HasTrunk {
+				target = int32(id)
+				break
+			}
+		}
+		if target < 0 {
+			b.Fatal("no routed trunk net")
+		}
+		var dc timing.DelayCalc
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := dc.NetDelays(p, target, &routes[target], 1.0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("settled", func(b *testing.B) {
+		o, _ := settledS1(b)
+		var ids []int32
+		for id := range o.Rts {
+			if o.Rts[id].DetailDone() && len(o.NL.Nets[id].Sinks) > 0 {
+				ids = append(ids, int32(id))
+			}
+		}
+		var dc timing.DelayCalc
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			id := ids[i%len(ids)]
+			if _, err := dc.NetDelays(o.P, id, &o.Rts[id], 1.0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkIncrementalTiming measures one frontier propagation after a
@@ -343,24 +371,46 @@ func BenchmarkIncrementalTiming(b *testing.B) {
 }
 
 // BenchmarkDetailedRouteChannel measures one segmented-channel track
-// selection + allocation + release.
+// selection + allocation + release. "empty" routes one interval on an empty
+// channel, where every track is free; "settled" releases and re-routes every
+// routed channel of a settled s1 state in turn (see settledS1), the
+// occupancy a move's reroute sees.
 func BenchmarkDetailedRouteChannel(b *testing.B) {
-	nl, a := benchDesign(b, "s1")
-	rng := rand.New(rand.NewSource(5))
-	p, err := layout.NewRandom(a, nl, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = p
-	f := fabric.New(a)
-	r := fabric.NetRoute{Global: true, Chans: []fabric.ChanAssign{{Ch: 3, Lo: 5, Hi: 25, Track: -1}}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !droute.RouteChan(f, 1, &r, 0) {
-			b.Fatal("route failed")
+	b.Run("empty", func(b *testing.B) {
+		_, a := benchDesign(b, "s1")
+		f := fabric.New(a)
+		r := fabric.NetRoute{Global: true, Chans: []fabric.ChanAssign{{Ch: 3, Lo: 5, Hi: 25, Track: -1}}}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !droute.RouteChan(f, 1, &r, 0) {
+				b.Fatal("route failed")
+			}
+			droute.UnrouteChan(f, 1, &r, 0)
 		}
-		droute.UnrouteChan(f, 1, &r, 0)
-	}
+	})
+	b.Run("settled", func(b *testing.B) {
+		o, _ := settledS1(b)
+		type need struct {
+			id int32
+			ci int
+		}
+		var ns []need
+		for id := range o.Rts {
+			for ci := range o.Rts[id].Chans {
+				if o.Rts[id].Chans[ci].Routed() {
+					ns = append(ns, need{int32(id), ci})
+				}
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n := ns[i%len(ns)]
+			droute.UnrouteChan(o.F, n.id, &o.Rts[n.id], n.ci)
+			if !droute.RouteChan(o.F, n.id, &o.Rts[n.id], n.ci) {
+				b.Fatal("re-route failed")
+			}
+		}
+	})
 }
 
 // BenchmarkGlobalRoute measures one vertical-assignment attempt.

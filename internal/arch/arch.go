@@ -2,12 +2,15 @@
 // a grid of logic-module slots separated by horizontal routing channels whose
 // tracks are divided into fixed segments, plus segmented vertical tracks used
 // to span channels. It also carries the RC delay parameters used by the
-// Elmore timing model and the pinmap palettes used by the layout state.
+// Elmore timing model, the pinmap palettes used by the layout state and the
+// track-selection cost of detailed routing.
 package arch
 
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 )
 
 // Side identifies which edge of a logic module a pin is assigned to. A pin on
@@ -123,6 +126,22 @@ type Arch struct {
 
 	// NVSegs is the number of vertical segments on one vertical track.
 	NVSegs int
+
+	// Track classes: the tracks whose segments are identical. A track's
+	// segment range over a column interval, and so its routing cost, depends
+	// only on its class. classLow[c] is class c's lowest track, and classes
+	// are numbered in that order; class c's tracks are the set bits of
+	// classMask[c*w:(c+1)*w], w = (Tracks+63)/64 words.
+	classLow  []int
+	classMask []uint64
+
+	// ClassOrder's tables: Classes() entries per column interval lo <= hi,
+	// valid once the interval's ranked flag is set, and the scratch that
+	// ranks them. mu serializes the ranking.
+	order  []uint16
+	ranked []atomic.Bool
+	keys   []uint64
+	mu     sync.Mutex
 }
 
 // New validates p and compiles the derived segmentation tables.
@@ -130,8 +149,8 @@ func New(p Params) (*Arch, error) {
 	if p.Rows < 1 || p.Cols < 2 {
 		return nil, fmt.Errorf("arch: grid %dx%d too small", p.Rows, p.Cols)
 	}
-	if p.Tracks < 1 {
-		return nil, errors.New("arch: need at least one track per channel")
+	if p.Tracks < 1 || p.Tracks > maxTracks {
+		return nil, fmt.Errorf("arch: %d tracks per channel, want 1 to %d", p.Tracks, maxTracks)
 	}
 	if len(p.SegPattern) == 0 {
 		return nil, errors.New("arch: empty segmentation pattern")
@@ -159,6 +178,7 @@ func New(p Params) (*Arch, error) {
 		a.segAt[t] = at
 	}
 	a.NVSegs = (a.Channels() + p.VSpan - 1) / p.VSpan
+	a.buildClasses()
 	return a, nil
 }
 

@@ -2,6 +2,8 @@ package arch
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -18,6 +20,7 @@ func TestNewValidation(t *testing.T) {
 		{"zero rows", func(p *Params) { p.Rows = 0 }},
 		{"one col", func(p *Params) { p.Cols = 1 }},
 		{"zero tracks", func(p *Params) { p.Tracks = 0 }},
+		{"too many tracks", func(p *Params) { p.Tracks = 1 << 15 }},
 		{"empty pattern", func(p *Params) { p.SegPattern = nil }},
 		{"bad segment length", func(p *Params) { p.SegPattern = []int{4, 0} }},
 		{"zero vtracks", func(p *Params) { p.VTracks = 0 }},
@@ -198,5 +201,102 @@ func TestSlots(t *testing.T) {
 	a := MustNew(testParams(7, 13, 3))
 	if a.Slots() != 91 {
 		t.Errorf("Slots = %d, want 91", a.Slots())
+	}
+}
+
+// Track classes partition the tracks: each track sits in exactly one
+// class's mask, a class's tracks have identical segments, two classes'
+// segments differ, and a class's first track is its lowest. At the default
+// pattern and phase step, 38 and 24 tracks both give 14 classes; 130 tracks
+// need three mask words.
+func TestTrackClasses(t *testing.T) {
+	for _, tc := range []struct{ cols, tracks, want int }{{40, 38, 14}, {40, 24, 14}, {60, 130, 14}, {5, 9, -1}} {
+		a := MustNew(Default(2, tc.cols, tc.tracks))
+		if tc.want >= 0 && a.Classes() != tc.want {
+			t.Errorf("%d tracks: %d classes, want %d", tc.tracks, a.Classes(), tc.want)
+		}
+		seen := make([]int, a.Tracks)
+		for c := 0; c < a.Classes(); c++ {
+			m := a.ClassMask(c)
+			if len(m) != (a.Tracks+63)/64 {
+				t.Fatalf("class %d mask has %d words", c, len(m))
+			}
+			first := -1
+			for tr := 0; tr < len(m)*64; tr++ {
+				if m[tr>>6]>>(tr&63)&1 == 0 {
+					continue
+				}
+				if first < 0 {
+					first = tr
+				}
+				if tr >= a.Tracks || !slices.Equal(a.Seg[tr], a.Seg[a.classLow[c]]) {
+					t.Fatalf("%d tracks, class %d: track %d does not belong", tc.tracks, c, tr)
+				}
+				seen[tr]++
+			}
+			if first != a.classLow[c] || (c > 0 && a.classLow[c] <= a.classLow[c-1]) {
+				t.Errorf("class %d: lowest track %d, recorded %d", c, first, a.classLow[c])
+			}
+			for d := 0; d < c; d++ {
+				if slices.Equal(a.Seg[a.classLow[c]], a.Seg[a.classLow[d]]) {
+					t.Errorf("classes %d and %d have the same segments", d, c)
+				}
+			}
+		}
+		for tr, n := range seen {
+			if n != 1 {
+				t.Errorf("%d tracks: track %d in %d classes", tc.tracks, tr, n)
+			}
+		}
+	}
+}
+
+// ClassOrder lists every class once per interval, in ascending TrackCost of
+// the class's lowest track, equal costs in class order, with bit 0 set on
+// exactly the entries that cost the same as the one before. Four goroutines
+// ask for every interval first, together, so the race detector sees the
+// rankings.
+func TestClassOrder(t *testing.T) {
+	for _, p := range []Params{Default(2, 40, 38), Default(1, 23, 130), {
+		Rows: 1, Cols: 31, Tracks: 70, SegPattern: []int{2, 7, 1, 5}, PhaseStep: 2, VTracks: 1, VSpan: 1,
+	}} {
+		a := MustNew(p)
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for lo := 0; lo < a.Cols; lo++ {
+					for hi := lo; hi < a.Cols; hi++ {
+						a.ClassOrder(lo, hi)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for lo := 0; lo < a.Cols; lo++ {
+			for hi := lo; hi < a.Cols; hi++ {
+				ord := a.ClassOrder(lo, hi)
+				if len(ord) != a.Classes() {
+					t.Fatalf("%d tracks [%d,%d]: %d entries, %d classes", a.Tracks, lo, hi, len(ord), a.Classes())
+				}
+				seen := make([]bool, a.Classes())
+				pv, pc := 0, -1
+				for i, e := range ord {
+					c := int(e >> 1)
+					if seen[c] {
+						t.Fatalf("%d tracks [%d,%d]: class %d listed twice", a.Tracks, lo, hi, c)
+					}
+					seen[c] = true
+					v, _, _ := a.TrackCost(a.classLow[c], lo, hi)
+					tie := i > 0 && v == pv
+					if i > 0 && (v < pv || tie && c < pc) || e&1 == 1 != tie {
+						t.Fatalf("%d tracks [%d,%d]: entry %d (class %d, cost %d, tie %d) after class %d at %d",
+							a.Tracks, lo, hi, i, c, v, e&1, pc, pv)
+					}
+					pv, pc = v, c
+				}
+			}
+		}
 	}
 }

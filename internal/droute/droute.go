@@ -1,11 +1,11 @@
 // Package droute implements detailed routing for segmented channels: picking,
 // for each net in each channel, a track whose free consecutive segments cover
 // the net's column interval. Track choice minimizes a weighted sum of segment
-// wastage and segment count (after Greene et al. [8] and Roy [11]), which
-// constructively prefers short, low-antifuse-count embeddings — the paper's
-// substitute for an explicit wirelength cost term. The same primitive serves
-// the incremental in-the-loop router and the sequential baseline's full
-// channel router.
+// wastage and segment count (arch.TrackCost, after Greene et al. [8] and
+// Roy [11]), which constructively prefers short, low-antifuse-count
+// embeddings — the paper's substitute for an explicit wirelength cost term.
+// The same primitive serves the incremental in-the-loop router and the
+// sequential baseline's full channel router.
 package droute
 
 import (
@@ -18,41 +18,67 @@ import (
 	"repro/internal/fabric"
 )
 
-// The track-selection weights: per column of allocated-but-unneeded segment
-// length, and per segment used (each extra segment implies an antifuse).
-// Keep each a separate operand where it is used, as the negotiation
-// constants are.
-const (
-	wWaste = 1
-	wSegs  = 4
-)
-
-// trackCost returns the cost of covering columns [lo, hi] on track t and the
-// segments [sl, sh] that cover them: weighted wastage plus weighted segment
-// count.
-func trackCost(a *arch.Arch, t, lo, hi int) (c float64, sl, sh int) {
-	sl, sh = a.SegRange(t, lo, hi)
-	segs := a.Seg[t]
-	waste := float64((segs[sh].End - segs[sl].Start) - (hi - lo + 1))
-	return wWaste*waste + wSegs*float64(sh-sl+1), sl, sh
-}
-
 // PickTrack returns the cheapest feasible track for covering columns
 // [lo, hi] in channel ch, or ok=false when no track has the needed free run.
-// Only the tracks in the fabric's fit set are costed, in ascending order with
-// a strict improvement test, so ties go to the lowest track.
+// Only the tracks in the fabric's fit set are candidates, and ties go to the
+// lowest track.
+//
+// A track's cost depends only on its class (arch.ClassMask) and the
+// interval, so PickTrack walks the classes in ascending cost
+// (arch.ClassOrder): the lowest free track of the first class that has one
+// wins, unless a class tied with it has a lower one. With n free tracks the
+// walk tests about Classes()/n classes before it finds one, so when n² is at
+// most Classes() it costs the n tracks instead.
 func PickTrack(f *fabric.Fabric, ch, lo, hi int) (track, segLo, segHi int, ok bool) {
-	best := math.Inf(1)
+	fit := f.HFit(ch, lo, hi)
+	n := 0
+	for _, w := range fit {
+		n += bits.OnesCount64(w)
+	}
+	a := f.A
+	switch {
+	case n == 0:
+		return -1, 0, 0, false
+	case n*n <= a.Classes():
+		return pickScan(a, fit, lo, hi)
+	}
 	track = -1
-	for k, w := range f.HFit(ch, lo, hi) {
+	for _, e := range a.ClassOrder(lo, hi) {
+		if e&1 == 0 && track >= 0 {
+			break // the classes left cost more
+		}
+		if t := lowestIn(fit, a.ClassMask(int(e>>1))); t >= 0 && (track < 0 || t < track) {
+			track = t
+		}
+	}
+	segLo, segHi = a.SegRange(track, lo, hi)
+	return track, segLo, segHi, true
+}
+
+// pickScan is PickTrack by costing every track of fit, in ascending order
+// with a strict improvement test.
+func pickScan(a *arch.Arch, fit fabric.Bits, lo, hi int) (track, segLo, segHi int, ok bool) {
+	best := math.MaxInt
+	track = -1
+	for k, w := range fit {
 		for ; w != 0; w &= w - 1 {
 			t := k<<6 + bits.TrailingZeros64(w)
-			if c, sl, sh := trackCost(f.A, t, lo, hi); c < best {
+			if c, sl, sh := a.TrackCost(t, lo, hi); c < best {
 				best, track, segLo, segHi = c, t, sl, sh
 			}
 		}
 	}
 	return track, segLo, segHi, track >= 0
+}
+
+// lowestIn returns the lowest element in both fit and mask, or -1.
+func lowestIn(fit fabric.Bits, mask []uint64) int {
+	for k, w := range fit {
+		if w &= mask[k]; w != 0 {
+			return k<<6 + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
 }
 
 // RouteChan detail-routes channel entry ci of net id's route, allocating the

@@ -212,7 +212,7 @@ func lagrangeChoose(f *fabric.Fabric, routes []fabric.NetRoute, lc *lagChannel, 
 	var bl, bh int
 	ties := 0
 	for t := 0; t < a.Tracks; t++ {
-		base, sl, sh := trackCost(a, t, ca.Lo, ca.Hi)
+		base, sl, sh := a.TrackCost(t, ca.Lo, ca.Hi)
 		price := 0.0
 		feasible := true
 		for s := sl; s <= sh; s++ {
@@ -225,7 +225,7 @@ func lagrangeChoose(f *fabric.Fabric, routes []fabric.NetRoute, lc *lagChannel, 
 		if !feasible {
 			continue
 		}
-		cost := base + price
+		cost := float64(base) + price
 		switch {
 		case cost < best:
 			best, bt, bl, bh = cost, t, sl, sh

@@ -160,7 +160,7 @@ func negotiateChannel(f *fabric.Fabric, routes []fabric.NetRoute, ns []chanNeed,
 			bt := -1
 			var bl, bh int
 			for t := 0; t < a.Tracks; t++ {
-				base, sl, sh := trackCost(a, t, ca.Lo, ca.Hi)
+				base, sl, sh := a.TrackCost(t, ca.Lo, ca.Hi)
 				cost := 0.0
 				feasible := true
 				for s := sl; s <= sh; s++ {
@@ -174,7 +174,7 @@ func negotiateChannel(f *fabric.Fabric, routes []fabric.NetRoute, ns []chanNeed,
 				if !feasible {
 					continue
 				}
-				cost += base
+				cost += float64(base)
 				if cost < best {
 					best, bt, bl, bh = cost, t, sl, sh
 				}

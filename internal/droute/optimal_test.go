@@ -2,6 +2,7 @@ package droute
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -134,5 +135,94 @@ func TestPickTrackIsOptimalProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// PickTrack walks the architecture's class order, or costs the free tracks
+// when there are few. Both must return the scan's (track, segLo, segHi) on
+// an interval's first, second and later requests: on random segmentations
+// at up to 200 tracks (so more than one mask word), with occupancy changing
+// between requests, with an empty fit set among them, and on a clone, which
+// shares the order.
+func TestPickTrackCacheMatchesScan(t *testing.T) {
+	var walked, costed int
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := arch.Default(3, 6+rng.Intn(40), 1+rng.Intn(200))
+		p.SegPattern = []int{1 + rng.Intn(6), 1 + rng.Intn(12), 1 + rng.Intn(4), 1 + rng.Intn(9)}[:2+rng.Intn(3)]
+		p.PhaseStep = rng.Intn(7)
+		a := arch.MustNew(p)
+		f := fabric.New(a)
+		// A few intervals, asked for again and again.
+		type interval struct{ ch, lo, hi int }
+		var ivs []interval
+		for k := 0; k < 6; k++ {
+			lo := rng.Intn(a.Cols)
+			ivs = append(ivs, interval{rng.Intn(a.Channels()), lo, lo + rng.Intn(min(a.Cols-lo, 12))})
+		}
+		// The last interval's channel is filled completely for a while, the
+		// others at random.
+		full := ivs[len(ivs)-1].ch
+		for tr := 0; tr < a.Tracks; tr++ {
+			f.AllocH(full, tr, 0, len(a.Seg[tr])-1, 97)
+		}
+		density := rng.Float64()
+		for ch := 0; ch < a.Channels(); ch++ {
+			for tr := 0; tr < a.Tracks; tr++ {
+				for s := range a.Seg[tr] {
+					if ch != full && rng.Float64() < density {
+						f.AllocH(ch, tr, s, s, 99)
+					}
+				}
+			}
+		}
+		fabs := []*fabric.Fabric{f}
+		for req := 0; req < 12; req++ {
+			if req == 4 {
+				fabs = append(fabs, f.Clone())
+			}
+			if req == 6 {
+				for tr := 0; tr < a.Tracks; tr++ {
+					f.FreeH(full, tr, 0, len(a.Seg[tr])-1, 97)
+				}
+			}
+			for _, g := range fabs {
+				// Random churn: take or release a few segments.
+				for k := 0; k < 1+a.Tracks/8; k++ {
+					ch, tr := rng.Intn(a.Channels()), rng.Intn(a.Tracks)
+					if req < 6 && ch == full {
+						continue
+					}
+					s := rng.Intn(len(a.Seg[tr]))
+					switch g.HOwner(ch, tr, s) {
+					case fabric.Free:
+						g.AllocH(ch, tr, s, s, 99)
+					case 99:
+						g.FreeH(ch, tr, s, s, 99)
+					}
+				}
+				for _, iv := range ivs {
+					wt, wl, wh, wok := pickTrackScan(g, iv.ch, iv.lo, iv.hi)
+					gt, gl, gh, gok := PickTrack(g, iv.ch, iv.lo, iv.hi)
+					if gok != wok || (wok && (gt != wt || gl != wl || gh != wh)) {
+						t.Fatalf("seed %d request %d (clone %v) channel %d [%d,%d]: PickTrack (%d, %d, %d, %v), scan (%d, %d, %d, %v)",
+							seed, req, g != f, iv.ch, iv.lo, iv.hi, gt, gl, gh, gok, wt, wl, wh, wok)
+					}
+					n := 0
+					for _, w := range g.HFit(iv.ch, iv.lo, iv.hi) {
+						n += bits.OnesCount64(w)
+					}
+					switch {
+					case n*n > a.Classes():
+						walked++
+					case n > 0:
+						costed++
+					}
+				}
+			}
+		}
+	}
+	if walked < 2000 || costed < 200 {
+		t.Fatalf("%d requests walked the class order and %d costed the free tracks", walked, costed)
 	}
 }

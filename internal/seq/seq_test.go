@@ -107,12 +107,13 @@ func TestSequentialTimingMatchesRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var dc timing.DelayCalc
 	an.Begin()
 	for id := range res.Routes {
 		if len(nl.Nets[id].Sinks) == 0 {
 			continue
 		}
-		d, err := timing.NetDelays(res.P, int32(id), &res.Routes[id], 1.0)
+		d, err := dc.NetDelays(res.P, int32(id), &res.Routes[id], 1.0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,131 +12,10 @@ package timing
 import (
 	"fmt"
 
+	"repro/internal/arch"
 	"repro/internal/fabric"
 	"repro/internal/layout"
 )
-
-// rcEdge is one resistive connection of the undirected RC graph.
-type rcEdge struct {
-	to int
-	r  float64
-}
-
-// rcGraph is the per-net RC network. Topologically it is always a tree; it
-// is built undirected and oriented away from the source when evaluated.
-type rcGraph struct {
-	cap    []float64
-	adj    [][]rcEdge
-	sinkAt []int // node -> sink index or -1
-}
-
-func newRCGraph() *rcGraph { return &rcGraph{} }
-
-// reset clears the graph for reuse, keeping the allocated storage.
-func (g *rcGraph) reset() {
-	g.cap = g.cap[:0]
-	for i := range g.adj {
-		g.adj[i] = g.adj[i][:0]
-	}
-	g.adj = g.adj[:0]
-	g.sinkAt = g.sinkAt[:0]
-}
-
-func (g *rcGraph) addNode(c float64) int {
-	g.cap = append(g.cap, c)
-	if len(g.adj) < cap(g.adj) {
-		g.adj = g.adj[:len(g.adj)+1]
-	} else {
-		g.adj = append(g.adj, nil)
-	}
-	g.sinkAt = append(g.sinkAt, -1)
-	return len(g.cap) - 1
-}
-
-func (g *rcGraph) addCap(n int, c float64) { g.cap[n] += c }
-
-// addEdge connects a and b with resistance r and wire capacitance c split
-// evenly between the endpoints.
-func (g *rcGraph) addEdge(a, b int, r, c float64) {
-	g.adj[a] = append(g.adj[a], rcEdge{to: b, r: r})
-	g.adj[b] = append(g.adj[b], rcEdge{to: a, r: r})
-	g.cap[a] += c / 2
-	g.cap[b] += c / 2
-}
-
-// elmore roots the tree at node root and returns the Elmore delay to each of
-// the nsinks sink nodes. Scratch storage comes from dc when non-nil.
-func (g *rcGraph) elmore(root, nsinks int, dc *DelayCalc) ([]float64, error) {
-	n := len(g.cap)
-	var parent []int
-	var parentR, down, delay []float64
-	var order, stack []int
-	if dc != nil {
-		parent = resizeInts(&dc.parent, n)
-		parentR = resizeFloats(&dc.parentR, n)
-		down = resizeFloats(&dc.down, n)
-		delay = resizeFloats(&dc.delay, n)
-		order = dc.order[:0]
-		stack = dc.stack[:0]
-		defer func() { dc.order, dc.stack = order, stack }()
-	} else {
-		parent = make([]int, n)
-		parentR = make([]float64, n)
-		down = make([]float64, n)
-		delay = make([]float64, n)
-		order = make([]int, 0, n)
-	}
-	for i := range parent {
-		parent[i] = -2 // unvisited
-	}
-	parent[root] = -1
-	stack = append(stack, root)
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		order = append(order, u)
-		for _, e := range g.adj[u] {
-			if parent[e.to] == -2 {
-				parent[e.to] = u
-				parentR[e.to] = e.r
-				stack = append(stack, e.to)
-			} else if e.to != parent[u] {
-				return nil, fmt.Errorf("timing: RC network is not a tree")
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("timing: RC network is disconnected (%d of %d nodes reached)", len(order), n)
-	}
-	// Reverse preorder gives children before parents: accumulate downstream
-	// capacitance, then delays in preorder.
-	copy(down, g.cap)
-	for i := n - 1; i >= 1; i-- {
-		u := order[i]
-		down[parent[u]] += down[u]
-	}
-	for i := range delay {
-		delay[i] = 0
-	}
-	for _, u := range order[1:] {
-		delay[u] = delay[parent[u]] + parentR[u]*down[u]
-	}
-	var out []float64
-	if dc != nil {
-		out = resizeFloats(&dc.out, nsinks)
-		for i := range out {
-			out[i] = 0
-		}
-	} else {
-		out = make([]float64, nsinks)
-	}
-	for u := 0; u < n; u++ {
-		if s := g.sinkAt[u]; s >= 0 {
-			out[s] = delay[u]
-		}
-	}
-	return out, nil
-}
 
 type tapKind uint8
 
@@ -165,53 +44,38 @@ func sortTapsByCol(ts []tap) {
 	}
 }
 
-// NetDelays computes the Elmore delay from the net's driver to each sink of
-// a completely detail-routed net, using the exact segments and antifuses the
-// route occupies. The returned slice is indexed like Nets[id].Sinks.
-//
-// The model: the driver resistance feeds a cross antifuse onto the horizontal
-// run in the driver's channel. Each horizontal run is an RC line over the
-// full allocated segment span, with a programmed antifuse (RAntifuse,
-// CAntifuse) at every internal segment boundary. A multi-channel net's runs
-// are joined by the vertical trunk — an RC line with antifuses at vertical
-// segment boundaries — tapped into each run through an antifuse. Sinks hang
-// off their run through a cross antifuse plus pin load.
-//
-// wireLoad scales wire capacitance; the in-loop model uses 1.0 while the
-// independent verify analyzer uses a slightly higher factor to model the
-// unprogrammed-antifuse site loading it resolves explicitly.
-func NetDelays(p *layout.Placement, id int32, r *fabric.NetRoute, wireLoad float64) ([]float64, error) {
-	return (&DelayCalc{}).NetDelays(p, id, r, wireLoad)
-}
-
 // DelayCalc computes per-net Elmore delays while reusing all intermediate
 // storage across calls — the allocation-free fast path for the annealer's
 // inner loop. The slice returned by NetDelays is valid until the next call.
 type DelayCalc struct {
-	g rcGraph
-
-	// Dense per-channel tap scratch. tapsByCh/trunkAt are indexed by channel
-	// and only the channels in touched carry state; resetting walks touched
-	// instead of the whole fabric. (These were maps before, but clearing a map
-	// and re-appending from nil allocates on every call — this is the
-	// annealer's per-move path.)
+	// Dense per-channel tap scratch. tapsByCh is indexed by channel and only
+	// the channels in touched carry state; resetting walks touched instead of
+	// the whole fabric. (These were maps before, but clearing a map and
+	// re-appending from nil allocates on every call — this is the annealer's
+	// per-move path.)
 	tapsByCh [][]tap
-	trunkAt  []int
 	touched  []int
 
-	chs     []int
-	vbounds []int
-	bounds  []int
-	chain   []int
-	vnodes  []int
-	out     []float64
-
-	parent       []int
-	order, stack []int
-	parentR      []float64
-	down, delay  []float64
+	runs   []run
+	vruns  []int     // indices into runs in ascending channel: the trunk's nodes
+	bounds []int     // segment boundaries inside the run being laid out
+	down   []float64 // per tap node of every run: capacitance, then downstream capacitance
+	rl     []float64 // per tap node: resistance to the node left of it in its run
+	vdown  []float64 // per trunk node, as down
+	vrl    []float64 // per trunk node: resistance to the node below it
+	out    []float64
 
 	est []float64 // Delays' estimate buffer
+}
+
+// run is one channel's horizontal run of a net: its taps sorted by column,
+// which are the RC nodes down[base:base+len(ts)], and the indices in ts of
+// its entry tap (the driver tap in the driver's channel, the trunk tap
+// elsewhere) and of its trunk tap (-1 without a trunk).
+type run struct {
+	ts           []tap
+	base         int
+	entry, trunk int
 }
 
 // Delays returns the in-loop model's per-sink delays for net id: Elmore at
@@ -234,14 +98,6 @@ func (dc *DelayCalc) addTap(ch int, tp tap) {
 	dc.tapsByCh[ch] = append(dc.tapsByCh[ch], tp)
 }
 
-func resizeInts(s *[]int, n int) []int {
-	if cap(*s) < n {
-		*s = make([]int, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
 func resizeFloats(s *[]float64, n int) []float64 {
 	if cap(*s) < n {
 		*s = make([]float64, n)
@@ -250,30 +106,61 @@ func resizeFloats(s *[]float64, n int) []float64 {
 	return *s
 }
 
-// NetDelays is the reusing variant of the package-level NetDelays.
+// span returns the length of columns (or channels) [x0, x1] and the number
+// of the given boundaries b with x0 < b <= x1: the antifuses crossed.
+func span(bounds []int, x0, x1 int) (wire float64, nb int) {
+	for _, b := range bounds {
+		if b > x0 && b <= x1 {
+			nb++
+		}
+	}
+	return float64(x1 - x0), nb
+}
+
+// NetDelays computes the Elmore delay from the net's driver to each sink of
+// a completely detail-routed net, using the exact segments and antifuses the
+// route occupies. The returned slice is indexed like Nets[id].Sinks; a sink
+// in a channel the route does not cover reads 0.
+//
+// The model: the driver resistance feeds a cross antifuse onto the horizontal
+// run in the driver's channel. Each horizontal run is an RC line over the
+// full allocated segment span, with a programmed antifuse (RAntifuse,
+// CAntifuse) at every internal segment boundary. A multi-channel net's runs
+// are joined by the vertical trunk — an RC line with antifuses at vertical
+// segment boundaries — tapped into each run through an antifuse. Sinks hang
+// off their run through a cross antifuse plus pin load. Each wire's
+// capacitance is split evenly between its ends.
+//
+// wireLoad scales wire capacitance: the in-loop model uses 1.0, Verify
+// VerifyWireLoad. r.Chans must name each channel once, as groute derives it.
+//
+// The RC network is a tree rooted at the driver, evaluated in place. Each
+// run's downstream capacitances are accumulated from both of its ends
+// towards its entry tap, and the trunk's from both of its ends towards the
+// driver's channel; the delays then go back outward. Every sum is taken in
+// the order of the graph walk that this evaluator replaced, so the results
+// are the same bits: a node's capacitance takes its left wire half, its
+// right wire half, its overhang, its cross antifuse and last its trunk
+// antifuse half, and its downstream capacitance adds its children's in the
+// order their edges were built. Each product that feeds a sum is rounded
+// first (float64(...)), so no compiler fuses it into a multiply-add.
 func (dc *DelayCalc) NetDelays(p *layout.Placement, id int32, r *fabric.NetRoute, wireLoad float64) ([]float64, error) {
 	if !r.DetailDone() {
 		return nil, fmt.Errorf("timing: net %d is not completely routed", id)
 	}
-	nl := p.NL
-	net := &nl.Nets[id]
+	net := &p.NL.Nets[id]
 	if len(net.Sinks) == 0 {
 		return nil, nil
 	}
 	a := p.A
 	rc := a.RC
-	g := &dc.g
-	g.reset()
-	source := g.addNode(0)
 
 	// Gather taps per channel, resetting only the channels touched last call.
 	for len(dc.tapsByCh) < a.Channels() {
 		dc.tapsByCh = append(dc.tapsByCh, nil)
-		dc.trunkAt = append(dc.trunkAt, -1)
 	}
 	for _, ch := range dc.touched {
 		dc.tapsByCh[ch] = dc.tapsByCh[ch][:0]
-		dc.trunkAt[ch] = -1
 	}
 	dc.touched = dc.touched[:0]
 	drvCh, drvCol := p.PinPos(net.Driver)
@@ -288,120 +175,256 @@ func (dc *DelayCalc) NetDelays(p *layout.Placement, id int32, r *fabric.NetRoute
 		}
 	}
 
-	trunkNode := dc.trunkAt // channel -> run node at trunk column, -1 unset
-	seenDriver := false
+	// One run per channel; the driver's run is runs[drv].
+	runs := dc.runs[:0]
+	n, drv := 0, -1
 	for i := range r.Chans {
-		ca := &r.Chans[i]
-		ts := dc.tapsByCh[ca.Ch]
+		ch := r.Chans[i].Ch
+		ts := dc.tapsByCh[ch]
 		if len(ts) == 0 {
-			return nil, fmt.Errorf("timing: net %d routed channel %d has no taps", id, ca.Ch)
+			return nil, fmt.Errorf("timing: net %d routed channel %d has no taps", id, ch)
 		}
 		sortTapsByCol(ts)
-		segs := a.Seg[ca.Track]
-		runStart := segs[ca.SegLo].Start
-		runEnd := segs[ca.SegHi].End // exclusive
-		boundaries := dc.bounds[:0]
-		for s := ca.SegLo; s < ca.SegHi; s++ {
-			boundaries = append(boundaries, segs[s].End)
-		}
-		dc.bounds = boundaries
-		span := func(x0, x1 int) (wire float64, nb int) {
-			for _, b := range boundaries {
-				if b > x0 && b <= x1 {
-					nb++
-				}
-			}
-			return float64(x1 - x0), nb
-		}
-
-		// Chain the tap nodes along the run.
-		chain := resizeInts(&dc.chain, len(ts))
-		for ti := range ts {
-			chain[ti] = g.addNode(0)
-			if ti > 0 {
-				wire, nb := span(ts[ti-1].col, ts[ti].col)
-				g.addEdge(chain[ti-1], chain[ti],
-					rc.RUnit*wire+rc.RAntifuse*float64(nb),
-					wireLoad*rc.CUnit*wire+rc.CAntifuse*float64(nb))
-			}
-		}
-		// Overhang: allocated-but-unused segment length still loads the net.
-		lw, lnb := span(runStart, ts[0].col)
-		g.addCap(chain[0], wireLoad*rc.CUnit*lw+rc.CAntifuse*float64(lnb))
-		rw, rnb := span(ts[len(ts)-1].col, runEnd)
-		g.addCap(chain[len(ts)-1], wireLoad*rc.CUnit*rw+rc.CAntifuse*float64(rnb))
-
-		for ti, tp := range ts {
-			node := chain[ti]
+		ru := run{ts: ts, base: n, entry: -1, trunk: -1}
+		for j, tp := range ts {
 			switch tp.kind {
 			case driverTap:
-				g.addEdge(source, node, rc.RDriver+rc.RCross, 0)
-				g.addCap(node, rc.CCross)
-				seenDriver = true
-			case sinkTap:
-				pin := g.addNode(rc.CCross + rc.CPin)
-				g.addEdge(node, pin, rc.RCross, 0)
-				g.sinkAt[pin] = tp.sink
+				ru.entry, drv = j, i
 			case trunkTap:
-				trunkNode[ca.Ch] = node
+				ru.trunk = j
 			}
 		}
+		if ru.entry < 0 {
+			ru.entry = ru.trunk
+		}
+		runs = append(runs, ru)
+		n += len(ts)
 	}
-	if !seenDriver {
+	dc.runs = runs
+	if drv < 0 {
 		return nil, fmt.Errorf("timing: net %d driver channel %d not covered by route", id, drvCh)
 	}
-
-	if r.HasTrunk {
-		// Channels carrying a trunk tap, ascending. r.Chans holds one entry
-		// per channel, so insertion-sorting its (unique) channel ids yields
-		// exactly what sorting the old map's keys did.
-		chs := dc.chs[:0]
-		for i := range r.Chans {
-			chs = append(chs, r.Chans[i].Ch)
-		}
-		for i := 1; i < len(chs); i++ {
-			for j := i; j > 0 && chs[j] < chs[j-1]; j-- {
-				chs[j], chs[j-1] = chs[j-1], chs[j]
-			}
-		}
-		dc.chs = chs
-		vBoundaries := dc.vbounds[:0]
-		for s := r.VLo; s < r.VHi; s++ {
-			vBoundaries = append(vBoundaries, (s+1)*a.VSpan)
-		}
-		dc.vbounds = vBoundaries
-		vspan := func(c0, c1 int) (wire float64, nb int) {
-			for _, b := range vBoundaries {
-				if b > c0 && b <= c1 {
-					nb++
+	if !r.HasTrunk && len(runs) > 1 {
+		// Counted as the graph walk counts: the source, every tap and every
+		// sink pin node; only the driver's run is reached.
+		nodes, reached := 1, 1
+		for i := range runs {
+			k := len(runs[i].ts)
+			for _, tp := range runs[i].ts {
+				if tp.kind == sinkTap {
+					k++
 				}
 			}
-			return float64(c1 - c0), nb
-		}
-		// One vertical node per tapped channel, chained in channel order,
-		// each joined to its run through a programmed antifuse.
-		vnodes := resizeInts(&dc.vnodes, len(chs))
-		for i, ch := range chs {
-			vnodes[i] = g.addNode(0)
-			g.addEdge(vnodes[i], trunkNode[ch], rc.RAntifuse, rc.CAntifuse)
-			if i > 0 {
-				wire, nb := vspan(chs[i-1], chs[i])
-				g.addEdge(vnodes[i-1], vnodes[i],
-					rc.RVUnit*wire+rc.RAntifuse*float64(nb),
-					wireLoad*rc.CVUnit*wire+rc.CAntifuse*float64(nb))
+			nodes += k
+			if i == drv {
+				reached += k
 			}
 		}
-		// Vertical overhang beyond the extreme tapped channels.
-		vLoCh := r.VLo * a.VSpan
-		vHiCh := (r.VHi+1)*a.VSpan - 1
-		if vHiCh > a.Channels()-1 {
-			vHiCh = a.Channels() - 1
-		}
-		lw, lnb := vspan(vLoCh, chs[0])
-		g.addCap(vnodes[0], wireLoad*rc.CVUnit*lw+rc.CAntifuse*float64(lnb))
-		hw, hnb := vspan(chs[len(chs)-1], vHiCh)
-		g.addCap(vnodes[len(chs)-1], wireLoad*rc.CVUnit*hw+rc.CAntifuse*float64(hnb))
+		return nil, fmt.Errorf("timing: RC network is disconnected (%d of %d nodes reached)", reached, nodes)
 	}
 
-	return g.elmore(source, len(net.Sinks), dc)
+	down := resizeFloats(&dc.down, n)
+	resizeFloats(&dc.rl, n)
+	for i := range runs {
+		dc.layRun(a, &r.Chans[i], &runs[i], wireLoad, r.HasTrunk)
+	}
+	pin := rc.CCross + rc.CPin // a sink pin node's capacitance
+	var vd float64             // downstream capacitance of the driver channel's trunk node
+	dv := 0                    // its index in vruns
+	if r.HasTrunk {
+		dv = dc.layTrunk(a, r, drv, wireLoad)
+		vdown := dc.vdown
+		for i, ri := range dc.vruns {
+			if i != dv {
+				dc.runDown(&runs[ri], pin, 0)
+				vdown[i] += down[runs[ri].base+runs[ri].entry]
+			}
+		}
+		for i := 1; i < dv; i++ {
+			vdown[i] += vdown[i-1]
+		}
+		for i := len(vdown) - 2; i > dv; i-- {
+			vdown[i] += vdown[i+1]
+		}
+		if dv > 0 {
+			vdown[dv] += vdown[dv-1]
+		}
+		if dv < len(vdown)-1 {
+			vdown[dv] += vdown[dv+1]
+		}
+		vd = vdown[dv]
+	}
+	dr := &runs[drv]
+	dc.runDown(dr, pin, vd)
+
+	out := resizeFloats(&dc.out, len(net.Sinks))
+	clear(out)
+	pinDelay := float64(rc.RCross * pin)
+	td := dc.runDelays(dr, float64((rc.RDriver+rc.RCross)*down[dr.base+dr.entry]), pinDelay, out)
+	if r.HasTrunk {
+		// Outward along the trunk, below the driver's channel and then
+		// above it; the resistance between two trunk nodes sits at the
+		// upper one's index.
+		vdown, vrl := dc.vdown, dc.vrl
+		dd := td + float64(rc.RAntifuse*vdown[dv])
+		for _, step := range [2]int{-1, 1} {
+			d := dd
+			for i := dv + step; i >= 0 && i < len(vdown); i += step {
+				d += float64(vrl[max(i, i-step)] * vdown[i])
+				ru := &runs[dc.vruns[i]]
+				dc.runDelays(ru, d+float64(rc.RAntifuse*down[ru.base+ru.entry]), pinDelay, out)
+			}
+		}
+	}
+	return out, nil
+}
+
+// layRun writes run ru's node capacitances into dc.down and the resistances
+// between its neighbouring taps into dc.rl. ca is the run's channel entry.
+func (dc *DelayCalc) layRun(a *arch.Arch, ca *fabric.ChanAssign, ru *run, wireLoad float64, trunk bool) {
+	rc := &a.RC
+	segs := a.Seg[ca.Track]
+	bounds := dc.bounds[:0]
+	for s := ca.SegLo; s < ca.SegHi; s++ {
+		bounds = append(bounds, segs[s].End)
+	}
+	dc.bounds = bounds
+	ts := ru.ts
+	k := len(ts)
+	c := dc.down[ru.base : ru.base+k]
+	rl := dc.rl[ru.base : ru.base+k]
+	clear(c)
+	for j := 1; j < k; j++ {
+		wire, nb := span(bounds, ts[j-1].col, ts[j].col)
+		rl[j] = float64(rc.RUnit*wire) + float64(rc.RAntifuse*float64(nb))
+		h := float64((float64(wireLoad*rc.CUnit*wire) + float64(rc.CAntifuse*float64(nb))) / 2)
+		c[j-1] += h
+		c[j] += h
+	}
+	// Overhang: allocated-but-unused segment length still loads the net.
+	w, nb := span(bounds, segs[ca.SegLo].Start, ts[0].col)
+	c[0] += float64(wireLoad*rc.CUnit*w) + float64(rc.CAntifuse*float64(nb))
+	w, nb = span(bounds, ts[k-1].col, segs[ca.SegHi].End)
+	c[k-1] += float64(wireLoad*rc.CUnit*w) + float64(rc.CAntifuse*float64(nb))
+	for j, tp := range ts {
+		if tp.kind == driverTap {
+			c[j] += rc.CCross
+		}
+	}
+	if trunk {
+		c[ru.trunk] += float64(rc.CAntifuse / 2)
+	}
+}
+
+// layTrunk orders the runs by channel into dc.vruns, one trunk node each,
+// writes the trunk nodes' capacitances into dc.vdown and the resistances
+// between neighbouring ones into dc.vrl, and returns the index of the
+// driver's run drv in dc.vruns.
+func (dc *DelayCalc) layTrunk(a *arch.Arch, r *fabric.NetRoute, drv int, wireLoad float64) int {
+	rc := &a.RC
+	vr := dc.vruns[:0]
+	for i := range r.Chans {
+		j := len(vr)
+		vr = append(vr, i)
+		for ; j > 0 && r.Chans[vr[j-1]].Ch > r.Chans[i].Ch; j-- {
+			vr[j] = vr[j-1]
+		}
+		vr[j] = i
+	}
+	dc.vruns = vr
+	bounds := dc.bounds[:0]
+	for s := r.VLo; s < r.VHi; s++ {
+		bounds = append(bounds, (s+1)*a.VSpan)
+	}
+	dc.bounds = bounds
+	m := len(vr)
+	c := resizeFloats(&dc.vdown, m)
+	rl := resizeFloats(&dc.vrl, m)
+	dv := 0
+	for i, ri := range vr {
+		if ri == drv {
+			dv = i
+		}
+		c[i] = rc.CAntifuse / 2
+		if i > 0 {
+			wire, nb := span(bounds, r.Chans[vr[i-1]].Ch, r.Chans[ri].Ch)
+			rl[i] = float64(rc.RVUnit*wire) + float64(rc.RAntifuse*float64(nb))
+			h := float64((float64(wireLoad*rc.CVUnit*wire) + float64(rc.CAntifuse*float64(nb))) / 2)
+			c[i-1] += h
+			c[i] += h
+		}
+	}
+	// Vertical overhang beyond the extreme tapped channels.
+	lo, hi := r.VLo*a.VSpan, min((r.VHi+1)*a.VSpan-1, a.Channels()-1)
+	w, nb := span(bounds, lo, r.Chans[vr[0]].Ch)
+	c[0] += float64(wireLoad*rc.CVUnit*w) + float64(rc.CAntifuse*float64(nb))
+	w, nb = span(bounds, r.Chans[vr[m-1]].Ch, hi)
+	c[m-1] += float64(wireLoad*rc.CVUnit*w) + float64(rc.CAntifuse*float64(nb))
+	return dv
+}
+
+// runDown turns run ru's node capacitances into downstream capacitances,
+// from both ends towards its entry tap. pin is a sink pin node's
+// capacitance and vd what hangs below the run's trunk tap when that is not
+// its entry.
+func (dc *DelayCalc) runDown(ru *run, pin, vd float64) {
+	ts := ru.ts
+	c := dc.down[ru.base : ru.base+len(ts)]
+	below := func(j int) {
+		switch ts[j].kind {
+		case sinkTap:
+			c[j] += pin
+		case trunkTap:
+			c[j] += vd
+		}
+	}
+	e, last := ru.entry, len(ts)-1
+	for j := 0; j < e; j++ {
+		if j > 0 {
+			c[j] += c[j-1]
+		}
+		below(j)
+	}
+	for j := last; j > e; j-- {
+		if j < last {
+			c[j] += c[j+1]
+		}
+		below(j)
+	}
+	if e > 0 {
+		c[e] += c[e-1]
+	}
+	if e < last {
+		c[e] += c[e+1]
+	}
+}
+
+// runDelays spreads delays outward from run ru's entry tap, whose delay is
+// d0, writes each sink's delay (its tap's plus pinDelay) into out, and
+// returns the delay at the run's trunk tap.
+func (dc *DelayCalc) runDelays(ru *run, d0, pinDelay float64, out []float64) (trunk float64) {
+	ts := ru.ts
+	c := dc.down[ru.base : ru.base+len(ts)]
+	rl := dc.rl[ru.base : ru.base+len(ts)]
+	visit := func(j int, d float64) {
+		switch ts[j].kind {
+		case sinkTap:
+			out[ts[j].sink] = d + pinDelay
+		case trunkTap:
+			trunk = d
+		}
+	}
+	e := ru.entry
+	visit(e, d0)
+	d := d0
+	for j := e - 1; j >= 0; j-- {
+		d += float64(rl[j+1] * c[j])
+		visit(j, d)
+	}
+	d = d0
+	for j := e + 1; j < len(ts); j++ {
+		d += float64(rl[j] * c[j])
+		visit(j, d)
+	}
+	return trunk
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/netgen"
 )
 
@@ -65,6 +66,45 @@ func FuzzCriticalityUpdate(f *testing.F) {
 					t.Fatalf("net %d: extractors diverged %v vs %v", i, v, c2.Value(int32(i)))
 				}
 			}
+		}
+	})
+}
+
+// FuzzNetDelaysMatchGraph routes a netgen design on a fuzz-chosen array and
+// requires the direct Elmore evaluator to return, for every detail-routed
+// net, the graph reference's bits, and for each net's malformed copies the
+// graph reference's error. The bytes choose the netgen seed, the array's
+// rows and slack, its tracks, segmentation and phase step, its vertical
+// tracks and span, and the wire load (1 to 2).
+func FuzzNetDelaysMatchGraph(f *testing.F) {
+	f.Add(int64(1), uint8(6), uint8(4), uint8(30), uint8(4), uint8(9), uint8(3), uint8(3), uint8(5), uint8(3), uint8(0))
+	f.Add(int64(7), uint8(2), uint8(9), uint8(8), uint8(1), uint8(1), uint8(2), uint8(0), uint8(1), uint8(1), uint8(25))
+	f.Add(int64(-3), uint8(11), uint8(0), uint8(70), uint8(13), uint8(5), uint8(7), uint8(5), uint8(2), uint8(4), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, rows, slack, tracks, seg1, seg2, seg3, phase, vtracks, vspan, load uint8) {
+		nl, err := netgen.Generate(netgen.Params{Name: "f", Inputs: 4, Outputs: 3, Seq: 2, Comb: 24, Seed: seed})
+		if err != nil {
+			t.Skip()
+		}
+		r := int(rows)%8 + 1
+		p := arch.Default(r, max(2, (nl.NumCells()*(11+int(slack)%10)/10+r-1)/r), int(tracks)%80+1)
+		p.SegPattern = []int{int(seg1)%16 + 1, int(seg2)%16 + 1, int(seg3)%16 + 1}
+		p.PhaseStep = int(phase) % 8
+		p.VTracks = int(vtracks)%6 + 1
+		p.VSpan = int(vspan)%5 + 1
+		a, err := arch.New(p)
+		if err != nil {
+			t.Fatalf("clamped params rejected: %v", err)
+		}
+		pl, _, routes, _ := routeDesign(t, a, nl, seed)
+		wireLoad := 1 + float64(load)/255
+		var dc DelayCalc
+		for id := range routes {
+			if !routes[id].DetailDone() {
+				continue
+			}
+			matchGraph(t, &dc, pl, int32(id), &routes[id], wireLoad)
+			m := malformed(pl, int32(id), &routes[id], id)
+			matchGraph(t, &dc, pl, int32(id), &m, wireLoad)
 		}
 	})
 }
