@@ -112,19 +112,12 @@ func (o *Optimizer) ripPinmap(cell int32, nv uint8) float64 {
 	return before
 }
 
-// journalNet records a net's current route once per move; returns its entry.
+// journalNet records a net's current route once per move: a net already
+// stamped this move keeps its first entry. A ripped net (ripped true) must
+// not be stamped yet; ripNet returns before calling it for one that is, and
+// every rip-up of a move precedes its reroutes.
 func (o *Optimizer) journalNet(id int32, ripped bool) {
 	if o.netStamp[id] == o.epoch {
-		if ripped {
-			// Upgrade an existing entry (cannot happen in practice: rips
-			// precede reroutes, but keep the invariant airtight).
-			for i := range o.journal {
-				if o.journal[i].id == id {
-					o.journal[i].ripped = true
-					break
-				}
-			}
-		}
 		return
 	}
 	o.netStamp[id] = o.epoch

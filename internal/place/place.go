@@ -94,6 +94,7 @@ type problem struct {
 	cap     float64   // usable capacity per bin
 
 	contrib []netContrib
+	ivs     []chInterval // computeContrib's per-channel intervals
 
 	// Move journal.
 	movedA, movedB layout.Loc
@@ -148,42 +149,23 @@ func (pr *problem) computeContrib(id int32) netContrib {
 		return netContrib{}
 	}
 	var c netContrib
-	type iv struct{ lo, hi int }
-	byCh := make(map[int]iv, 2)
-	add := func(ch, col int) {
-		v, ok := byCh[ch]
-		if !ok {
-			byCh[ch] = iv{col, col}
-			return
-		}
-		if col < v.lo {
-			v.lo = col
-		}
-		if col > v.hi {
-			v.hi = col
-		}
-		byCh[ch] = v
-	}
+	ivs := pr.ivs[:0]
 	ch, col := pr.p.PinPos(net.Driver)
-	add(ch, col)
+	ivs = addPin(ivs, ch, col)
 	for _, s := range net.Sinks {
 		ch, col = pr.p.PinPos(s)
-		add(ch, col)
+		ivs = addPin(ivs, ch, col)
 	}
+	pr.ivs = ivs
 	// A multi-channel net's intervals will be extended to its feedthrough
 	// column by the global router; model that with the bounding-box center
 	// the router prefers.
-	if len(byCh) > 1 {
+	if len(ivs) > 1 {
 		box := pr.p.NetBox(id)
 		center := (box.ColLo + box.ColHi) / 2
-		for ch, v := range byCh {
-			if center < v.lo {
-				v.lo = center
-			}
-			if center > v.hi {
-				v.hi = center
-			}
-			byCh[ch] = v
+		for i := range ivs {
+			ivs[i].lo = min(ivs[i].lo, center)
+			ivs[i].hi = max(ivs[i].hi, center)
 		}
 	}
 	c.wl = pr.p.EstLength(id)
@@ -191,19 +173,34 @@ func (pr *problem) computeContrib(id int32) netContrib {
 		c.wl *= pr.cfg.NetWeights[id]
 	}
 	const w = binWidth
-	for ch, v := range byCh {
+	for _, v := range ivs {
 		for b := v.lo / w; b <= v.hi/w; b++ {
-			lo, hi := b*w, (b+1)*w-1
-			if v.lo > lo {
-				lo = v.lo
-			}
-			if v.hi < hi {
-				hi = v.hi
-			}
-			c.bins = append(c.bins, chLen{bin: ch*pr.nbins + b, len: float64(hi - lo + 1)})
+			lo, hi := max(b*w, v.lo), min((b+1)*w-1, v.hi)
+			c.bins = append(c.bins, chLen{bin: v.ch*pr.nbins + b, len: float64(hi - lo + 1)})
 		}
 	}
 	return c
+}
+
+// chInterval is the column interval [lo, hi] a net spans in channel ch.
+type chInterval struct{ ch, lo, hi int }
+
+// addPin widens ivs, kept in ascending channel order, to cover a pin at
+// (ch, col), so a net's bins come out in ascending order.
+func addPin(ivs []chInterval, ch, col int) []chInterval {
+	i := 0
+	for i < len(ivs) && ivs[i].ch < ch {
+		i++
+	}
+	if i < len(ivs) && ivs[i].ch == ch {
+		ivs[i].lo = min(ivs[i].lo, col)
+		ivs[i].hi = max(ivs[i].hi, col)
+		return ivs
+	}
+	ivs = append(ivs, chInterval{})
+	copy(ivs[i+1:], ivs[i:])
+	ivs[i] = chInterval{ch, col, col}
+	return ivs
 }
 
 func (pr *problem) Cost() float64 {

@@ -123,3 +123,27 @@ func TestCongestionPenaltyActivates(t *testing.T) {
 		t.Error("penalty not reflected in cost")
 	}
 }
+
+// TestNetBinsAscending checks that every net's congestion bins come out in
+// strictly ascending order, at the start and after each move, so the order
+// in which a move adds and removes them is fixed by the placement alone.
+func TestNetBinsAscending(t *testing.T) {
+	a, nl := testDesign(t)
+	p, err := layout.NewRandom(a, nl, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := newProblem(p, Config{})
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 200; i++ {
+		for id, c := range pr.contrib {
+			for k := 1; k < len(c.bins); k++ {
+				if c.bins[k].bin <= c.bins[k-1].bin {
+					t.Fatalf("move %d: net %d bins %v not strictly ascending", i, id, c.bins)
+				}
+			}
+		}
+		pr.Propose(rng)
+		pr.Accept()
+	}
+}

@@ -162,9 +162,12 @@ func Sequential(a *Arch, nl *Netlist, cfg SeqConfig) (*Layout, error) {
 	}, nil
 }
 
-// VerifyTiming re-analyzes the layout with the independent post-layout
-// delay model (the paper's RICE stand-in) and reports the agreement with the
-// layout's in-loop WCD. The layout must be fully routed.
+// VerifyTiming re-analyzes the layout with the in-loop Elmore model at wire
+// load 1.10 (timing.Verify, this reproduction's RICE stand-in, which shares
+// the model, so it is not independent) and reports the agreement, the
+// layout's in-loop WCD over the re-analyzed one. A fully routed layout's
+// agreement lies in [0.909, 1] by construction. The layout must be fully
+// routed.
 func (l *Layout) VerifyTiming() (wcd, agreement float64, err error) {
 	if !l.FullyRouted {
 		return 0, 0, fmt.Errorf("repro: layout is not fully routed")
