@@ -202,22 +202,18 @@ func report(lay *repro.Layout, o options, sum *metrics.Summary) error {
 	return nil
 }
 
-// parsePortfolioMatrix resolves the -portfolio argument: a preset name, or an
+// parsePortfolioMatrix reads the -portfolio argument: a preset name, or an
 // inline JSON matrix (which may itself name a preset).
 func parsePortfolioMatrix(arg string) (portfolio.Matrix, error) {
 	var m portfolio.Matrix
-	if strings.HasPrefix(strings.TrimSpace(arg), "{") {
-		dec := json.NewDecoder(strings.NewReader(arg))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&m); err != nil {
-			return m, fmt.Errorf("-portfolio matrix: %w", err)
-		}
-	} else {
+	if !strings.HasPrefix(strings.TrimSpace(arg), "{") {
 		m.Preset = arg
+		return m, nil
 	}
-	m, err := exper.ResolvePortfolio(m)
-	if err != nil {
-		return m, fmt.Errorf("-portfolio: %w", err)
+	dec := json.NewDecoder(strings.NewReader(arg))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&m); err != nil {
+		return m, fmt.Errorf("-portfolio matrix: %w", err)
 	}
 	return m, nil
 }

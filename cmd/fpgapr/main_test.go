@@ -29,6 +29,18 @@ func TestRunSimParallelChains(t *testing.T) {
 	}
 }
 
+// -portfolio expands a preset name or an inline matrix through
+// portfolio.Matrix.Expand, the path the daemon's portfolios take.
+func TestRunPortfolio(t *testing.T) {
+	for _, arg := range []string{"seeds4", `{"seeds":[1,2]}`} {
+		o := tinyOpts()
+		o.portfolio = arg
+		if err := run(o); err != nil {
+			t.Errorf("-portfolio %s: %v", arg, err)
+		}
+	}
+}
+
 func TestRunSeqOnTiny(t *testing.T) {
 	o := tinyOpts()
 	o.flow = "seq"
@@ -96,6 +108,8 @@ func TestRunErrors(t *testing.T) {
 		{"bad flow", mod(func(o *options) { o.flow = "diagonal" }), "unknown -flow"},
 		{"bad design", mod(func(o *options) { o.design = "nonesuch" }), "unknown design"},
 		{"fanin below 2", mod(func(o *options) { o.maxFanin = 1 }), "minimum of 2"},
+		{"portfolio preset plus axes", mod(func(o *options) { o.portfolio = `{"preset":"seeds4","seeds":[1]}` }), "both a preset"},
+		{"unknown portfolio preset", mod(func(o *options) { o.portfolio = "seeds5" }), "unknown matrix preset"},
 	}
 	for _, tc := range cases {
 		err := run(tc.o)

@@ -79,8 +79,9 @@ func ExampleLayout_CriticalPaths() {
 	// 23.25 ns: ff0 -> g1 -> g9 -> g14 -> g16 -> opad2
 }
 
-// ExampleSimultaneous_chains anneals four chains; every six temperatures the
-// losers restart from a clone of the champion. Up to GOMAXPROCS chains step
+// ExampleSimultaneous_chains anneals four chains; every eight temperatures
+// the chains that rank below the champion (more unrouted nets, or a longer
+// worst-case delay) restart from a clone of it. Up to GOMAXPROCS chains step
 // at once, and the result depends only on the seed and the chain count.
 func ExampleSimultaneous_chains() {
 	nl, err := repro.GenerateBenchmark("tiny")
@@ -92,7 +93,7 @@ func ExampleSimultaneous_chains() {
 		log.Fatal(err)
 	}
 	lay, err := repro.Simultaneous(a, nl, repro.SimConfig{
-		Seed: 1, MovesPerCell: 8, MaxTemps: 80, Chains: 4, SyncTemps: 6,
+		Seed: 1, MovesPerCell: 8, MaxTemps: 80, Chains: 4,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -101,8 +102,8 @@ func ExampleSimultaneous_chains() {
 	fmt.Printf("routed=%v worst-case delay %.2f ns\n", lay.FullyRouted, lay.WCD/1000)
 	fmt.Printf("%d chains, champion %d, %d restarts\n", res.Chains, res.Champion, res.Restarts)
 	// Output:
-	// routed=true worst-case delay 21.38 ns
-	// 4 chains, champion 0, 12 restarts
+	// routed=true worst-case delay 23.08 ns
+	// 4 chains, champion 0, 18 restarts
 }
 
 // ExampleTechMap legalizes a wide gate to 4-input modules.

@@ -77,7 +77,7 @@ func TestCancelParallelStopsAllChains(t *testing.T) {
 		tr := newForkableTour(24, 5)
 		done <- RunParallel(tr, ParallelConfig{
 			Config: Config{Seed: 9, MovesPerTemp: 400, MaxTemps: 100000, FrozenTemps: 100000, Cancel: cancel},
-			Chains: 3, SyncTemps: 4,
+			Chains: 3,
 		}, nil)
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -104,7 +104,7 @@ func TestCancelParallelUnsetMatchesBaseline(t *testing.T) {
 		tr := newForkableTour(16, 7)
 		return RunParallel(tr, ParallelConfig{
 			Config: Config{Seed: 21, MovesPerTemp: 150, MaxTemps: 40, Cancel: cancel},
-			Chains: 3, SyncTemps: 4,
+			Chains: 3,
 		}, nil)
 	}
 	a, b := run(nil), run(make(chan struct{}))

@@ -2,9 +2,9 @@
 // a worker pool and exchange state only at synchronization barriers, where
 // losing chains restart from a clone of the current champion (portfolio +
 // elite-migration). Because chains interact exclusively at the barriers and
-// the champion tiebreak is (cost, chain index), the outcome for a fixed
-// (seed, K, SyncTemps) is deterministic regardless of GOMAXPROCS or
-// goroutine scheduling.
+// the champion is picked by the problem's own rank (Forkable.Better) with
+// the chain index as the tie-break, the outcome for a fixed (seed, K) is
+// deterministic regardless of GOMAXPROCS or goroutine scheduling.
 package anneal
 
 import (
@@ -13,15 +13,26 @@ import (
 	"time"
 )
 
-// Forkable is a Problem whose full state can be deep-copied, enabling
-// parallel-chain annealing. CloneProblem must return an independent copy:
-// moves applied to the clone must never affect the original (and vice versa),
-// and the returned Problem must itself be Forkable so champions can seed
-// further restarts.
+// Forkable is a Problem whose full state can be deep-copied and ranked,
+// enabling parallel-chain annealing. CloneProblem must return an independent
+// copy: moves applied to the clone must never affect the original (and vice
+// versa), and the returned Problem must itself be Forkable so champions can
+// seed further restarts.
+//
+// Better reports whether the receiver's state ranks strictly better than q's,
+// a state of the same problem. The champion and every migration follow this
+// order, never Cost: a problem that renormalizes its cost as it anneals (as
+// the paper's §3.2 weights do) gives each chain its own scale, so two chains'
+// costs need not compare.
 type Forkable interface {
 	Problem
 	CloneProblem() Problem
+	Better(q Problem) bool
 }
+
+// syncTemps is the number of temperature steps each chain runs between
+// synchronization barriers.
+const syncTemps = 8
 
 // ParallelConfig tunes the portfolio engine. The embedded Config applies to
 // every chain; each chain's seed is derived deterministically from Seed and
@@ -33,18 +44,14 @@ type ParallelConfig struct {
 	// Chains is the number of independent annealing chains K (default 1).
 	// Up to GOMAXPROCS of them are stepped concurrently.
 	Chains int
-
-	// SyncTemps is the number of temperature steps each chain runs between
-	// synchronization barriers (default 8).
-	SyncTemps int
 }
 
 // ParallelResult reports a portfolio run.
 type ParallelResult struct {
 	Result // the champion chain's annealing result
 
-	// Champion is the index of the winning chain (ties broken toward the
-	// lowest index).
+	// Champion is the index of the winning chain by Forkable.Better (ties
+	// broken toward the lowest index).
 	Champion int
 
 	// Restarts counts loser restarts performed at synchronization barriers.
@@ -90,10 +97,6 @@ func RunParallel(p Forkable, cfg ParallelConfig, onTemp func(chain int, p Proble
 		k = 1
 	}
 	workers := min(runtime.GOMAXPROCS(0), k)
-	syncTemps := cfg.SyncTemps
-	if syncTemps <= 0 {
-		syncTemps = 8
-	}
 
 	chains := make([]*Chain, k)
 	for i := 0; i < k; i++ {
@@ -121,7 +124,7 @@ func RunParallel(p Forkable, cfg ParallelConfig, onTemp func(chain int, p Proble
 		if cancelled(cfg.Cancel) {
 			break
 		}
-		runRound(chains, workers, syncTemps)
+		runRound(chains, workers)
 
 		// Championship and elite migration happen serially between rounds, so
 		// they are scheduling-independent.
@@ -130,17 +133,13 @@ func RunParallel(p Forkable, cfg ParallelConfig, onTemp func(chain int, p Proble
 			switches++
 			incumbent = champ
 		}
-		champCost := chains[champ].p.Cost()
-		cf, forkable := chains[champ].p.(Forkable)
-		if !forkable {
-			continue
-		}
+		best := chains[champ].p.(Forkable)
 		for i, c := range chains {
 			if i == champ || c.step >= c.cfg.MaxTemps {
 				continue
 			}
-			if c.p.Cost() > champCost {
-				c.adopt(cf.CloneProblem())
+			if best.Better(c.p) {
+				c.adopt(best.CloneProblem())
 				restarts++
 			}
 		}
@@ -184,14 +183,13 @@ func anyLive(chains []*Chain) bool {
 	return false
 }
 
-// champion returns the index of the lowest-cost chain; ties go to the lowest
-// index, making the selection deterministic.
+// champion returns the index of the best chain by Forkable.Better; ties go
+// to the lowest index, making the selection deterministic.
 func champion(chains []*Chain) int {
 	best := 0
-	bestCost := chains[0].p.Cost()
 	for i := 1; i < len(chains); i++ {
-		if c := chains[i].p.Cost(); c < bestCost {
-			best, bestCost = i, c
+		if chains[i].p.(Forkable).Better(chains[best].p) {
+			best = i
 		}
 	}
 	return best
@@ -200,7 +198,7 @@ func champion(chains []*Chain) int {
 // runRound advances every live chain by up to syncTemps temperature steps on
 // a pool of workers. Chains are fully independent between barriers, so the
 // assignment of chains to workers cannot influence any chain's trajectory.
-func runRound(chains []*Chain, workers, syncTemps int) {
+func runRound(chains []*Chain, workers int) {
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(workers)

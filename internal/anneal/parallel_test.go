@@ -3,6 +3,8 @@ package anneal
 import (
 	"math/rand"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -22,6 +24,9 @@ func (t *forkableTour) CloneProblem() Problem {
 	c.perm = append([]int(nil), t.perm...)
 	return c
 }
+
+// Better ranks tours by length, so rank and cost agree.
+func (t *forkableTour) Better(q Problem) bool { return t.cost < q.Cost() }
 
 // tracingTour records its cost after every engine decision, so two runs can
 // be compared move by move rather than only at the end.
@@ -105,9 +110,8 @@ func TestRunParallelSingleChainMatchesRun(t *testing.T) {
 // run must produce identical results for any worker count.
 func TestRunParallelWorkerCountInvariant(t *testing.T) {
 	cfg := ParallelConfig{
-		Config:    Config{Seed: 11, MovesPerTemp: 120, MaxTemps: 40},
-		Chains:    5,
-		SyncTemps: 4,
+		Config: Config{Seed: 11, MovesPerTemp: 120, MaxTemps: 40},
+		Chains: 5,
 	}
 	run := func(procs int) ParallelResult {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -129,13 +133,13 @@ func TestRunParallelWorkerCountInvariant(t *testing.T) {
 }
 
 // Every onTemp callback must arrive with the right chain index and in
-// per-chain step order, and the champion must hold the lowest final cost.
+// per-chain step order, and the champion must hold the lowest final cost
+// (the tour ranks by its cost).
 func TestRunParallelCallbacksAndChampion(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	cfg := ParallelConfig{
-		Config:    Config{Seed: 9, MovesPerTemp: 100, MaxTemps: 30},
-		Chains:    3,
-		SyncTemps: 5,
+		Config: Config{Seed: 9, MovesPerTemp: 100, MaxTemps: 30},
+		Chains: 3,
 	}
 	lastStep := make([]int, cfg.Chains)
 	for i := range lastStep {
@@ -167,21 +171,79 @@ func TestRunParallelCallbacksAndChampion(t *testing.T) {
 	}
 }
 
-// Elite migration: with aggressive syncing on a multimodal-enough toy, losers
-// restart from the champion; the mechanism must fire and never worsen the
-// champion's own trajectory cost.
+// Elite migration: on a multimodal-enough toy, losers restart from the
+// champion; the mechanism must fire and never worsen the champion's own
+// trajectory cost.
 func TestRunParallelMigrationRestarts(t *testing.T) {
 	cfg := ParallelConfig{
-		Config:    Config{Seed: 30, MovesPerTemp: 80, MaxTemps: 60},
-		Chains:    4,
-		SyncTemps: 2,
+		Config: Config{Seed: 30, MovesPerTemp: 80, MaxTemps: 60},
+		Chains: 4,
 	}
 	res := RunParallel(newForkableTour(22, 8), cfg, nil)
 	if res.Restarts == 0 {
-		t.Error("no elite-migration restarts with 4 chains and SyncTemps=2")
+		t.Error("no elite-migration restarts with 4 chains")
 	}
 	if res.BestCost > res.FinalCost+1e-9 {
 		t.Errorf("best (%v) worse than final (%v)", res.BestCost, res.FinalCost)
+	}
+}
+
+// invertedTour ranks a longer tour Better, so its rank and its cost disagree
+// on every pair of different lengths. Its clones share one rankLog.
+type invertedTour struct {
+	forkableTour
+	log *rankLog
+}
+
+// rankLog holds each chain's cost after its latest temperature, which is its
+// state at the next barrier, and checks every migration against it.
+type rankLog struct {
+	mu         sync.Mutex
+	last       []float64
+	stepped    bool // a temperature has run: later clones are migrations
+	migrations int
+	wrong      []float64 // the cost of each migration source that was not the longest tour
+}
+
+func (t *invertedTour) Better(q Problem) bool { return t.cost > q.Cost() }
+
+func (t *invertedTour) CloneProblem() Problem {
+	l := t.log
+	l.mu.Lock()
+	if l.stepped {
+		l.migrations++
+		if t.cost != slices.Max(l.last) {
+			l.wrong = append(l.wrong, t.cost)
+		}
+	}
+	l.mu.Unlock()
+	return &invertedTour{forkableTour: *t.forkableTour.CloneProblem().(*forkableTour), log: l}
+}
+
+// Barriers and the final pick follow Forkable.Better, not Cost: with a rank
+// that prefers the longer tour, every migration copies the longest tour at
+// its barrier and the champion is the chain that ends longest.
+func TestRunParallelFollowsRank(t *testing.T) {
+	const k = 4
+	l := &rankLog{last: make([]float64, k)}
+	p := &invertedTour{forkableTour: *newForkableTour(22, 8), log: l}
+	cfg := ParallelConfig{Config: Config{Seed: 30, MovesPerTemp: 80, MaxTemps: 60}, Chains: k}
+	res := RunParallel(p, cfg, func(chain int, p Problem, _ TempStats) {
+		l.mu.Lock()
+		l.last[chain], l.stepped = p.Cost(), true
+		l.mu.Unlock()
+	})
+	if l.migrations == 0 || l.migrations != res.Restarts {
+		t.Errorf("%d migrations logged, %d restarts reported; want the same non-zero count", l.migrations, res.Restarts)
+	}
+	if len(l.wrong) > 0 {
+		t.Errorf("migrations copied tours of length %v, not the longest at their barrier", l.wrong)
+	}
+	for i, r := range res.PerChain {
+		if r.FinalCost > res.FinalCost || (i < res.Champion && r.FinalCost == res.FinalCost) {
+			t.Errorf("champion %d (length %v) is not the first longest: chain %d ends at %v",
+				res.Champion, res.FinalCost, i, r.FinalCost)
+		}
 	}
 }
 

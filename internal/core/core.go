@@ -33,6 +33,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/metrics"
 	"repro/internal/netlist"
+	"repro/internal/portfolio"
 	"repro/internal/timing"
 )
 
@@ -87,16 +88,13 @@ type Config struct {
 	CritWeight float64
 
 	// Chains selects parallel portfolio annealing: K independent chains run
-	// concurrently and exchange state at synchronization barriers (losers
-	// restart from a clone of the champion). 0 or 1 keeps the serial engine
-	// with bit-identical behavior for a fixed seed. Up to GOMAXPROCS chains
-	// step concurrently; results for a fixed (Seed, Chains, SyncTemps) are
+	// concurrently and exchange state at synchronization barriers every
+	// eight temperatures, where chains that rank below the champion by
+	// portfolio.Score restart from a clone of it. 0 or 1 keeps the serial
+	// engine with bit-identical behavior for a fixed seed. Up to GOMAXPROCS
+	// chains step concurrently; results for a fixed (Seed, Chains) are
 	// deterministic regardless of GOMAXPROCS.
 	Chains int
-
-	// SyncTemps is the number of temperatures between chain synchronization
-	// barriers (default 8).
-	SyncTemps int
 
 	// Metrics, when non-nil, receives per-temperature, per-phase and
 	// per-chain observability records. It must be safe for concurrent use
@@ -185,11 +183,10 @@ type Result struct {
 	RouteFailed int
 
 	// Parallel-run report; zero values on the serial path.
-	Chains           int       // number of annealing chains (0 or 1 = serial)
-	Champion         int       // winning chain index
-	Restarts         int       // loser restarts performed at sync barriers
-	ChainCosts       []float64 // final annealing cost per chain
-	ChampionSwitches int       // barriers at which the champion index changed
+	Chains           int // number of annealing chains (0 or 1 = serial)
+	Champion         int // winning chain index
+	Restarts         int // loser restarts performed at sync barriers
+	ChampionSwitches int // barriers at which the champion index changed
 }
 
 // Optimizer is the simultaneous place-and-route engine. It implements
@@ -516,6 +513,20 @@ func (o *Optimizer) D() int { return o.d }
 // WCD returns the current worst-case delay in picoseconds.
 func (o *Optimizer) WCD() float64 { return o.An.WCD() }
 
+// Better implements anneal.Forkable: the parallel engine's champion and
+// migrations rank chains by portfolio.Score on their live state, the order
+// that also picks a portfolio's champion. Cost only breaks exact ties: each
+// chain renormalizes its own weights every temperature, so a routed chain's
+// cost is about 1 whatever its worst-case delay. With timing off the
+// analyzer is never updated and every chain reports the same delay.
+func (o *Optimizer) Better(q anneal.Problem) bool {
+	return o.score().Less(q.(*Optimizer).score())
+}
+
+func (o *Optimizer) score() portfolio.Score {
+	return portfolio.Score{RouteFailed: o.d != 0, Unrouted: o.d, WCDPs: o.An.WCD(), Cost: o.Cost()}
+}
+
 // annealConfig is the engine configuration shared by the serial and parallel
 // paths.
 func (o *Optimizer) annealConfig() anneal.Config {
@@ -590,9 +601,8 @@ func (o *Optimizer) RunParallel() (*Optimizer, Result) {
 	o.cellEpochBase = o.epoch
 	annealDone := metrics.StartPhase(o.cfg.Metrics, metrics.PhaseAnneal)
 	pres := anneal.RunParallel(o, anneal.ParallelConfig{
-		Config:    o.annealConfig(),
-		Chains:    o.cfg.Chains,
-		SyncTemps: o.cfg.SyncTemps,
+		Config: o.annealConfig(),
+		Chains: o.cfg.Chains,
 	}, func(ci int, p anneal.Problem, s anneal.TempStats) {
 		// Each chain maintains its own weights and dynamics trace;
 		// the callback only ever touches that chain's optimizer.
@@ -621,10 +631,6 @@ func (o *Optimizer) RunParallel() (*Optimizer, Result) {
 	res.Champion = pres.Champion
 	res.Restarts = pres.Restarts
 	res.ChampionSwitches = pres.ChampionSwitches
-	res.ChainCosts = make([]float64, len(pres.PerChain))
-	for i := range pres.PerChain {
-		res.ChainCosts[i] = pres.PerChain[i].FinalCost
-	}
 	return champ, res
 }
 

@@ -55,7 +55,7 @@ func TestCritParallelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		o, err := New(a, nl, Config{
 			Seed: 9, MovesPerCell: 3, MaxTemps: 25,
-			Chains: 3, SyncTemps: 4,
+			Chains:     3,
 			CritWeight: 1,
 		})
 		if err != nil {

@@ -5,12 +5,15 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/layio"
 	"repro/internal/metrics"
 	"repro/internal/netgen"
+	"repro/internal/netlist"
+	"repro/internal/portfolio"
 )
 
 // golden is the exact serial-engine outcome for a fixed design and seed,
@@ -85,7 +88,7 @@ func TestSerialGoldenValues(t *testing.T) {
 		if len(r.Dynamics) != g.dyn {
 			t.Errorf("run %d: %d dynamics samples, golden %d", i, len(r.Dynamics), g.dyn)
 		}
-		if r.Chains != 0 || r.Restarts != 0 || r.ChainCosts != nil {
+		if r.Chains != 0 || r.Restarts != 0 {
 			t.Errorf("run %d: serial path reported parallel fields: %+v", i, r)
 		}
 	}
@@ -126,11 +129,16 @@ func TestParallelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := arch.MustNew(arch.Default(5, 12, 14))
-	run := func(procs int) Result {
+	type run struct {
+		Result
+		chains []metrics.ChainRecord
+	}
+	runAt := func(procs int) run {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		sum := metrics.NewSummary()
 		o, err := New(a, nl, Config{
 			Seed: 9, MovesPerCell: 3, MaxTemps: 25,
-			Chains: 4, SyncTemps: 4,
+			Chains: 4, Metrics: sum,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -139,10 +147,10 @@ func TestParallelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		if err := champ.Check(); err != nil {
 			t.Fatalf("champion state inconsistent: %v", err)
 		}
-		return r
+		return run{r, sum.Totals().Chains}
 	}
-	r1 := run(1)
-	r2 := run(4)
+	r1 := runAt(1)
+	r2 := runAt(4)
 	if r1.WCD != r2.WCD || r1.FinalCost != r2.FinalCost || r1.G != r2.G || r1.D != r2.D {
 		t.Errorf("GOMAXPROCS changed the outcome: (WCD=%.17g cost=%.17g G=%d D=%d) vs (WCD=%.17g cost=%.17g G=%d D=%d)",
 			r1.WCD, r1.FinalCost, r1.G, r1.D, r2.WCD, r2.FinalCost, r2.G, r2.D)
@@ -151,12 +159,13 @@ func TestParallelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		t.Errorf("champion/restarts diverged: (%d,%d) vs (%d,%d)",
 			r1.Champion, r1.Restarts, r2.Champion, r2.Restarts)
 	}
-	if len(r1.ChainCosts) != 4 || len(r2.ChainCosts) != 4 {
-		t.Fatalf("chain costs missing: %v vs %v", r1.ChainCosts, r2.ChainCosts)
+	if len(r1.chains) != 4 || len(r2.chains) != 4 {
+		t.Fatalf("chain records missing: %d vs %d", len(r1.chains), len(r2.chains))
 	}
-	for i := range r1.ChainCosts {
-		if r1.ChainCosts[i] != r2.ChainCosts[i] {
-			t.Errorf("chain %d cost diverged: %.17g vs %.17g", i, r1.ChainCosts[i], r2.ChainCosts[i])
+	for i := range r1.chains {
+		c1, c2 := r1.chains[i], r2.chains[i]
+		if c1.FinalCost != c2.FinalCost || c1.Moves != c2.Moves || c1.Accepted != c2.Accepted || c1.Adoptions != c2.Adoptions {
+			t.Errorf("chain %d diverged: %+v vs %+v", i, c1, c2)
 		}
 	}
 	if r1.Chains != 4 {
@@ -172,7 +181,7 @@ func TestParallelRunRoutesAndChecks(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := arch.MustNew(arch.Default(5, 12, 14))
-	o, err := New(a, nl, Config{Seed: 4, MovesPerCell: 6, MaxTemps: 60, Chains: 3, SyncTemps: 6})
+	o, err := New(a, nl, Config{Seed: 4, MovesPerCell: 6, MaxTemps: 60, Chains: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,6 +198,88 @@ func TestParallelRunRoutesAndChecks(t *testing.T) {
 	if r.Champion < 0 || r.Champion >= 3 {
 		t.Errorf("champion index %d out of range", r.Champion)
 	}
+}
+
+// lastTemps keeps each chain's latest temperature record, which holds the
+// chain's state when the parallel engine last ranked it. Chains record
+// concurrently.
+type lastTemps struct {
+	mu   sync.Mutex
+	recs map[int]metrics.TempRecord
+}
+
+func (l *lastTemps) RecordTemp(r metrics.TempRecord) {
+	l.mu.Lock()
+	l.recs[r.Chain] = r
+	l.mu.Unlock()
+}
+func (l *lastTemps) RecordPhase(metrics.PhaseRecord) {}
+func (l *lastTemps) RecordChain(metrics.ChainRecord) {}
+
+// TestChainChampionIsBest: a parallel run returns the state that is best by
+// portfolio.Score over every chain's final state. Each chain renormalizes its
+// cost weights every temperature, so every routed chain's cost is about 1;
+// picking the champion by cost kept chain 0 on tiny at seed 1 with 23.46 ns
+// while another chain ended at 23.41 ns.
+func TestChainChampionIsBest(t *testing.T) {
+	for _, tc := range []struct {
+		design string
+		cfg    Config
+	}{
+		{"tiny", Config{Seed: 1, MovesPerCell: 8, MaxTemps: 120, Chains: 4}}, // fpgapr -chains 4's defaults
+		{"s1", Config{Seed: 1, MovesPerCell: 4, MaxTemps: 60, Chains: 4}},
+	} {
+		if testing.Short() && tc.design != "tiny" {
+			continue
+		}
+		a, nl := profileInstance(t, tc.design, 28, 0)
+		last := &lastTemps{recs: map[int]metrics.TempRecord{}}
+		cfg := tc.cfg
+		cfg.Metrics = last
+		o, err := New(a, nl, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, res := o.RunParallel()
+		score := func(r metrics.TempRecord) portfolio.Score {
+			return portfolio.Score{RouteFailed: r.D != 0, Unrouted: r.D, WCDPs: r.WCD}
+		}
+		champ := last.recs[res.Champion]
+		if res.RepairMoves == 0 && (res.D != champ.D || res.WCD != champ.WCD) {
+			t.Errorf("%s: result (D=%d, %.2f ps) is not champion %d's final state (D=%d, %.2f ps)",
+				tc.design, res.D, res.WCD, res.Champion, champ.D, champ.WCD)
+		}
+		for i := 0; i < cfg.Chains; i++ {
+			if r := last.recs[i]; score(r).Less(score(champ)) {
+				t.Errorf("%s: chain %d ended at D=%d, %.2f ps; champion %d at D=%d, %.2f ps",
+					tc.design, i, r.D, r.WCD, res.Champion, champ.D, champ.WCD)
+			}
+		}
+	}
+}
+
+// profileInstance generates a built-in design on exper.ArchFor's array: 8
+// rows, 12 above 350 cells, at about 55% slot use. vtracks 0 keeps
+// arch.Default's.
+func profileInstance(t *testing.T, design string, tracks, vtracks int) (*arch.Arch, *netlist.Netlist) {
+	t.Helper()
+	prof, ok := netgen.Profile(design)
+	if !ok {
+		t.Fatalf("no %s profile", design)
+	}
+	nl, err := netgen.Generate(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 8
+	if nl.NumCells() > 350 {
+		rows = 12
+	}
+	p := arch.Default(rows, max(8, (nl.NumCells()*18/10+rows-1)/rows), tracks)
+	if vtracks > 0 {
+		p.VTracks = vtracks
+	}
+	return arch.MustNew(p), nl
 }
 
 // flowGolden is one fixed-seed flow of a benchmark workload and what it must
@@ -221,27 +312,11 @@ var flowGoldens = []flowGolden{
 }
 
 // TestFlowGoldenLayouts pins the layout bytes and router counts of whole
-// flows in the stuck-net regime. The array is exper.ArchFor's: 8 rows, 12
-// above 350 cells, at about 55% slot use.
+// flows in the stuck-net regime.
 func TestFlowGoldenLayouts(t *testing.T) {
 	for _, g := range flowGoldens {
-		prof, ok := netgen.Profile(g.design)
-		if !ok {
-			t.Fatalf("no %s profile", g.design)
-		}
-		nl, err := netgen.Generate(prof)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := 8
-		if nl.NumCells() > 350 {
-			rows = 12
-		}
-		p := arch.Default(rows, max(8, (nl.NumCells()*18/10+rows-1)/rows), g.tracks)
-		if g.vtracks > 0 {
-			p.VTracks = g.vtracks
-		}
-		o, err := New(arch.MustNew(p), nl, g.cfg)
+		a, nl := profileInstance(t, g.design, g.tracks, g.vtracks)
+		o, err := New(a, nl, g.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

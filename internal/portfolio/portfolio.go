@@ -75,9 +75,8 @@ func (e Effort) label() string {
 // base config's seed", the zero Effort means "the base config's effort", and
 // the empty backend means "the base config's route backend".
 type Matrix struct {
-	// Preset names a server-side matrix (see exper.ResolvePortfolio). When
-	// set, no explicit axis may be given; the caller resolves the name to a
-	// concrete Matrix before Expand.
+	// Preset names a built-in matrix (seeds4, seeds8 or paper8) that Expand
+	// resolves. When set, no explicit axis may be given.
 	Preset string `json:"preset,omitempty"`
 
 	Seeds    []int64  `json:"seeds,omitempty"`
@@ -128,15 +127,37 @@ func (m *Member) Desc() string {
 	return strings.Join(parts, " ")
 }
 
-// Expand validates the matrix and produces its ordered member list. A
-// matrix still carrying an unresolved preset is rejected — name resolution
-// is the caller's job, so the expansion itself stays a pure function.
+// presets are the built-in matrices a Matrix may name as its Preset. They
+// are read, never written.
+var presets = map[string]Matrix{
+	// Pure seed diversity at the submitted effort.
+	"seeds4": {Seeds: []int64{1, 2, 3, 4}},
+	"seeds8": {Seeds: []int64{1, 2, 3, 4, 5, 6, 7, 8}},
+	// The EXPERIMENTS.md portfolio-of-8: 2 seeds × 2 effort points
+	// (FastEffort- and PaperEffort-class core knobs) × 2 router backends.
+	"paper8": {
+		Seeds: []int64{1, 2},
+		Efforts: []Effort{
+			{Name: "fast", MovesPerCell: 6, MaxTemps: 80},
+			{Name: "deep", MovesPerCell: 12, MaxTemps: 180},
+		},
+		Backends: []string{"ordered", "lagrange"},
+	},
+}
+
+// Expand validates the matrix and produces its ordered member list. A preset
+// expands exactly as the matrix it names, so the daemon and the CLI get the
+// same members for it.
 func (m *Matrix) Expand() ([]Member, error) {
 	if m.Preset != "" {
 		if m.Axes() {
 			return nil, fmt.Errorf("portfolio: matrix gives both a preset %q and explicit axes", m.Preset)
 		}
-		return nil, fmt.Errorf("portfolio: unresolved matrix preset %q", m.Preset)
+		p, ok := presets[m.Preset]
+		if !ok {
+			return nil, fmt.Errorf("portfolio: unknown matrix preset %q (have [paper8 seeds4 seeds8])", m.Preset)
+		}
+		return p.Expand()
 	}
 	if !m.Axes() {
 		return nil, fmt.Errorf("portfolio: empty matrix (need at least one of seeds, efforts or backends)")
@@ -184,9 +205,11 @@ func (m *Matrix) Expand() ([]Member, error) {
 	return members, nil
 }
 
-// Score is a finished member's quality, ordered worst-is-last: a fully
-// routed layout always beats an unrouted one, then fewer unrouted nets,
-// then a shorter critical path, then a lower final cost. Wall time is
+// Score is a layout's quality, ordered worst-is-last: a fully routed
+// layout always beats an unrouted one, then fewer unrouted nets, then a
+// shorter critical path, then a lower final cost. It is the repository's
+// one quality order: it picks a portfolio's champion member and, through
+// core.Optimizer, a parallel anneal's champion chain. Wall time is
 // deliberately not part of the order — a portfolio buys quality with
 // parallel wall time, and making speed a tie-break would let scheduling
 // noise pick the champion.
@@ -194,7 +217,11 @@ type Score struct {
 	RouteFailed bool    `json:"route_failed"`
 	Unrouted    int     `json:"unrouted"`
 	WCDPs       float64 `json:"critical_path_ps"`
-	Cost        float64 `json:"bbox_cost"`
+	// Cost (bbox_cost on the wire) is the run's final annealing cost. The
+	// annealer renormalizes its weights every temperature, so the cost is
+	// on each run's own scale, about 1 for any routed layout: it only
+	// breaks exact ties of the fields above.
+	Cost float64 `json:"bbox_cost"`
 }
 
 // Less reports whether a ranks strictly better than b.

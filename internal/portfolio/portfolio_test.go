@@ -58,7 +58,7 @@ func TestExpandRejections(t *testing.T) {
 		m    Matrix
 	}{
 		{"empty", Matrix{}},
-		{"unresolved preset", Matrix{Preset: "paper8"}},
+		{"unknown preset", Matrix{Preset: "nope"}},
 		{"preset plus axes", Matrix{Preset: "paper8", Seeds: []int64{1}}},
 		{"negative seed", Matrix{Seeds: []int64{-1}}},
 		{"bad backend", Matrix{Backends: []string{"warp"}}},
@@ -74,6 +74,30 @@ func TestExpandRejections(t *testing.T) {
 	big := Matrix{Seeds: []int64{1, 2, 3}, Backends: []string{"", "negotiated"}}
 	if big.Size() != 6 {
 		t.Errorf("Size = %d, want 6", big.Size())
+	}
+}
+
+// A preset expands exactly as the matrix it names.
+func TestExpandPresets(t *testing.T) {
+	for name, want := range map[string]Matrix{
+		"seeds4": {Seeds: []int64{1, 2, 3, 4}},
+		"seeds8": {Seeds: []int64{1, 2, 3, 4, 5, 6, 7, 8}},
+		"paper8": {
+			Seeds: []int64{1, 2},
+			Efforts: []Effort{
+				{Name: "fast", MovesPerCell: 6, MaxTemps: 80},
+				{Name: "deep", MovesPerCell: 12, MaxTemps: 180},
+			},
+			Backends: []string{"ordered", "lagrange"},
+		},
+	} {
+		got, err := (&Matrix{Preset: name}).Expand()
+		if err != nil {
+			t.Fatalf("preset %s: %v", name, err)
+		}
+		if wantMembers, _ := want.Expand(); !reflect.DeepEqual(got, wantMembers) {
+			t.Errorf("preset %s expands to %+v, want %+v", name, got, wantMembers)
+		}
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/exper"
 	"repro/internal/portfolio"
 	"repro/internal/store"
 )
@@ -48,17 +47,12 @@ type BatchRequest struct {
 }
 
 // PortfolioRequest is the wire shape of POST /v1/portfolios: one base job
-// request plus the matrix of member overrides. Matrix axes replace the base
-// config's seed / effort knobs / route backend per member; empty axes
-// inherit the base.
+// request, whose fields sit at the top level of the body, plus the matrix
+// of member overrides. Matrix axes replace the base config's seed / effort
+// knobs / route backend per member; empty axes inherit the base.
 type PortfolioRequest struct {
-	Design   string           `json:"design,omitempty"`
-	Netlist  string           `json:"netlist,omitempty"`
-	Format   string           `json:"format,omitempty"`
-	Tracks   int              `json:"tracks,omitempty"`
-	Priority string           `json:"priority,omitempty"`
-	Config   JobConfig        `json:"config,omitempty"`
-	Matrix   portfolio.Matrix `json:"matrix"`
+	JobRequest
+	Matrix portfolio.Matrix `json:"matrix"`
 }
 
 // memberSpec is one validated group member: its canonical job spec and its
@@ -91,29 +85,21 @@ func parseBatchRequest(body []byte) ([]memberSpec, error) {
 	return specs, nil
 }
 
-// parsePortfolioRequest decodes one portfolio body, resolves its matrix
-// preset, expands the matrix, and validates every member as a full job spec.
+// parsePortfolioRequest decodes one portfolio body, expands its matrix, and
+// validates every member as a full job spec.
 func parsePortfolioRequest(body []byte) ([]memberSpec, error) {
 	var req PortfolioRequest
 	if err := decodeStrict(body, &req); err != nil {
 		return nil, err
 	}
-	matrix, err := exper.ResolvePortfolio(req.Matrix)
+	members, err := req.Matrix.Expand()
 	if err != nil {
 		return nil, err
-	}
-	members, err := matrix.Expand()
-	if err != nil {
-		return nil, err
-	}
-	base := JobRequest{
-		Design: req.Design, Netlist: req.Netlist, Format: req.Format,
-		Tracks: req.Tracks, Priority: req.Priority, Config: req.Config,
 	}
 	specs := make([]memberSpec, 0, len(members))
 	for i := range members {
 		m := &members[i]
-		jr := base
+		jr := req.JobRequest
 		if m.Seed != 0 {
 			jr.Config.Seed = m.Seed
 		}

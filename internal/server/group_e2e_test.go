@@ -565,6 +565,7 @@ func TestGroupBadRequests(t *testing.T) {
 		{"portfolio unknown preset", "/v1/portfolios", `{"design":"tiny","matrix":{"preset":"nope"}}`, http.StatusBadRequest},
 		{"portfolio preset plus axes", "/v1/portfolios", `{"design":"tiny","matrix":{"preset":"seeds4","seeds":[1]}}`, http.StatusBadRequest},
 		{"portfolio bad backend", "/v1/portfolios", `{"design":"tiny","matrix":{"backends":["warp"]}}`, http.StatusBadRequest},
+		{"portfolio retired sync_temps", "/v1/portfolios", `{"design":"tiny","config":{"sync_temps":8},"matrix":{"seeds":[1]}}`, http.StatusBadRequest},
 		{"portfolio negative seed", "/v1/portfolios", `{"design":"tiny","matrix":{"seeds":[-1]}}`, http.StatusBadRequest},
 		{"portfolio too many members", "/v1/portfolios",
 			`{"design":"tiny","matrix":{"seeds":[` + strings.Join(manySeeds, ",") + `]}}`, http.StatusBadRequest},

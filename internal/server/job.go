@@ -30,7 +30,6 @@ const (
 	maxMovesPerCell = 64
 	maxMaxTemps     = 1000
 	maxChains       = 16
-	maxSyncTemps    = 256
 	maxCritWeight   = 100
 )
 
@@ -90,7 +89,6 @@ type JobConfig struct {
 	MovesPerCell  int   `json:"moves_per_cell,omitempty"`
 	MaxTemps      int   `json:"max_temps,omitempty"`
 	Chains        int   `json:"chains,omitempty"`
-	SyncTemps     int   `json:"sync_temps,omitempty"`
 	DisableTiming bool  `json:"disable_timing,omitempty"`
 
 	// Criticality-weighted timing term (see core.Config). Result-affecting:
@@ -272,9 +270,6 @@ func (c *JobConfig) validate() error {
 	if err := check("chains", c.Chains, maxChains); err != nil {
 		return err
 	}
-	if err := check("sync_temps", c.SyncTemps, maxSyncTemps); err != nil {
-		return err
-	}
 	if c.CritWeight < 0 || c.CritWeight > maxCritWeight {
 		return fmt.Errorf("config.crit_weight %g out of range [0, %d]", c.CritWeight, maxCritWeight)
 	}
@@ -295,12 +290,20 @@ func (c *JobConfig) validate() error {
 func (s *jobSpec) cacheKey() string {
 	h := sha256.New()
 	c := s.req.Config
-	// "rl=false", "bias=0 damp=0" and "iters=0" spell the zero values of the
-	// retired range_limit, crit_bias, crit_damping and route_iters fields.
-	// Every request still accepted left them at zero, so keeping the text
-	// keeps its key, and every result cached under it, unchanged.
-	fmt.Fprintf(h, "fpgaprd/v1 tracks=%d seed=%d mpc=%d temps=%d chains=%d sync=%d rl=false dt=%t\n",
-		s.req.Tracks, c.Seed, c.MovesPerCell, c.MaxTemps, c.Chains, c.SyncTemps, c.DisableTiming)
+	// "sync=0", "rl=false", "bias=0 damp=0" and "iters=0" spell the zero
+	// values of the retired sync_temps, range_limit, crit_bias, crit_damping
+	// and route_iters fields. Every request still accepted left them at zero,
+	// so keeping the text keeps its key, and every result cached under it,
+	// unchanged.
+	fmt.Fprintf(h, "fpgaprd/v1 tracks=%d seed=%d mpc=%d temps=%d chains=%d sync=0 rl=false dt=%t\n",
+		s.req.Tracks, c.Seed, c.MovesPerCell, c.MaxTemps, c.Chains, c.DisableTiming)
+	// Parallel chains rank by portfolio.Score, which makes another layout
+	// than the cost ranking of earlier builds: the line keeps a result those
+	// builds cached for a chains > 1 request from being served for it. A
+	// serial run (chains ≤ 1) ranks nothing and keeps its key.
+	if c.Chains > 1 {
+		io.WriteString(h, "rank=score\n")
+	}
 	// The criticality line is appended only when the term is on: crit-off
 	// requests produce layouts bit-identical to the pre-extension engine, so
 	// their keys — and any results already cached under them — stay valid.
@@ -326,7 +329,6 @@ func (s *jobSpec) coreConfig() core.Config {
 		MovesPerCell:  c.MovesPerCell,
 		MaxTemps:      c.MaxTemps,
 		Chains:        c.Chains,
-		SyncTemps:     c.SyncTemps,
 		DisableTiming: c.DisableTiming,
 		CritWeight:    c.CritWeight,
 		RouteBackend:  droute.Backend(c.RouteBackend),

@@ -103,16 +103,20 @@ func writeNet(t testing.TB, name string) []byte {
 }
 
 // TestCacheKeyPinned pins the exact key bytes across versions: a changed
-// key orphans every result cached under the old one. The expected values
-// were computed before range_limit, crit_bias, crit_damping and route_iters
-// were retired, so they also prove the retirement kept every accepted
-// request's key.
+// key orphans every result cached under the old one. The expected values of
+// the serial rows (chains ≤ 1) were computed before range_limit, crit_bias,
+// crit_damping, route_iters and sync_temps were retired, so they also prove
+// the retirement kept every accepted request's key. The chains > 1 row was
+// computed after parallel chains began to rank by portfolio.Score, which
+// changed its layout and so, on purpose, its key.
 func TestCacheKeyPinned(t *testing.T) {
 	for _, tc := range []struct{ body, key string }{
 		{`{"design":"tiny"}`,
 			"8cde3001828e555f2280ca5b248af964317f32de303a0335cef512b1afb10775"},
-		{`{"design":"tiny","tracks":30,"config":{"seed":7,"moves_per_cell":5,"max_temps":20,"chains":2,"sync_temps":4,"disable_timing":true}}`,
-			"e20a8a1e942f03a1fb2577a22ef3b947e8f29893c86789d62b1e368bdf635ecf"},
+		{`{"design":"tiny","config":{"chains":1}}`,
+			"26f9905a63b5fda4d6e534fc61606692691660b8a26ef8d8ac19be3cbcc94881"},
+		{`{"design":"tiny","tracks":30,"config":{"seed":7,"moves_per_cell":5,"max_temps":20,"chains":2,"disable_timing":true}}`,
+			"a5d9f74b118f323b1234e444c9147edcd72cc851255330a724e6d97451005f8a"},
 		{`{"design":"tiny","config":{"crit_weight":1}}`,
 			"4ba101346f723c76075e28caca0e58cd39da5add821a4f5fb8b84361fa915c22"},
 		{`{"design":"tiny","config":{"seed":3,"crit_weight":0.5}}`,
@@ -163,12 +167,17 @@ func TestParseJobRequestValidation(t *testing.T) {
 		{"retired crit damping field", `{"design":"tiny","config":{"crit_weight":1,"crit_damping":0.6}}`},
 		{"retired route iters field", `{"design":"tiny","config":{"route_backend":"lagrange","route_iters":12}}`},
 		{"retired range limit field", `{"design":"tiny","config":{"range_limit":true}}`},
+		{"retired sync_temps field", `{"design":"tiny","config":{"chains":2,"sync_temps":4}}`},
 		{"trailing data", `{"design":"tiny"} {"x":1}`},
 		{"not an object", `42`},
 	} {
 		if _, err := parseJobRequest([]byte(tc.body)); err == nil {
 			t.Errorf("%s: accepted %s", tc.name, tc.body)
 		}
+	}
+	const retired = `unknown field "sync_temps"`
+	if _, err := parseJobRequest([]byte(`{"design":"tiny","config":{"sync_temps":8}}`)); err == nil || !strings.Contains(err.Error(), retired) {
+		t.Errorf("sync_temps: error %v, want it to contain %s", err, retired)
 	}
 	const unknown = `unknown netlist format "edif" (want net, blif or xnf)`
 	if _, err := parseJobRequest([]byte(`{"netlist":"x","format":"edif"}`)); err == nil || !strings.Contains(err.Error(), unknown) {
@@ -181,6 +190,44 @@ func TestParseJobRequestValidation(t *testing.T) {
 	} {
 		if _, err := parseJobRequest([]byte(body)); err != nil {
 			t.Errorf("valid request rejected: %v (%s)", err, body)
+		}
+	}
+}
+
+// TestPortfolioMembersAreJobs: each portfolio member, from a preset or from
+// explicit axes, is the plain job with the member's overrides applied: same
+// cache key, same scheduling class. So a portfolio shares cached results
+// with its members' jobs, and a member's key is pinned wherever the job's is.
+func TestPortfolioMembersAreJobs(t *testing.T) {
+	const base = `"design":"s1","tracks":30,"priority":"high"`
+	const cfg = `"moves_per_cell":4,"max_temps":10`
+	job := func(extra string) string { return `{` + base + `,"config":{` + cfg + extra + `}}` }
+	for _, tc := range []struct {
+		body string
+		jobs []string
+	}{
+		{`{` + base + `,"config":{` + cfg + `},"matrix":{"preset":"seeds4"}}`,
+			[]string{job(`,"seed":1`), job(`,"seed":2`), job(`,"seed":3`), job(`,"seed":4`)}},
+		{`{` + base + `,"config":{` + cfg + `},"matrix":{"seeds":[5,6],"backends":["ordered","lagrange"]}}`,
+			[]string{job(`,"seed":5,"route_backend":"ordered"`), job(`,"seed":6,"route_backend":"ordered"`),
+				job(`,"seed":5,"route_backend":"lagrange"`), job(`,"seed":6,"route_backend":"lagrange"`)}},
+	} {
+		members, err := parsePortfolioRequest([]byte(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.body, err)
+		}
+		if len(members) != len(tc.jobs) {
+			t.Fatalf("%s: %d members, want %d", tc.body, len(members), len(tc.jobs))
+		}
+		for i, m := range members {
+			want, err := parseJobRequest([]byte(tc.jobs[i]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.spec.key != want.key || m.spec.pri != want.pri {
+				t.Errorf("%s member %d (%s): key %s class %v, want job %s's %s %v",
+					tc.body, i, m.desc, m.spec.key, m.spec.pri, tc.jobs[i], want.key, want.pri)
+			}
 		}
 	}
 }

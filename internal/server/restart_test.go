@@ -262,16 +262,25 @@ func TestRecoverRetiredWorkerFields(t *testing.T) {
 }
 
 // TestRecoverSkipsChangedKey: a pending submission whose request now hashes
-// to another key than the one journaled with it (journaled with a field that
-// was retired since, here crit_bias) is not re-run after a restart. It would
-// run another configuration under another key than the client was given.
+// to another key than the one journaled with it is not re-run after a
+// restart. It would run another configuration under another key than the
+// client was given. j7 was journaled with a field that was retired since
+// (crit_bias); j8 is a parallel-chains request journaled under the key it
+// had before chains ranked by portfolio.Score, which now makes another
+// layout.
 func TestRecoverSkipsChangedKey(t *testing.T) {
 	dir := t.TempDir()
 	st1 := openStore(t, dir)
-	old := `{"req":{"design":"tiny","config":{"seed":3,"moves_per_cell":4,"max_temps":10,"crit_weight":1,"crit_bias":0.5}}}`
-	key := strings.Repeat("ab", 32)
-	if err := st1.Journal(store.Record{Kind: store.KindSubmitted, Job: "j7", Key: key, Data: []byte(old)}); err != nil {
-		t.Fatal(err)
+	for _, rec := range []store.Record{
+		{Job: "j7", Key: strings.Repeat("ab", 32),
+			Data: []byte(`{"req":{"design":"tiny","config":{"seed":3,"moves_per_cell":4,"max_temps":10,"crit_weight":1,"crit_bias":0.5}}}`)},
+		{Job: "j8", Key: "c4b85e604aa6950d3daf55e2e90cec1bb8077ec6f81f462b619ba5f488c9a8ac",
+			Data: []byte(`{"req":{"design":"tiny","config":{"seed":3,"moves_per_cell":4,"max_temps":10,"chains":2}}}`)},
+	} {
+		rec.Kind = store.KindSubmitted
+		if err := st1.Journal(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st1.Close()
 
@@ -282,8 +291,10 @@ func TestRecoverSkipsChangedKey(t *testing.T) {
 		srv.Close()
 		st2.Close()
 	}()
-	if code, _ := getBody(t, ts.URL+"/v1/jobs/j7"); code != http.StatusNotFound {
-		t.Errorf("GET recovered j7: status %d, want 404", code)
+	for _, id := range []string{"j7", "j8"} {
+		if code, _ := getBody(t, ts.URL+"/v1/jobs/"+id); code != http.StatusNotFound {
+			t.Errorf("GET recovered %s: status %d, want 404", id, code)
+		}
 	}
 	if st := statsOf(t, ts.URL); st.Runs != 0 {
 		t.Errorf("optimizer_runs = %d, want 0", st.Runs)
