@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/anneal"
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/droute"
@@ -184,7 +185,7 @@ func settledS1(b *testing.B) (*core.Optimizer, *rand.Rand) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 2000; i++ {
-		o.Propose(rng)
+		o.Propose(rng, nil)
 		o.Accept()
 	}
 	return o, rng
@@ -192,12 +193,13 @@ func settledS1(b *testing.B) (*core.Optimizer, *rand.Rand) {
 
 // BenchmarkIncrementalMove measures one annealing move of the simultaneous
 // optimizer: rip-up, incremental global + detailed reroute, incremental
-// timing, and undo.
+// timing, and undo. It calls Propose with no rejects test, so every move is
+// evaluated in full (BenchmarkAnnealTemperature times the bounded moves).
 func BenchmarkIncrementalMove(b *testing.B) {
 	o, rng := settledS1(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.Propose(rng)
+		o.Propose(rng, nil)
 		if i%2 == 0 {
 			o.Accept()
 		} else {
@@ -214,7 +216,8 @@ func BenchmarkIncrementalMove(b *testing.B) {
 // cells) by K, on 38 tracks and round(√(1.8·cells)/2.5) rows. Moves alternate
 // between accept and reject, which keeps the placement random and the list
 // long; run it at a fixed -benchtime count (e.g. 3000x) so every run walks
-// the same moves.
+// the same moves. Like BenchmarkIncrementalMove it evaluates every move in
+// full.
 func BenchmarkIncrementalMoveStarved(b *testing.B) {
 	for _, k := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("x%d", k), func(b *testing.B) {
@@ -227,7 +230,7 @@ func BenchmarkIncrementalMoveStarved(b *testing.B) {
 			rng := rand.New(rand.NewSource(2))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				o.Propose(rng)
+				o.Propose(rng, nil)
 				if i%2 == 0 {
 					o.Accept()
 				} else {
@@ -239,6 +242,45 @@ func BenchmarkIncrementalMoveStarved(b *testing.B) {
 			b.ReportMetric(float64(o.D()), "unrouted-at-end")
 		})
 	}
+}
+
+// BenchmarkAnnealTemperature steps an anneal.Chain through whole
+// temperatures of s1 on perfbench's constrained array (24 tracks, 3 vertical
+// tracks per column, one move per cell per temperature). Most of its moves
+// are rejected, and the chain's read-ahead acceptance test lets the
+// optimizer reject many of them at their path bound, before the timing
+// update. The warmup walk and ten temperatures run before the timer; the
+// chain never freezes, and the optimizer's weights stay at their initial
+// values (no temperature callback). Run it at a fixed -benchtime count (e.g.
+// 20x) so every run walks the same moves. It reports ns per move.
+func BenchmarkAnnealTemperature(b *testing.B) {
+	nl, err := exper.Design("s1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := exper.ArchFor(nl, 24)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := arch.Default(a.Rows, a.Cols, 24)
+	p.VTracks = 3
+	if a, err = arch.New(p); err != nil {
+		b.Fatal(err)
+	}
+	o, err := core.New(a, nl, core.Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := anneal.NewChain(o, anneal.Config{Seed: 2, MovesPerTemp: nl.NumCells(),
+		MaxTemps: math.MaxInt32, FrozenTemps: math.MaxInt32}, nil)
+	for i := 0; i < 11; i++ {
+		c.Step()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Step()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nl.NumCells()), "ns/move")
 }
 
 // scaledBig529 is big529's profile scaled k times and its array: exper.ArchFor's

@@ -6,6 +6,13 @@
 // walk, each temperature decrement is scaled by the cost standard deviation
 // observed at that temperature, and termination is detected from acceptance
 // ratio and best-cost stagnation rather than a fixed temperature count.
+//
+// A problem may learn a move's fate before it has evaluated the move in
+// full. Problem.Propose gets the acceptance test as rejects(lb), which reads
+// the move's acceptance value ahead in the chain's random stream: the value
+// is drawn at the same place in the stream as before, only shown earlier.
+// That is why Propose must make no draw from its rng after its first call to
+// rejects: a later draw would take the value the test showed.
 package anneal
 
 import (
@@ -17,9 +24,18 @@ import (
 // Problem is a state that the engine can perturb. Propose applies a tentative
 // move and returns its cost delta; the engine then calls exactly one of
 // Accept or Reject.
+//
+// rejects, nil during the warmup walk, is the engine's acceptance test asked
+// ahead: rejects(lb) reports whether a move whose delta is at least lb is
+// rejected (never for lb ≤ 0, since the engine accepts every move that does
+// not raise the cost). When it answers true, Propose may stop evaluating and
+// return +Inf: the engine then draws the acceptance value a positive delta
+// draws and calls Reject, as it would have with the full delta. Propose
+// makes no draw from rng after its first call to rejects, and may ignore
+// rejects altogether.
 type Problem interface {
 	Cost() float64
-	Propose(rng *rand.Rand) float64
+	Propose(rng *rand.Rand, rejects func(lb float64) bool) float64
 	Accept()
 	Reject()
 }
@@ -50,6 +66,12 @@ const (
 	lambda       = 0.7  // cooling aggressiveness λ in T' = T·exp(-λT/σ)
 	minDecrement = 0.5  // lower bound on the per-temperature cooling factor
 	acceptFloor  = 0.02 // acceptance ratio below which a temperature counts as cold
+
+	// expMargin is the relative margin by which the acceptance value must
+	// exceed math.Exp(-lb/T) before rejects answers true: at least 8 ulps
+	// of that value, while math.Exp is within 1 ulp of e^x, so when the
+	// margin holds, the engine's own test rejects every delta ≥ lb.
+	expMargin = 0x1p-49
 )
 
 // cancelled reports whether the cancel channel (possibly nil) has fired.
@@ -124,7 +146,9 @@ func Run(p Problem, cfg Config, onTemp func(TempStats)) Result {
 type Chain struct {
 	p      Problem
 	cfg    Config
+	ahead  *readAhead // rng's source
 	rng    *rand.Rand
+	test   func(lb float64) bool // c.rejects, bound once
 	onTemp func(TempStats)
 
 	started   bool
@@ -142,7 +166,10 @@ type Chain struct {
 // NewChain prepares a chain; no moves are made until the first Step.
 func NewChain(p Problem, cfg Config, onTemp func(TempStats)) *Chain {
 	cfg.setDefaults()
-	return &Chain{p: p, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), onTemp: onTemp}
+	c := &Chain{p: p, cfg: cfg, ahead: newReadAhead(cfg.Seed), onTemp: onTemp}
+	c.rng = rand.New(c.ahead)
+	c.test = c.rejects
+	return c
 }
 
 // Problem returns the chain's current problem state.
@@ -186,7 +213,7 @@ func (c *Chain) Step() bool {
 	accepted := 0
 	bestBefore := c.best
 	for i := 0; i < c.cfg.MovesPerTemp; i++ {
-		d := c.p.Propose(c.rng)
+		d := c.p.Propose(c.rng, c.test)
 		if d <= 0 || c.rng.Float64() < math.Exp(-d/c.temp) {
 			c.p.Accept()
 			accepted++
@@ -235,13 +262,31 @@ func (c *Chain) Step() bool {
 	return true
 }
 
+// rejects is the acceptance test read ahead (see Problem). The acceptance
+// value u is the next Float64 of the chain's stream, the one Step draws after
+// a positive delta. Division and rounding are monotone and math.Exp is within
+// 1 ulp of e^x, so when u clears Exp(-lb/T) by expMargin, Step's test
+// u < Exp(-d/T) fails for every d ≥ lb. A u of 0 never answers true, since
+// Exp's relative error bound does not hold where it underflows.
+func (c *Chain) rejects(lb float64) bool {
+	if !(lb > 0) {
+		return false
+	}
+	u, ok := c.ahead.peekFloat64()
+	if !ok {
+		return false
+	}
+	e := math.Exp(-lb / c.temp)
+	return u > e+float64(e*expMargin)
+}
+
 // warmup is the initial random walk: accept everything, measure the cost
 // spread, derive the starting temperature. start is when the enclosing Step
 // began, for the reporting-only Elapsed field.
 func (c *Chain) warmup(start time.Time) {
 	var warm stats
 	for i := 0; i < c.cfg.MovesPerTemp; i++ {
-		c.p.Propose(c.rng)
+		c.p.Propose(c.rng, nil)
 		c.p.Accept()
 		warm.add(c.p.Cost())
 	}

@@ -43,7 +43,7 @@ func (t *tour) fullCost() float64 {
 
 func (t *tour) Cost() float64 { return t.cost }
 
-func (t *tour) Propose(rng *rand.Rand) float64 {
+func (t *tour) Propose(rng *rand.Rand, _ func(float64) bool) float64 {
 	n := len(t.perm)
 	t.mi = rng.Intn(n)
 	t.mj = rng.Intn(n)

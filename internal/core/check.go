@@ -12,10 +12,10 @@ import (
 // Check verifies every cross-structure invariant of the optimizer state from
 // scratch: placement legality, fabric/route consistency, the fabric's free
 // sets, the G and D counters, the unrouted list and its wake index, route
-// geometry against current pin positions, and the incremental timing view
-// against a full recomputation. Tests call it after move bursts; it is far
-// too slow for the inner loop. Any change to engine state must keep it
-// passing.
+// geometry against current pin positions, the incremental timing view
+// against a full recomputation, and the move bound's path. Tests call it
+// after move bursts; it is far too slow for the inner loop. Any change to
+// engine state must keep it passing.
 func (o *Optimizer) Check() error {
 	if o.moveKind != moveNone {
 		return fmt.Errorf("core: Check inside an open move")
@@ -96,6 +96,22 @@ func (o *Optimizer) Check() error {
 	}
 	if math.Abs(ref.WCD()-o.An.WCD()) > 1e-6 {
 		return fmt.Errorf("core: WCD %v, recompute %v", o.An.WCD(), ref.WCD())
+	}
+
+	// The move bound's path, while kept, is a critical path of the timing
+	// graph with every net it crosses marked.
+	if o.pathOK {
+		if err := o.An.CheckPath(&o.path); err != nil {
+			return fmt.Errorf("core: move-bound path: %w", err)
+		}
+		if b := o.An.PathBound(&o.path); b != o.An.WCD() {
+			return fmt.Errorf("core: move-bound path has length %v, WCD %v", b, o.An.WCD())
+		}
+		for i := range o.path.Slots {
+			if net := o.NL.Cells[o.path.Cells[i]].Out; o.onPath[net] != o.pathGen {
+				return fmt.Errorf("core: net %d is on the move-bound path but not marked", net)
+			}
+		}
 	}
 
 	// Criticality term: the incrementally maintained per-net max delays and

@@ -1,18 +1,21 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/anneal"
 	"repro/internal/fabric"
+	"repro/internal/timing"
 )
 
 // Clone returns a deep copy of the complete optimizer state: placement (cell
 // slots and pinmaps), fabric ownership tables and free sets, every net's
 // segment assignment, the unrouted list and its keys, the wake index (rebuilt
 // from the list), the G/D/dc counters, the adaptive cost weights, and the
-// incremental timing-analyzer state. Clones share only immutable structures
-// (the architecture, the netlist, the pinmap palette) and evolve fully
-// independently afterwards — the parallel annealing engine relies on this to
-// run chains on separate goroutines.
+// incremental timing-analyzer state with the move bound's path. Clones share
+// only immutable structures (the architecture, the netlist, the pinmap
+// palette) and evolve fully independently afterwards — the parallel
+// annealing engine relies on this to run chains on separate goroutines.
 //
 // The clone starts with fresh journal scratch and epoch counters; cloning
 // inside an open move is a programming error and panics.
@@ -43,6 +46,12 @@ func (o *Optimizer) Clone() *Optimizer {
 		netStamp:  make([]uint32, len(o.netStamp)),
 		cellStamp: make([]uint32, len(o.cellStamp)),
 		perturbed: o.perturbed,
+
+		path:     timing.EdgePath{Cells: slices.Clone(o.path.Cells), Slots: slices.Clone(o.path.Slots)},
+		pathOK:   o.pathOK,
+		onPath:   slices.Clone(o.onPath),
+		pathGen:  o.pathGen,
+		fullEval: o.fullEval,
 
 		unrouted: append(make([]int32, 0, cap(o.unrouted)), o.unrouted...),
 		spare:    make([]int32, 0, cap(o.spare)),

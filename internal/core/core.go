@@ -278,6 +278,17 @@ type Optimizer struct {
 	// per-temperature deltas). Only read when cfg.Metrics is non-nil.
 	chain    int
 	lastWork metrics.Work
+
+	// The move bound (boundRejects): path is the committed critical path,
+	// valid while pathOK, and onPath[net] == pathGen marks the nets it
+	// crosses. Accept keeps the path while its length equals the new WCD.
+	// fullEval, set only by tests, evaluates every move in full, as if
+	// rejects were nil.
+	path     timing.EdgePath
+	pathOK   bool
+	onPath   []uint32
+	pathGen  uint32
+	fullEval bool
 }
 
 type moveKind uint8
@@ -317,6 +328,7 @@ func New(a *arch.Arch, nl *netlist.Netlist, cfg Config) (*Optimizer, error) {
 
 		netStamp:  make([]uint32, nl.NumNets()),
 		cellStamp: make([]uint32, nl.NumCells()),
+		onPath:    make([]uint32, nl.NumNets()),
 
 		// Pre-sized move scratch: a move can journal, rip and leave unrouted
 		// every net, so sizing for the worst case up front keeps the
@@ -430,7 +442,10 @@ func (o *Optimizer) timingOn() bool { return !o.cfg.DisableTiming }
 
 // RefreshTiming fills the timing view from the current routes regardless of
 // mode; wirability-only callers use it to obtain a final WCD report.
-func (o *Optimizer) RefreshTiming() error { return o.An.Fill(o.netDelays) }
+func (o *Optimizer) RefreshTiming() error {
+	o.pathOK = false
+	return o.An.Fill(o.netDelays)
+}
 
 // netDelays returns the in-loop model's current per-sink delays for a net.
 // The returned slice is only valid until the next call (the analyzer copies
@@ -496,12 +511,19 @@ func (o *Optimizer) refreshWeights() {
 // missing-channel component: a net stuck in three channels costs more than
 // one stuck in a single channel, which gives the annealer a gradient toward
 // full detailed routing that a bare net count lacks.
-func (o *Optimizer) Cost() float64 {
-	d := float64(o.d) + o.cfg.DCFraction*float64(o.dc)
+func (o *Optimizer) Cost() float64 { return o.costAt(o.An.WCD()) }
+
+// costAt is Cost with worst-case delay wcd. It is monotone in wcd (wt ≥ 0,
+// and rounding is monotone), which makes a move's bound on the WCD a bound
+// on its cost. Each product is wrapped in float64(...), which Go never fuses
+// into a multiply-add, so the copies the compiler inlines round alike on
+// every GOARCH.
+func (o *Optimizer) costAt(wcd float64) float64 {
+	d := float64(o.d) + float64(o.cfg.DCFraction*float64(o.dc))
 	// The criticality term contributes exactly +0.0 when the extension is
 	// off (wcr and critSum are both zero), leaving the float result
 	// bit-identical to the three-term cost.
-	return o.wg*float64(o.g) + o.wd*d + o.wt*o.An.WCD() + o.wcr*o.critSum
+	return float64(o.wg*float64(o.g)) + float64(o.wd*d) + float64(o.wt*wcd) + float64(o.wcr*o.critSum)
 }
 
 // G returns the current number of globally unroutable nets.
@@ -710,16 +732,18 @@ func (o *Optimizer) cancelPending() bool {
 // still-unrouted nets, accepting only non-worsening moves, until the layout
 // is fully routed, the pass budget is exhausted, or cancellation fires (a
 // cancel arriving mid-repair stops at the next pass boundary). Returns moves
-// tried and nets fixed.
+// tried and nets fixed. Moves are bounded as in the anneal, by repair's own
+// rule (repairRejects).
 func (o *Optimizer) repair(rng *rand.Rand) (moves, fixed int) {
 	if o.d == 0 {
 		return 0, 0
 	}
 	startD := o.d
+	rejects := o.repairRejects
 	for pass := 0; pass < o.cfg.RepairPasses && o.d > 0 && !o.cancelPending(); pass++ {
 		budget := 4 * o.NL.NumCells()
 		for i := 0; i < budget && o.d > 0; i++ {
-			dC := o.proposeBiased(rng)
+			dC := o.proposeBiased(rng, rejects)
 			moves++
 			dGD := (o.g + o.d) - (o.jOldG + o.jOldD)
 			if dGD < 0 || (dGD == 0 && dC <= 0) {
@@ -732,16 +756,24 @@ func (o *Optimizer) repair(rng *rand.Rand) (moves, fixed int) {
 	return moves, startD - o.d
 }
 
+// repairRejects is repair's acceptance rule asked ahead (anneal.Problem's
+// rejects): a move that leaves more nets unrouted is rejected whatever its
+// cost, one that leaves as many is rejected when its cost rises.
+func (o *Optimizer) repairRejects(lb float64) bool {
+	dGD := (o.g + o.d) - (o.jOldG + o.jOldD)
+	return dGD > 0 || dGD == 0 && lb > 0
+}
+
 // proposeBiased is Propose, but the moved cell is drawn from an unrouted
 // net's pins half of the time — used only by the repair phase.
-func (o *Optimizer) proposeBiased(rng *rand.Rand) float64 {
+func (o *Optimizer) proposeBiased(rng *rand.Rand, rejects func(lb float64) bool) float64 {
 	if o.d > 0 && rng.Intn(2) == 0 {
 		if cell, ok := o.cellOnUnroutedNet(rng); ok {
 			lb := layout.Loc{Row: rng.Intn(o.A.Rows), Col: rng.Intn(o.A.Cols)}
-			return o.proposeSwap(o.P.Loc[cell], lb)
+			return o.settle(o.ripSwap(o.P.Loc[cell], lb), rejects)
 		}
 	}
-	return o.Propose(rng)
+	return o.Propose(rng, rejects)
 }
 
 func (o *Optimizer) cellOnUnroutedNet(rng *rand.Rand) (int32, bool) {

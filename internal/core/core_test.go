@@ -47,7 +47,7 @@ func TestMoveUndoExactness(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 400; i++ {
 		g0, d0, w0, c0 := o.G(), o.D(), o.WCD(), o.Cost()
-		o.Propose(rng)
+		o.Propose(rng, nil)
 		if rng.Intn(2) == 0 {
 			o.Reject()
 			if o.G() != g0 || o.D() != d0 || o.WCD() != w0 || o.Cost() != c0 {
@@ -79,7 +79,7 @@ func TestRejectRestoresDeepState(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed + 1))
 		// Warm up with accepted moves.
 		for i := 0; i < 40; i++ {
-			o.Propose(rng)
+			o.Propose(rng, nil)
 			o.Accept()
 		}
 		routesBefore := make([]string, len(o.Rts))
@@ -88,7 +88,7 @@ func TestRejectRestoresDeepState(t *testing.T) {
 		}
 		locBefore := append([]int32(nil), flattenLocs(o)...)
 		for i := 0; i < 30; i++ {
-			o.Propose(rng)
+			o.Propose(rng, nil)
 			o.Reject()
 		}
 		for id := range o.Rts {
@@ -235,8 +235,8 @@ func TestMoveMisusePanics(t *testing.T) {
 	mustPanic("Accept without move", o.Accept)
 	mustPanic("Reject without move", o.Reject)
 	rng := rand.New(rand.NewSource(1))
-	o.Propose(rng)
-	mustPanic("nested Propose", func() { o.Propose(rng) })
+	o.Propose(rng, nil)
+	mustPanic("nested Propose", func() { o.Propose(rng, nil) })
 	o.Reject()
 	if err := o.Check(); err != nil {
 		t.Fatal(err)

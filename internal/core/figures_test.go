@@ -22,7 +22,7 @@ func driveUntil(o *Optimizer, rng *rand.Rand, budget int, pred func() bool) bool
 		if pred() {
 			return true
 		}
-		o.Propose(rng)
+		o.Propose(rng, nil)
 		o.Accept()
 	}
 	return pred()
@@ -75,7 +75,7 @@ func TestFigure3IncrementalGlobalReroute(t *testing.T) {
 	found := false
 	for i := 0; i < 5000 && !found; i++ {
 		g0 := o.G()
-		o.Propose(rng)
+		o.Propose(rng, nil)
 		if o.G() < g0 && unrippedRecoveries(o, true) > 0 {
 			found = true
 			o.Accept()
@@ -115,7 +115,7 @@ func TestFigure4IncrementalDetailedReroute(t *testing.T) {
 	found := false
 	for i := 0; i < 5000 && !found; i++ {
 		d0 := o.D()
-		o.Propose(rng)
+		o.Propose(rng, nil)
 		if o.D() < d0 && unrippedRecoveries(o, false) > 0 {
 			found = true
 			o.Accept()
@@ -153,7 +153,7 @@ func TestCountersUnderContention(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 300; i++ {
-		o.Propose(rng)
+		o.Propose(rng, nil)
 		if rng.Intn(3) == 0 {
 			o.Reject()
 		} else {

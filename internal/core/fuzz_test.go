@@ -66,7 +66,7 @@ func cloneEquivalence(t *testing.T, a *arch.Arch, nl *netlist.Netlist, seed int6
 	// Warm the original away from the initial state.
 	wrng := rand.New(rand.NewSource(seed + 7))
 	for i := 0; i < int(warm); i++ {
-		o.Propose(wrng)
+		o.Propose(wrng, nil)
 		if wrng.Intn(4) == 0 {
 			o.Reject()
 		} else {
@@ -97,8 +97,8 @@ func cloneEquivalence(t *testing.T, a *arch.Arch, nl *netlist.Netlist, seed int6
 	r1 := rand.New(rand.NewSource(seed * 31))
 	r2 := rand.New(rand.NewSource(seed * 31))
 	for i := 0; i < n; i++ {
-		d1 := o.Propose(r1)
-		d2 := c.Propose(r2)
+		d1 := o.Propose(r1, nil)
+		d2 := c.Propose(r2, nil)
 		if d1 != d2 {
 			t.Fatalf("move %d: deltas diverged: %v vs %v", i, d1, d2)
 		}
@@ -141,7 +141,7 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 60; i++ {
-		o.Propose(rng)
+		o.Propose(rng, nil)
 		o.Accept()
 	}
 	c := o.Clone()
@@ -150,7 +150,7 @@ func TestCloneIndependence(t *testing.T) {
 
 	// Hammer the original; the clone must not move.
 	for i := 0; i < 150; i++ {
-		o.Propose(rng)
+		o.Propose(rng, nil)
 		o.Accept()
 	}
 	if c.Cost() != cCost || c.WCD() != cWCD {
@@ -170,7 +170,7 @@ func TestCloneIndependence(t *testing.T) {
 	oCost := o.Cost()
 	oLocs := flattenLocs(o)
 	for i := 0; i < 150; i++ {
-		c.Propose(rng)
+		c.Propose(rng, nil)
 		c.Accept()
 	}
 	if o.Cost() != oCost {
@@ -198,7 +198,7 @@ func TestCloneInsideMovePanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
-	o.Propose(rng)
+	o.Propose(rng, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("Clone inside an open move did not panic")

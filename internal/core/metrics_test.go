@@ -164,7 +164,7 @@ func TestDisabledCollectorAddsNoMoveAllocations(t *testing.T) {
 	measure := func(o *Optimizer) float64 {
 		rng := rand.New(rand.NewSource(99))
 		return testing.AllocsPerRun(2000, func() {
-			if o.Propose(rng) <= 0 {
+			if o.Propose(rng, nil) <= 0 {
 				o.Accept()
 			} else {
 				o.Reject()

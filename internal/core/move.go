@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 
 	"repro/internal/arch"
@@ -12,11 +13,13 @@ import (
 
 // jEntry journals one net's pre-move route. ripped marks nets whose pins
 // moved (their delays must be refreshed even if the route descriptor ends up
-// bitwise identical, e.g. unrouted before and after).
+// bitwise identical, e.g. unrouted before and after). timed marks nets whose
+// delays this move has already set.
 type jEntry struct {
 	id      int32
 	old     fabric.NetRoute
 	ripped  bool
+	timed   bool
 	oldMaxD float64 // pre-move worst sink delay (criticality term only)
 	oldEst  float64 // pre-move unrouted-list key
 }
@@ -24,12 +27,13 @@ type jEntry struct {
 // Propose implements anneal.Problem: apply one tentative move (cell swap /
 // translation, or pinmap reassignment), cascade the incremental ripup and
 // reroute, update timing, and return the cost delta. Accept or Reject must
-// follow.
-func (o *Optimizer) Propose(rng *rand.Rand) float64 {
+// follow. With rejects set, a move that rejects turns down at a lower bound
+// on its cost delta returns +Inf before the full timing update (settle).
+func (o *Optimizer) Propose(rng *rand.Rand, rejects func(lb float64) bool) float64 {
 	if !o.cfg.DisablePinmapMoves && rng.Float64() < pinmapProb {
 		cell := int32(rng.Intn(o.NL.NumCells()))
 		nv := uint8((int(o.P.Pm[cell]) + 1 + rng.Intn(arch.NumPinmaps-1)) % arch.NumPinmaps)
-		return o.proposePinmap(cell, nv)
+		return o.settle(o.ripPinmap(cell, nv), rejects)
 	}
 	// Criticality-directed selection: with probability critBias draw the swap
 	// source from the cells on near-critical nets instead of uniformly.
@@ -39,7 +43,7 @@ func (o *Optimizer) Propose(rng *rand.Rand) float64 {
 	if len(o.critCells) > 0 && rng.Float64() < critBias {
 		cell := o.critCells[rng.Intn(len(o.critCells))]
 		la := o.P.Loc[cell]
-		return o.proposeSwap(la, o.pickPartner(rng, la))
+		return o.settle(o.ripSwap(la, o.pickPartner(rng, la)), rejects)
 	}
 	var la layout.Loc
 	for {
@@ -48,8 +52,7 @@ func (o *Optimizer) Propose(rng *rand.Rand) float64 {
 			break
 		}
 	}
-	lb := o.pickPartner(rng, la)
-	return o.proposeSwap(la, lb)
+	return o.settle(o.ripSwap(la, o.pickPartner(rng, la)), rejects)
 }
 
 // pickPartner chooses the destination slot for a swap, uniformly over the
@@ -76,18 +79,6 @@ func (o *Optimizer) begin(kind moveKind) float64 {
 		o.An.Begin()
 	}
 	return o.Cost()
-}
-
-func (o *Optimizer) proposeSwap(la, lb layout.Loc) float64 {
-	before := o.ripSwap(la, lb)
-	o.rerouteAndTime()
-	return o.Cost() - before
-}
-
-func (o *Optimizer) proposePinmap(cell int32, nv uint8) float64 {
-	before := o.ripPinmap(cell, nv)
-	o.rerouteAndTime()
-	return o.Cost() - before
 }
 
 // ripSwap opens a swap move up to its rip-up: it rips the nets of the cells
@@ -129,6 +120,7 @@ func (o *Optimizer) journalNet(id int32, ripped bool) {
 	e := &o.journal[len(o.journal)-1]
 	e.id = id
 	e.ripped = ripped
+	e.timed = false
 	e.old.CopyFrom(&o.Rts[id])
 	e.oldEst = o.estLen[id]
 	if o.netMaxD != nil {
@@ -173,15 +165,23 @@ func (o *Optimizer) ripNet(id int32) {
 	r.Reset()
 }
 
-// rerouteAndTime is the paper's incremental routing cascade (§3.3–§3.4):
-// every currently-unroutable net (the ripped ones plus any that were stuck
-// before this move) is attempted again, longest first — global routing, then
-// the missing channels of the detailed routing — and the timing view is
-// refreshed for every net whose embedding or pins changed.
-func (o *Optimizer) rerouteAndTime() {
+// settle finishes a move opened at cost before with the paper's
+// incremental routing cascade (§3.3–§3.4): every currently-unroutable net
+// (the ripped ones plus any that were stuck before this move) is attempted
+// again, longest first — global routing, then the missing channels of the
+// detailed routing. Then the timing view is refreshed for every net whose
+// embedding or pins changed, and settle returns the cost delta. With rejects
+// set and timing on, boundRejects first asks whether the move is rejected
+// at a bound on its cost; if so, settle returns +Inf without the rest of the
+// timing update, and the caller's Reject undoes what was done.
+func (o *Optimizer) settle(before float64, rejects func(lb float64) bool) float64 {
 	o.wake()
 	o.cascade()
+	if rejects != nil && !o.fullEval && o.timingOn() && o.boundRejects(before, rejects) {
+		return math.Inf(1)
+	}
 	o.retime()
+	return o.Cost() - before
 }
 
 // cascade reroutes the unroutable nets. They are the persistent unrouted
@@ -246,39 +246,80 @@ func (o *Optimizer) cascade() {
 	o.unrouted, o.spare = next, old
 }
 
-// retime refreshes the delays of every journaled net whose route or pins
-// changed and propagates them.
+// boundRejects reports whether rejects rejects the open move at a lower
+// bound on its cost delta. It first asks with no bound (-Inf), which a rule
+// that rejects whatever the cost answers at once. Otherwise it times the
+// changed journaled nets that the committed critical path crosses (every
+// changed net when the criticality term is on, since critSum sums them all)
+// and asks with the cost at the path's length under the new delays. That
+// length is at most the new WCD (timing.PathBound), and costAt is monotone in
+// the WCD, so the bound is at most the delta the full update would return.
+func (o *Optimizer) boundRejects(before float64, rejects func(lb float64) bool) bool {
+	if rejects(math.Inf(-1)) {
+		return true
+	}
+	if !o.pathOK {
+		o.tracePath()
+	}
+	critOn := o.critOn()
+	for i := range o.journal {
+		e := &o.journal[i]
+		if (critOn || o.onPath[e.id] == o.pathGen) && o.stale(e) {
+			o.timeNet(e)
+		}
+	}
+	return rejects(o.costAt(o.An.PathBound(&o.path)) - before)
+}
+
+// tracePath sets the path the move bound follows to the committed critical
+// path and marks the nets it crosses. It runs before any delay of the move
+// is set, so the analyzer still holds the committed state.
+func (o *Optimizer) tracePath() {
+	o.An.TraceCritical(&o.path)
+	o.pathGen++
+	for i := range o.path.Slots {
+		// Slots[i] is a sink slot of Cells[i]'s output net.
+		o.onPath[o.NL.Cells[o.path.Cells[i]].Out] = o.pathGen
+	}
+	o.pathOK = true
+}
+
+// stale reports whether journaled net e needs new delays: it has sinks, and
+// its pins moved or its route changed.
+func (o *Optimizer) stale(e *jEntry) bool {
+	return len(o.NL.Nets[e.id].Sinks) > 0 && (e.ripped || !o.Rts[e.id].Equal(&e.old))
+}
+
+// timeNet sets journaled net e's delays from its current route and, with the
+// criticality term on, updates critSum by the change of its worst sink delay.
+func (o *Optimizer) timeNet(e *jEntry) {
+	e.timed = true
+	d, err := o.netDelays(e.id)
+	if err != nil {
+		panic("core: " + err.Error())
+	}
+	o.An.SetNetDelays(e.id, d)
+	if o.critOn() {
+		m := 0.0
+		for _, v := range d {
+			if v > m {
+				m = v
+			}
+		}
+		o.critSum += o.crit.Values()[e.id] * (m - o.netMaxD[e.id])
+		o.netMaxD[e.id] = m
+	}
+}
+
+// retime sets the delays of every stale journaled net not yet timed, in
+// journal order, and propagates them.
 func (o *Optimizer) retime() {
 	if !o.timingOn() {
 		return
 	}
-	critOn := o.critOn()
-	var cv []float64
-	if critOn {
-		cv = o.crit.Values()
-	}
 	for i := range o.journal {
-		e := &o.journal[i]
-		if len(o.NL.Nets[e.id].Sinks) == 0 {
-			continue
-		}
-		if !e.ripped && o.Rts[e.id].Equal(&e.old) {
-			continue // attempted but unchanged, pins unmoved: delays stand
-		}
-		d, err := o.netDelays(e.id)
-		if err != nil {
-			panic("core: " + err.Error())
-		}
-		o.An.SetNetDelays(e.id, d)
-		if critOn {
-			m := 0.0
-			for _, v := range d {
-				if v > m {
-					m = v
-				}
-			}
-			o.critSum += cv[e.id] * (m - o.netMaxD[e.id])
-			o.netMaxD[e.id] = m
+		if e := &o.journal[i]; !e.timed && o.stale(e) {
+			o.timeNet(e)
 		}
 	}
 	o.An.Propagate()
@@ -343,6 +384,10 @@ func (o *Optimizer) Accept() {
 	}
 	if o.timingOn() {
 		o.An.Commit()
+		// The path still bounds the next move while it is critical.
+		if o.pathOK && o.An.PathBound(&o.path) != o.An.WCD() {
+			o.pathOK = false
+		}
 	}
 	switch o.moveKind {
 	case moveSwap:

@@ -95,7 +95,7 @@ func TestIncrementalStateAgreesWithRecompute(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed + 100))
 				for chk := 0; chk < checks; chk++ {
 					for i := 0; i < movesPerCheck; i++ {
-						o.Propose(rng)
+						o.Propose(rng, nil)
 						if rng.Intn(3) == 0 {
 							o.Reject()
 						} else {

@@ -43,7 +43,7 @@ func TestSoakLongRandomWalk(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(14))
 			for i := 0; i < 4000; i++ {
-				d := o.Propose(rng)
+				d := o.Propose(rng, nil)
 				switch {
 				case d <= 0 || rng.Float64() < 0.3:
 					o.Accept()
@@ -95,7 +95,7 @@ func TestSoakStarvedSkipRule(t *testing.T) {
 		rng := rand.New(rand.NewSource(31))
 		skipped := 0
 		for i := 0; i < moves; i++ {
-			o.Propose(rng)
+			o.Propose(rng, nil)
 			if rng.Intn(2) == 0 {
 				o.Accept()
 			} else {
@@ -131,11 +131,14 @@ func TestCheckCatchesDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	o.tracePath()
+	stale := o.Clone().path
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 50; i++ {
-		o.Propose(rng)
+		o.Propose(rng, nil)
 		o.Accept()
 	}
+	o.tracePath()
 	if err := o.Check(); err != nil {
 		t.Fatalf("consistent state rejected: %v", err)
 	}
@@ -205,6 +208,15 @@ func TestCheckCatchesDrift(t *testing.T) {
 			}
 			t.Fatal("every route has a trunk")
 		}, "holds trunk fields"},
+		{"move-bound path off the graph", func(c *Optimizer) { c.path.Slots[0]++ }, "move-bound path: timing"},
+		{"move-bound path no longer critical", func(c *Optimizer) {
+			// The critical path before the moves, its nets marked.
+			c.path = stale
+			for i := range c.path.Slots {
+				c.onPath[c.NL.Cells[c.path.Cells[i]].Out] = c.pathGen
+			}
+		}, "move-bound path has length"},
+		{"move-bound net unmarked", func(c *Optimizer) { c.onPath[c.NL.Cells[c.path.Cells[0]].Out] = 0 }, "not marked"},
 	} {
 		cl := o.Clone()
 		c.corrupt(cl)

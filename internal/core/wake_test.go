@@ -237,7 +237,7 @@ func TestFitTestsFlat(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(2))
 		for i := 0; i < moves; i++ {
-			o.Propose(rng)
+			o.Propose(rng, nil)
 			if i%2 == 0 {
 				o.Accept()
 			} else {

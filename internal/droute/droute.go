@@ -133,21 +133,44 @@ func needs(routes []fabric.NetRoute) []chanNeed {
 // channel's run: the k-th channel's needs are ns[bounds[k]:bounds[k+1]].
 // The order is ascending channel, then longest interval first (those have
 // the fewest alternatives, so they claim resources first), then (net,
-// entry), which makes it a total order.
+// entry), which makes it a total order. It sorts the four fields packed into
+// one integer key per need, each as wide as its largest value needs, so the
+// sort compares integers instead of looking both needs' routes up; fields
+// too wide to share 64 bits are compared one by one.
 func byChannel(routes []fabric.NetRoute, ns []chanNeed) (bounds []int) {
 	at := func(n chanNeed) *fabric.ChanAssign { return &routes[n.net].Chans[n.ci] }
-	slices.SortFunc(ns, func(x, y chanNeed) int {
-		a, b := at(x), at(y)
-		switch {
-		case a.Ch != b.Ch:
-			return a.Ch - b.Ch
-		case a.Hi-a.Lo != b.Hi-b.Lo:
-			return (b.Hi - b.Lo) - (a.Hi - a.Lo)
-		case x.net != y.net:
-			return int(x.net) - int(y.net)
+	var maxCh, maxLen, maxNet, maxCi int
+	for _, n := range ns {
+		ca := at(n)
+		maxCh, maxLen = max(maxCh, ca.Ch), max(maxLen, ca.Hi-ca.Lo)
+		maxNet, maxCi = max(maxNet, int(n.net)), max(maxCi, n.ci)
+	}
+	wLen, wNet, wCi := bits.Len(uint(maxLen)), bits.Len(uint(maxNet)), bits.Len(uint(maxCi))
+	if bits.Len(uint(maxCh))+wLen+wNet+wCi <= 64 {
+		keys := make([]uint64, len(ns))
+		for i, n := range ns {
+			ca := at(n)
+			keys[i] = uint64(ca.Ch)<<(wLen+wNet+wCi) | uint64(maxLen-(ca.Hi-ca.Lo))<<(wNet+wCi) |
+				uint64(n.net)<<wCi | uint64(n.ci)
 		}
-		return x.ci - y.ci
-	})
+		slices.Sort(keys)
+		for i, k := range keys {
+			ns[i] = chanNeed{net: int32(k >> wCi & (1<<wNet - 1)), ci: int(k & (1<<wCi - 1))}
+		}
+	} else {
+		slices.SortFunc(ns, func(x, y chanNeed) int {
+			a, b := at(x), at(y)
+			switch {
+			case a.Ch != b.Ch:
+				return a.Ch - b.Ch
+			case a.Hi-a.Lo != b.Hi-b.Lo:
+				return (b.Hi - b.Lo) - (a.Hi - a.Lo)
+			case x.net != y.net:
+				return int(x.net) - int(y.net)
+			}
+			return x.ci - y.ci
+		})
+	}
 	for i := range ns {
 		if i == 0 || at(ns[i]).Ch != at(ns[i-1]).Ch {
 			bounds = append(bounds, i)

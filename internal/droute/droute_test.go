@@ -337,3 +337,66 @@ func TestRouteChanProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestByChannelOrder checks byChannel against the order it documents,
+// compared field by field on the routes: ascending channel, then longer
+// interval first, then ascending net and entry. The needs are fed in
+// shuffled, with many equal channels and lengths, and the bounds must split
+// the sorted needs at every change of channel. Every third trial has channel
+// numbers and columns too wide to pack into one 64-bit key.
+func TestByChannelOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 300; trial++ {
+		routes := make([]fabric.NetRoute, 1+rng.Intn(40))
+		wide := 0
+		if trial%3 == 0 {
+			wide = 1 << 30
+		}
+		var ns []chanNeed
+		for id := range routes {
+			r := &routes[id]
+			r.Global = true
+			for ci := 0; ci < 1+rng.Intn(4); ci++ {
+				lo := rng.Intn(6)
+				r.Chans = append(r.Chans, fabric.ChanAssign{Ch: wide + rng.Intn(5), Lo: lo, Hi: wide + lo + rng.Intn(4), Track: -1})
+				ns = append(ns, chanNeed{int32(id), ci})
+			}
+		}
+		rng.Shuffle(len(ns), func(i, j int) { ns[i], ns[j] = ns[j], ns[i] })
+		at := func(n chanNeed) *fabric.ChanAssign { return &routes[n.net].Chans[n.ci] }
+		before := func(x, y chanNeed) bool {
+			a, b := at(x), at(y)
+			switch {
+			case a.Ch != b.Ch:
+				return a.Ch < b.Ch
+			case a.Hi-a.Lo != b.Hi-b.Lo:
+				return a.Hi-a.Lo > b.Hi-b.Lo
+			case x.net != y.net:
+				return x.net < y.net
+			}
+			return x.ci < y.ci
+		}
+		n := len(ns)
+		bounds := byChannel(routes, ns)
+		if len(ns) != n {
+			t.Fatalf("trial %d: %d needs after sorting %d", trial, len(ns), n)
+		}
+		for i := 1; i < len(ns); i++ {
+			if !before(ns[i-1], ns[i]) {
+				t.Fatalf("trial %d: needs %d %v and %d %v out of order", trial, i-1, ns[i-1], i, ns[i])
+			}
+		}
+		k := 0
+		for i := range ns {
+			if i == 0 || at(ns[i]).Ch != at(ns[i-1]).Ch {
+				if k >= len(bounds) || bounds[k] != i {
+					t.Fatalf("trial %d: bounds %v miss the channel change at %d", trial, bounds, i)
+				}
+				k++
+			}
+		}
+		if k != len(bounds)-1 || bounds[k] != len(ns) {
+			t.Fatalf("trial %d: bounds %v for %d needs", trial, bounds, len(ns))
+		}
+	}
+}

@@ -261,7 +261,7 @@ func TestReadPartialRoutesOK(t *testing.T) {
 	// Rip a couple of nets to create unrouted/open states deterministically.
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 10; i++ {
-		o.Propose(rng)
+		o.Propose(rng, nil)
 		o.Reject()
 	}
 	text := roundTrip(t, a, nl, o.P, o.Rts)

@@ -207,7 +207,9 @@ func (pr *problem) Cost() float64 {
 	return pr.wl + congestionWeight*pr.penalty
 }
 
-func (pr *problem) Propose(rng *rand.Rand) float64 {
+// Propose implements anneal.Problem. A move costs too little to bound, so
+// it ignores rejects and always returns the exact delta.
+func (pr *problem) Propose(rng *rand.Rand, _ func(lb float64) bool) float64 {
 	a := pr.p.A
 	// Pick a random occupied slot and a random other slot (swap or translate).
 	var la layout.Loc

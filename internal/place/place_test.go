@@ -77,7 +77,7 @@ func TestIncrementalCostMatchesRecount(t *testing.T) {
 	pr := newProblem(p, func() Config { c := Config{}; c.setDefaults(); return c }())
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 500; i++ {
-		pr.Propose(rng)
+		pr.Propose(rng, nil)
 		if rng.Intn(2) == 0 {
 			pr.Accept()
 		} else {
@@ -143,7 +143,7 @@ func TestNetBinsAscending(t *testing.T) {
 				}
 			}
 		}
-		pr.Propose(rng)
+		pr.Propose(rng, nil)
 		pr.Accept()
 	}
 }

@@ -397,8 +397,16 @@ func (t *Analyzer) Fill(delays func(id int32) ([]float64, error)) error {
 // the critical path, source first. The worst pin is the first strict maximum
 // in sink-pin order.
 func (t *Analyzer) CriticalPath() []int32 {
+	var p EdgePath
+	t.TraceCritical(&p)
+	return p.Cells
+}
+
+// worstSink returns the index of the worst timing sink pin, the first strict
+// maximum in sink-pin order, or -1 when there is none.
+func (t *Analyzer) worstSink() int {
 	if len(t.g.sinkEdges) == 0 {
-		return nil
+		return -1
 	}
 	worst, wv := 0, t.edgeArr(t.g.sinkEdges[0])
 	for i, e := range t.g.sinkEdges[1:] {
@@ -406,5 +414,5 @@ func (t *Analyzer) CriticalPath() []int32 {
 			worst, wv = i+1, v
 		}
 	}
-	return t.traceBack(worst)
+	return worst
 }

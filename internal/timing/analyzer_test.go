@@ -219,8 +219,23 @@ func newTracked(nl *netlist.Netlist) (*tracked, error) {
 // mirrors it into the reference) or reverts it. Half the delays come from
 // {0, 250, 500} ps, so fanin arrivals tie, as the engine's equal estimates
 // and zero start-up delays make them do. Propagate must count as relaxed
-// exactly the cells whose arrival changed.
+// exactly the cells whose arrival changed. The critical path traced before
+// the burst must be a valid path whose PathBound is at most the new WCD, and
+// exactly the old WCD when no delay on it changed.
 func (x *tracked) move(rng *rand.Rand, nl *netlist.Netlist) error {
+	var path EdgePath
+	x.an.TraceCritical(&path)
+	if err := x.an.CheckPath(&path); err != nil {
+		return err
+	}
+	oldWCD := x.an.WCD()
+	if b := x.an.PathBound(&path); b != oldWCD {
+		return fmt.Errorf("critical path has length %v, WCD %v", b, oldWCD)
+	}
+	oldSlots := make([]float64, len(path.Slots))
+	for i, s := range path.Slots {
+		oldSlots[i] = x.an.delays[s]
+	}
 	x.an.Begin()
 	touched := map[int32][]float64{}
 	for k := 0; k < 1+rng.Intn(4); k++ {
@@ -247,6 +262,17 @@ func (x *tracked) move(rng *rand.Rand, nl *netlist.Netlist) error {
 	}
 	if got := x.an.Stats().STACellsRelaxed - relaxed; got != int64(changed) {
 		return fmt.Errorf("%d cells relaxed, %d arrivals changed", got, changed)
+	}
+	b := x.an.PathBound(&path)
+	if b > x.an.WCD() {
+		return fmt.Errorf("path bound %v above the new WCD %v", b, x.an.WCD())
+	}
+	same := true
+	for i, s := range path.Slots {
+		same = same && x.an.delays[s] == oldSlots[i]
+	}
+	if same && b != oldWCD {
+		return fmt.Errorf("path delays unchanged, bound %v, old WCD %v", b, oldWCD)
 	}
 	if rng.Intn(3) == 0 {
 		x.an.Revert()
@@ -356,5 +382,53 @@ func TestSeqBreaksTiming(t *testing.T) {
 	// Segment 1: pi->g1->ff input = 2000. Segment 2: ff(500)->g2(1000)->po = 1500.
 	if an.WCD() != 2000 {
 		t.Errorf("WCD = %v, want 2000 (paths split at the flop)", an.WCD())
+	}
+}
+
+// TestTraceCriticalPathBound traces Figure 5's critical path with its arcs:
+// pi2 → B → C → D → po1 once net n2 is slowed, with PathBound equal to the
+// WCD. CheckPath accepts it and rejects each way of breaking it.
+func TestTraceCriticalPathBound(t *testing.T) {
+	nl := figure5Netlist(t)
+	an, err := NewAnalyzer(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an.Begin()
+	an.SetNetDelays(nl.NetID("n2"), []float64{800})
+	an.SetNetDelays(nl.NetID("nc"), []float64{250})
+	an.Propagate()
+	an.Commit()
+	var p EdgePath
+	an.TraceCritical(&p)
+	var names []string
+	for _, c := range p.Cells {
+		names = append(names, nl.Cells[c].Name)
+	}
+	if fmt.Sprint(names) != "[pi2 B C D po1]" {
+		t.Fatalf("critical path %v, want [pi2 B C D po1]", names)
+	}
+	if b := an.PathBound(&p); b != an.WCD() || b != 4050 {
+		t.Errorf("PathBound %v, WCD %v, want both 4050", b, an.WCD())
+	}
+	if err := an.CheckPath(&p); err != nil {
+		t.Fatal(err)
+	}
+	if err := an.CheckPath(&EdgePath{}); err != nil {
+		t.Errorf("empty path: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		p    EdgePath
+	}{
+		{"arc count", EdgePath{Cells: p.Cells, Slots: p.Slots[1:]}},
+		{"no source", EdgePath{Cells: p.Cells[1:], Slots: p.Slots[1:]}},
+		{"no sink pin", EdgePath{Cells: p.Cells[:4], Slots: p.Slots[:3]}},
+		{"wrong arc", EdgePath{Cells: p.Cells, Slots: append([]int32{p.Slots[1]}, p.Slots[1:]...)}},
+		{"through a source", EdgePath{Cells: []int32{nl.CellID("pi1"), nl.CellID("pi2"), nl.CellID("B")}, Slots: []int32{0, 1}}},
+	} {
+		if err := an.CheckPath(&c.p); err == nil {
+			t.Errorf("%s: CheckPath accepted %+v", c.name, c.p)
+		}
 	}
 }

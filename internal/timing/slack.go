@@ -1,7 +1,9 @@
 package timing
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/netlist"
@@ -119,38 +121,114 @@ func (t *Analyzer) TopPaths(k int) []Path {
 	}
 	out := make([]Path, 0, k)
 	for _, ep := range eps[:k] {
-		out = append(out, Path{Cells: t.traceBack(ep.idx), Arrival: ep.arr})
+		var p EdgePath
+		t.traceBack(ep.idx, &p)
+		out = append(out, Path{Cells: p.Cells, Arrival: ep.arr})
 	}
 	return out
 }
 
 // traceBack walks upstream from the i'th timing sink pin along worst-arrival
-// inputs (the first strict maximum in pin order) and returns the path, source
-// first.
-func (t *Analyzer) traceBack(i int) []int32 {
+// inputs (the first strict maximum in pin order) and sets p to the path,
+// source first, reusing p's storage.
+func (t *Analyzer) traceBack(i int, p *EdgePath) {
 	g := t.g
-	rev := []int32{g.sinkPins[i].Cell}
+	p.Cells = append(p.Cells[:0], g.sinkPins[i].Cell)
+	p.Slots = append(p.Slots[:0], g.sinkEdges[i].slot)
 	cell := g.sinkEdges[i].drv
 	for {
-		rev = append(rev, cell)
+		p.Cells = append(p.Cells, cell)
 		if g.source[cell] {
 			break
 		}
-		best := int32(-1)
+		best := edge{drv: -1}
 		bv := math.Inf(-1)
 		for _, e := range g.faninOf(cell) {
 			if v := t.edgeArr(e); v > bv {
 				bv = v
-				best = e.drv
+				best = e
 			}
 		}
-		if best < 0 {
+		if best.drv < 0 {
 			break
 		}
-		cell = best
+		p.Slots = append(p.Slots, best.slot)
+		cell = best.drv
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	slices.Reverse(p.Cells)
+	slices.Reverse(p.Slots)
+}
+
+// EdgePath is a timing path with the arcs it follows: Cells runs from a
+// source (or a cell without inputs) to the cell of the timing sink pin it
+// ends at, and Slots[i] is the delay slot of the arc from Cells[i] into
+// Cells[i+1], which belongs to Cells[i]'s output net.
+type EdgePath struct {
+	Cells []int32
+	Slots []int32
+}
+
+// TraceCritical sets p to the critical path, the one CriticalPath returns,
+// reusing p's storage. A netlist without timing sink pins gives an empty
+// path.
+func (t *Analyzer) TraceCritical(p *EdgePath) {
+	if i := t.worstSink(); i >= 0 {
+		t.traceBack(i, p)
+		return
 	}
-	return rev
+	p.Cells, p.Slots = p.Cells[:0], p.Slots[:0]
+}
+
+// PathBound returns p's length under the current net delays: the arrival at
+// its sink pin when every cell on it takes its arrival from the path's arc,
+// added in Propagate's order (arc delay onto the driver's arrival, then the
+// cell's own delay). Each step adds the operands faninArr adds, with the
+// path's arc in place of the worst one, and rounding is monotone, so once
+// the current delays are propagated the WCD is at least PathBound. For the
+// path TraceCritical returns, PathBound equals the WCD it was traced at until
+// a delay on the path changes. An empty path gives 0.
+func (t *Analyzer) PathBound(p *EdgePath) float64 {
+	if len(p.Cells) == 0 {
+		return 0
+	}
+	g := t.g
+	a := g.delay[p.Cells[0]]
+	last := len(p.Slots) - 1
+	for i, s := range p.Slots {
+		a += t.delays[s]
+		if i < last {
+			a += g.delay[p.Cells[i+1]]
+		}
+	}
+	return a
+}
+
+// CheckPath reports whether p is a path PathBound may take: it starts at a
+// source or a cell without inputs, every arc is a fanin arc of the next cell
+// from the cell before it, every cell between the ends is not a source, and
+// the last arc enters a timing sink pin.
+func (t *Analyzer) CheckPath(p *EdgePath) error {
+	g := t.g
+	if len(p.Cells) == 0 && len(p.Slots) == 0 {
+		return nil
+	}
+	if len(p.Cells) != len(p.Slots)+1 || len(p.Slots) == 0 {
+		return fmt.Errorf("timing: path of %d cells has %d arcs", len(p.Cells), len(p.Slots))
+	}
+	if c := p.Cells[0]; !g.source[c] && len(g.faninOf(c)) > 0 {
+		return fmt.Errorf("timing: path starts at cell %d, neither a source nor without inputs", c)
+	}
+	for i, s := range p.Slots {
+		to := p.Cells[i+1]
+		if i+1 < len(p.Slots) && g.source[to] {
+			return fmt.Errorf("timing: path passes through source cell %d", to)
+		}
+		if !slices.Contains(g.faninOf(to), edge{drv: p.Cells[i], slot: s}) {
+			return fmt.Errorf("timing: path arc %d (slot %d) is no arc from cell %d into cell %d", i, s, p.Cells[i], to)
+		}
+	}
+	if end := p.Cells[len(p.Cells)-1]; !g.endpoint[end] {
+		return fmt.Errorf("timing: path ends at cell %d, which ends no timing path", end)
+	}
+	return nil
 }
